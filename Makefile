@@ -18,22 +18,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific analyzers (determinism + pool-ownership invariants + the
-# crosstile shared-state inventory enforced against internal/sim/
-# crosstile_registry.txt). See DESIGN.md "Determinism & pooling rules" and
-# §12 for what each pass enforces and how to waive a finding.
+# Project-specific analyzers (determinism, pool-ownership, and hot-path
+# invariants). See DESIGN.md "Determinism & pooling rules" for what each pass
+# enforces and how to waive a finding.
 lint:
 	$(GO) run ./cmd/lockillerlint ./...
 
 # Machine-readable diagnostics for CI and tooling (same analyzers as lint).
 lint-json:
 	$(GO) run ./cmd/lockillerlint -json ./...
-
-# Regenerate the crosstile registry after a deliberate shared-state change;
-# the nightly drift job requires the committed file to be byte-identical to
-# a fresh run.
-crosstile-registry:
-	$(GO) run ./cmd/lockillerlint -analyzers crosstile -crosstile-write-registry ./...
 
 # External linters. These download a tool, so they are CI-only targets on
 # machines with network access; `make lint` stays fully offline.
@@ -58,9 +51,7 @@ test-short:
 # (ns/op, B/op, allocs/op per benchmark). BENCH_1.json is the pre-refactor
 # baseline, BENCH_2.json the table-driven protocol engine, BENCH_3.json the
 # telemetry layer, BENCH_4.json the event-fusion fast path + allocation
-# cleanup, BENCH_5.json the sharded tile-parallel engine (adds
-# ParallelSimulatorThroughput; compare it against SimulatorThroughput in the
-# same file — the ratio is only meaningful on a 4+-CPU host), BENCH_6.json
+# cleanup, BENCH_5.json a since-removed engine experiment, BENCH_6.json
 # the scalable-machine refactor (adds ScalingCores/{32,64,128,256}, whose
 # metric of record is ns per simulated core-cycle), BENCH_7.json the
 # host-side observability layer (adds ObsDisabledOverhead/

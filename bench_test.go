@@ -419,33 +419,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
-// BenchmarkParallelSimulatorThroughput is BenchmarkSimulatorThroughput on
-// the sharded tile-parallel engine (DESIGN.md §11) at 4 workers — same
-// workload, same bit-identical results, different engine structure. The
-// sequential/parallel ratio is only meaningful when the host grants the
-// process 4+ CPUs; on fewer cores the sharded engine measures pure
-// coordination overhead (see DESIGN.md §11 for the recorded outcome).
-func BenchmarkParallelSimulatorThroughput(b *testing.B) {
-	wl := stamp.Kmeans()
-	sys, _ := harness.SystemByName("LockillerTM")
-	var cycles, events, spans uint64
-	for i := 0; i < b.N; i++ {
-		p := coherence.DefaultParams()
-		cfg := cpu.Config{Machine: p, HTM: sys.HTM, Sync: sys.Sync, Threads: 8, Seed: 1, Limit: 4_000_000_000, Par: 4}
-		m := cpu.NewMachine(cfg, sys.Name, wl.Name, stamp.Programs(wl, 8, 1))
-		res, err := m.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.ExecCycles
-		events += m.Engine.Executed()
-		spans += m.Engine.ParSpans()
-	}
-	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	b.ReportMetric(float64(spans)/float64(b.N), "spans/op")
-}
-
 // BenchmarkFusedHitChain measures the steady-state per-op cost of the
 // event-fusion fast path (DESIGN.md §10): a single thread streaming compute
 // ops and guaranteed L1 hits, the exact shape fuseOps executes inline

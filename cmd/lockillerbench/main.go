@@ -12,8 +12,8 @@
 //	lockillerbench -fig 7 -obs       # stream sweep progress (done/total, ETA) to stderr
 //	lockillerbench -fig 7 -ledger runs.jsonl
 //	                                 # append one schema-versioned JSONL record per run
-//	lockillerbench -fig 7 -par 4 -selfprofile
-//	                                 # print the PDES self-profile after the sweep
+//	lockillerbench -fig 7 -selfprofile
+//	                                 # print the engine self-profile after the sweep
 //	lockillerbench -fig 7 -results out/cache
 //	                                 # persistent content-addressed result cache (a
 //	                                 # .json path selects the legacy snapshot file)
@@ -49,12 +49,11 @@ func main() {
 	cacheFile := flag.String("results", "", "persist simulation results: a .json path is a snapshot file (loaded first, saved after); any other path is a content-addressed cache directory (e.g. out/cache), written incrementally")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	workers := flag.Int("workers", 0, "parallel simulations (0 = LOCKILLER_WORKERS env, then one per CPU); this is the outer, spec-level budget — divide CPUs between it and any inner -par tile parallelism")
+	workers := flag.Int("workers", 0, "parallel simulations (0 = LOCKILLER_WORKERS env, then one per CPU)")
 	obsProgress := flag.Bool("obs", false, "stream sweep progress events (done/total, per-spec wall, ETA) to stderr")
 	ledgerPath := flag.String("ledger", "", "append one JSONL ledger record per simulation to this file")
 	obsRedact := flag.Bool("obs-redact", false, "zero host-derived ledger fields (wall, allocator) for byte-stable diffing")
-	selfProfile := flag.Bool("selfprofile", false, "profile the PDES engine itself and print the report after the sweep")
-	parN := flag.Int("par", 0, "inner tile-parallel workers per simulation (0 = sequential engine)")
+	selfProfile := flag.Bool("selfprofile", false, "profile the event engine itself and print the report after the sweep")
 	reuse := flag.String("reuse", "on", "machine reuse across sweep points: on or off (results are bit-identical either way; off rebuilds every machine and exists as a diagnostic escape hatch)")
 	flag.Parse()
 
@@ -88,7 +87,6 @@ func main() {
 
 	r := harness.NewRunner(*seed)
 	r.Workers = harness.DefaultWorkers(*workers)
-	r.Par = *parN
 	switch *reuse {
 	case "on":
 	case "off":

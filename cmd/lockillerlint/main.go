@@ -1,6 +1,6 @@
 // Command lockillerlint is the multichecker for the repository's custom
 // static-analysis suite. It loads the named packages from source (stdlib-only
-// module, no external driver needed) and runs the ten lockiller passes:
+// module, no external driver needed) and runs the eight lockiller passes:
 //
 //	detmap        — order-dependent side effects in map-range loops of
 //	                deterministic packages
@@ -16,23 +16,18 @@
 //	                hot paths that pay argument evaluation when disabled
 //	fusepath      — evL1Done scheduled outside L1.finishHit, breaking the
 //	                event-fusion fast path's single-completion-site invariant
-//	callgraph     — (library pass, no diagnostics of its own) interprocedural
-//	                call graph + per-function summaries shared via Facts
-//	crosstile     — every state access reachable from an event-handler root
-//	                classified own-tile / cross-tile / global-immutable and
-//	                diffed against internal/sim/crosstile_registry.txt
+//
+// poolsafe's transitive sink summaries run over a shared whole-load call
+// graph (internal/analysis/callgraph.go).
 //
 // Usage:
 //
-//	lockillerlint [-analyzers a,b] [-json] [-unused-waivers]
-//	              [-crosstile-inventory out.json] [-crosstile-write-registry]
-//	              [packages]
+//	lockillerlint [-analyzers a,b] [-json] [-unused-waivers] [packages]
 //
 // Packages default to ./... resolved against the enclosing module. Exit
 // status is 1 when any diagnostic is reported, 2 on load errors, matching
 // go vet. See DESIGN.md "Determinism & pooling rules" for the invariants and
-// the //lockiller: waiver syntax, and DESIGN.md §12 for the crosstile
-// inventory workflow.
+// the //lockiller: waiver syntax.
 package main
 
 import (
@@ -43,7 +38,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/crosstile"
 	"repro/internal/analysis/detmap"
 	"repro/internal/analysis/evtalloc"
 	"repro/internal/analysis/fusepath"
@@ -55,7 +49,6 @@ import (
 )
 
 var all = []*analysis.Analyzer{
-	crosstile.Analyzer,
 	detmap.Analyzer,
 	evtalloc.Analyzer,
 	fusepath.Analyzer,
@@ -82,10 +75,8 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	asJSON := flag.Bool("json", false, "emit diagnostics as a sorted JSON array on stdout")
 	unusedWaivers := flag.Bool("unused-waivers", false, "also report //lockiller: suppression comments that matched no diagnostic (advisory: does not affect exit status)")
-	inventoryOut := flag.String("crosstile-inventory", "", "write the crosstile shared-state inventory as JSON to this file")
-	writeRegistry := flag.Bool("crosstile-write-registry", false, "regenerate internal/sim/crosstile_registry.txt from the computed inventory and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: lockillerlint [-analyzers a,b] [-list] [-json] [-unused-waivers] [-crosstile-inventory out.json] [-crosstile-write-registry] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: lockillerlint [-analyzers a,b] [-list] [-json] [-unused-waivers] [packages]\n\nAnalyzers:\n")
 		for _, a := range all {
 			fmt.Fprintf(os.Stderr, "  %-13s %s\n", a.Name, a.Doc)
 		}
@@ -135,16 +126,6 @@ func main() {
 	}
 	prog, diags, err := analysis.RunAnalyzersProgram(pkgs, analyzers)
 
-	if *writeRegistry {
-		if err != nil {
-			fatal(err)
-		}
-		if err := writeRegistryFile(prog); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	if *asJSON {
 		out := make([]jsonDiagnostic, 0, len(diags))
 		for _, d := range diags {
@@ -170,11 +151,6 @@ func main() {
 		fatal(err)
 	}
 
-	if *inventoryOut != "" {
-		if err := writeInventory(prog, *inventoryOut); err != nil {
-			fatal(err)
-		}
-	}
 	if *unusedWaivers {
 		for _, w := range prog.UnusedWaivers() {
 			fmt.Fprintf(os.Stderr, "lockillerlint: unused waiver //%s at %s:%d\n",
@@ -186,45 +162,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lockillerlint: %d issue(s) in %d package(s)\n", len(diags), len(pkgs))
 		os.Exit(1)
 	}
-}
-
-// inventoryOf pulls the crosstile inventory computed during the run; it is
-// absent when crosstile was not among the analyzers or when the load did not
-// include the simulator roots.
-func inventoryOf(prog *analysis.Program) (*crosstile.Inventory, error) {
-	v, ok := prog.PeekFact(crosstile.InventoryFact)
-	if !ok {
-		return nil, fmt.Errorf("no crosstile inventory was computed (run the crosstile analyzer over the full module, e.g. ./...)")
-	}
-	return v.(*crosstile.Inventory), nil
-}
-
-func writeInventory(prog *analysis.Program, path string) error {
-	inv, err := inventoryOf(prog)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(inv, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func writeRegistryFile(prog *analysis.Program) error {
-	inv, err := inventoryOf(prog)
-	if err != nil {
-		return err
-	}
-	path, err := crosstile.RegistryPathFor(prog)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, crosstile.FormatRegistry(inv), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("lockillerlint: wrote %d entries to %s\n", len(inv.Entries), prog.RelPath(path))
-	return nil
 }
 
 func fatal(err error) {

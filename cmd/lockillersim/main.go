@@ -5,7 +5,7 @@
 // Usage:
 //
 //	lockillersim -system LockillerTM -workload intruder -threads 8 [-cache small] [-seed 1]
-//	lockillersim -obs                # profile the PDES engine and print the report
+//	lockillersim -obs                # profile the event engine and print the report
 //	lockillersim -ledger run.jsonl   # write this run's ledger record (JSONL)
 //	lockillersim -results out/cache  # check/fill the content-addressed result cache
 //	lockillersim -list
@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"repro/internal/cpu"
 	"repro/internal/harness"
@@ -46,12 +45,11 @@ func main() {
 	chromePath := flag.String("chrometrace", "", "write a Chrome-trace-event (Perfetto) JSON trace to this path")
 	hotLines := flag.Int("hot-lines", 16, "number of hottest conflict lines to report")
 	fuse := flag.String("fuse", "on", "event-fusion fast path: on or off (results are identical; off is a diagnostic mode)")
-	par := flag.String("par", "off", "sharded tile-parallel engine: worker count N, or 'off' for the sequential oracle (results are bit-for-bit identical either way)")
 	cores := flag.Int("cores", 0, "scale the machine to N cores on a near-square grid (0 = Table I's 32)")
 	topo := flag.String("topo", "", "interconnect topology: mesh, torus, or cmesh (default: Table I's mesh)")
 	cluster := flag.Int("cluster", 0, "two-level directory cluster size (0 = flat directory)")
 	resultsDir := flag.String("results", "", "content-addressed result cache directory shared with lockillerbench (checked before running, stored after; ignored for instrumented or custom runs)")
-	obsFlag := flag.Bool("obs", false, "profile the PDES engine (host-side) and print the self-profile report")
+	obsFlag := flag.Bool("obs", false, "profile the event engine (host-side) and print the self-profile report")
 	ledgerPath := flag.String("ledger", "", "write this run's ledger record to the file as JSONL")
 	obsRedact := flag.Bool("obs-redact", false, "zero host-derived ledger fields (wall, allocator) for byte-stable diffing")
 	flag.Parse()
@@ -63,14 +61,6 @@ func main() {
 		disableFusion = true
 	default:
 		fatal(fmt.Errorf("unknown -fuse value %q (want on or off)", *fuse))
-	}
-	var parN int
-	if *par != "off" {
-		n, err := strconv.Atoi(*par)
-		if err != nil || n < 1 {
-			fatal(fmt.Errorf("bad -par value %q (want a worker count or 'off')", *par))
-		}
-		parN = n
 	}
 
 	if *list {
@@ -123,8 +113,7 @@ func main() {
 		fatal(fmt.Errorf("unknown -topo value %q (want mesh, torus, or cmesh)", *topo))
 	}
 	spec := harness.Spec{System: sys, Workload: wl, Threads: *threads, Cache: cache, Seed: *seed,
-		DisableFusion: disableFusion, Par: parN,
-		Cores: *cores, Topo: *topo, ClusterSize: *cluster}
+		DisableFusion: disableFusion, Cores: *cores, Topo: *topo, ClusterSize: *cluster}
 	if *exportPath != "" {
 		f, err := os.Create(*exportPath)
 		if err != nil {
@@ -206,15 +195,11 @@ func main() {
 		fatal(err)
 	}
 
-	engineDesc := "sequential"
-	if parN > 0 {
-		engineDesc = fmt.Sprintf("sharded par=%d", parN)
-	}
 	if cacheSrc != "" {
 		fmt.Printf("cached    : %s (%s)\n", cacheSrc, *resultsDir)
 	}
-	fmt.Printf("system    : %s\nworkload  : %s\nthreads   : %d\ncache     : %s\nengine    : %s\n",
-		sys.Name, wl.Name, *threads, cache.Name, engineDesc)
+	fmt.Printf("system    : %s\nworkload  : %s\nthreads   : %d\ncache     : %s\n",
+		sys.Name, wl.Name, *threads, cache.Name)
 	if *cores > 0 || *topo != "" || *cluster > 0 {
 		p := spec.MachineParams()
 		kind := p.Topo
@@ -318,7 +303,7 @@ func runCustom(spec harness.Spec, tracer *trace.Tracer, tel *telemetry.Telemetry
 	cfg := cpu.Config{
 		Machine: p, HTM: spec.System.HTM, Sync: spec.System.Sync,
 		Threads: len(progs), Seed: spec.Seed, Limit: 4_000_000_000, Tracer: tracer,
-		Telemetry: tel, DisableFusion: spec.DisableFusion, Par: spec.Par,
+		Telemetry: tel, DisableFusion: spec.DisableFusion,
 	}
 	if prof != nil { // never wrap a nil *Profiler in the interface
 		cfg.Probe = prof

@@ -27,16 +27,13 @@ import (
 	"strings"
 )
 
-// An Analyzer is one static check. Per-package analyzers implement Run, which
-// inspects a single package through the Pass; whole-program analyzers (those
-// that need the cross-package call graph) implement RunProgram instead, which
-// is invoked exactly once per run with the full load. An analyzer implements
-// one or the other.
+// An Analyzer is one static check: Run inspects a single package through
+// the Pass, which also exposes the whole load (Pass.Prog) for analyzers that
+// need cross-package facts such as the call graph.
 type Analyzer struct {
-	Name       string // short kebab-free identifier, e.g. "detmap"
-	Doc        string // one-paragraph description of what it enforces
-	Run        func(*Pass) error
-	RunProgram func(*Program) error
+	Name string // short kebab-free identifier, e.g. "detmap"
+	Doc  string // one-paragraph description of what it enforces
+	Run  func(*Pass) error
 }
 
 // A Pass presents one type-checked package to an Analyzer.
@@ -94,31 +91,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 //	//lockiller:fusepath-ok — fusepath: a deliberate new evL1Done scheduling
 //	                        site; say why, and update the fusion equivalence
 //	                        reasoning in DESIGN.md §10
-//	//lockiller:par-ok    — nowallclock: goroutine/channel use inside the PDES
-//	                        coordinator (package sim, par*.go only); say which
-//	                        handoff the line implements. Honored nowhere else —
-//	                        the concurrency ban stays absolute in every other
-//	                        deterministic file (see InParCoordinatorFile)
-//	//lockiller:crosstile-ok — crosstile: the cross-tile state access is
-//	                        accepted without a registry entry (e.g. provably
-//	                        dead under the current configurations); say why
 //	//lockiller:hostclock-ok — hostclock: a wall-clock read in package main
 //	                        (CLI banners and the like); say why the value
 //	                        never reaches model state. Honored only in
 //	                        package main — libraries route host time
 //	                        through internal/obs, no exceptions
-//
-// Three further directives are declarative annotations, not suppressions
-// (the stale-waiver audit ignores them):
-//
-//	//lockiller:tile-state   — on a type decl: instances are per-tile state,
-//	                        owned by the tile their SimTile() reports
-//	//lockiller:shared-state — on a type decl: a single instance is shared by
-//	                        all tiles (zero-latency cross-tile state)
-//	//lockiller:owner-dispatch — on a tile-collection index inside an
-//	                        EventOwner's OnEvent: the index equals the value
-//	                        EventTile returned for this event, so the element
-//	                        is the event's own tile, not a foreign one
 const (
 	DirectiveOrdered     = "lockiller:ordered"
 	DirectiveAllocOK     = "lockiller:alloc-ok"
@@ -126,13 +103,7 @@ const (
 	DirectiveRawDispatch = "lockiller:rawdispatch"
 	DirectiveTraceOK     = "lockiller:trace-ok"
 	DirectiveFusePathOK  = "lockiller:fusepath-ok"
-	DirectiveParOK       = "lockiller:par-ok"
-	DirectiveCrossTileOK = "lockiller:crosstile-ok"
 	DirectiveHostClockOK = "lockiller:hostclock-ok"
-
-	DirectiveTileState     = "lockiller:tile-state"
-	DirectiveSharedState   = "lockiller:shared-state"
-	DirectiveOwnerDispatch = "lockiller:owner-dispatch"
 )
 
 // Waived reports whether node n is waived by the given directive: a comment
@@ -214,24 +185,6 @@ func IsDeterministicPkg(pkg *types.Package) bool {
 	return deterministicPkgs[pkg.Name()] || deterministicPkgs[pathTail(pkg.Path())]
 }
 
-// InParCoordinatorFile reports whether n sits in a file where the
-// //lockiller:par-ok waiver is honored: the sharded-engine coordinator,
-// i.e. package sim in a file whose basename starts with "par". Everywhere
-// else the nowallclock concurrency ban is absolute — channel handoffs are
-// how the PDES runtime moves its execution token (with happens-before edges
-// the race detector can certify), and that reasoning only holds inside the
-// coordinator.
-func (p *Pass) InParCoordinatorFile(n ast.Node) bool {
-	if p.Pkg.Name() != "sim" {
-		return false
-	}
-	name := p.Fset.Position(n.Pos()).Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return strings.HasPrefix(name, "par")
-}
-
 // IsHotPkg reports whether pkg is on the scheduling hot path.
 func IsHotPkg(pkg *types.Package) bool {
 	return hotPkgs[pkg.Name()] || hotPkgs[pathTail(pkg.Path())]
@@ -254,17 +207,13 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 }
 
 // RunAnalyzersProgram is RunAnalyzers exposing the Program as well, so the
-// driver can inspect run-wide state afterwards (computed facts such as the
-// crosstile inventory, and the stale-waiver audit).
+// driver can inspect run-wide state afterwards (the stale-waiver audit and
+// module-relative paths).
 func RunAnalyzersProgram(pkgs []*Package, analyzers []*Analyzer) (*Program, []Diagnostic, error) {
 	var diags []Diagnostic
 	prog := NewProgram(pkgs)
-	prog.diags = &diags
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
@@ -277,14 +226,6 @@ func RunAnalyzersProgram(pkgs []*Package, analyzers []*Analyzer) (*Program, []Di
 			if err := a.Run(pass); err != nil {
 				return prog, diags, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 			}
-		}
-	}
-	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		if err := a.RunProgram(prog); err != nil {
-			return prog, diags, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 	sortDiagnostics(diags)

@@ -7,9 +7,8 @@ import (
 	"sort"
 )
 
-// This file builds a whole-load call graph from the typed syntax trees, the
-// foundation of the interprocedural layer (see summary.go for the per-function
-// access summaries computed over it in bottom-up SCC order).
+// This file builds a whole-load call graph from the typed syntax trees;
+// poolsafe walks its nodes to derive transitive release-sink summaries.
 //
 // Nodes are declared functions/methods (keyed by their *types.Func, with
 // generic instantiations normalized to their origin) plus every function
@@ -18,44 +17,23 @@ import (
 // can do is reachable from the function that created it even when the call
 // happens later through a scheduler or a dispatch table.
 //
-// Call edges come from three resolvers:
+// Call edges come from two resolvers:
 //
 //   - static calls and method calls on concrete receivers bind to the named
 //     callee directly;
 //   - interface method calls bind to the corresponding method of every named
-//     type in the load that implements the interface (types.Implements); a
-//     call with no in-load implementation stays unresolved, which summary
-//     computation treats as a sound "unknown" effect;
-//   - remaining dynamic calls (through function-typed values: struct fields,
-//     table entries, parameters) are resolved by Reach on demand: candidates
-//     are address-taken named functions and function literals whose definer
-//     is not itself reachable (a reachable definer already accounts for its
-//     literals), matched by signature shape with type parameters acting as
-//     wildcards so calls inside generic bodies, e.g. the proto table
-//     dispatcher's Do(c), reach the concrete actions registered in init().
+//     type in the load that implements the interface (types.Implements).
+//
+// Every other call — an interface call with no in-load implementation, or a
+// call through a function-typed value — is recorded as a dynamic site.
 type CallGraph struct {
 	prog *Program
 
-	nodes    []*CGNode // creation order: packages sorted by path, files, decls
-	byObj    map[*types.Func]*CGNode
-	byLit    map[*ast.FuncLit]*CGNode
-	enclosed map[*CGNode]*CGNode // literal -> defining node
+	nodes []*CGNode // creation order: packages sorted by path, files, decls
+	byObj map[*types.Func]*CGNode
 
-	// siteTargets maps each call expression to its resolved callees. Calls
-	// absent from the map (or mapped to nil) are unresolved; summaries must
-	// treat them as unknown unless Reach attached dynamic candidates.
-	siteTargets map[*ast.CallExpr][]*CGNode
-
-	// litsByField indexes function literals by the struct field they are
-	// stored into ("pkg.Type.Field"): composite-literal field values,
-	// assignments to a field selector, and appends to a field-held slice.
-	// Dynamic calls that read their callee out of a known field resolve
-	// against exactly these literals instead of shape-matching the world.
-	litsByField map[string][]*CGNode
-
-	addressTaken map[*types.Func]bool
-	namedTypes   []*types.TypeName // package-level named types, decl order
-	ifaceCache   map[ifaceMethodKey][]*types.Func
+	namedTypes []*types.TypeName // package-level named types, decl order
+	ifaceCache map[ifaceMethodKey][]*types.Func
 }
 
 // A CGNode is one function in the call graph: either a declared function or
@@ -67,7 +45,6 @@ type CGNode struct {
 	Pkg  *Package
 
 	Callees []*CGNode // deduplicated, in first-encounter order
-	Lits    []*CGNode // literals defined directly inside this node's body
 
 	// DynSites are this node's call expressions that static and interface
 	// resolution could not bind (including interface calls with no in-load
@@ -77,52 +54,16 @@ type CGNode struct {
 	calleeSet map[*CGNode]bool
 }
 
-// A DynSite is one unresolved call site. FieldHint, when non-empty, names the
-// struct field ("pkg.Type.Field") the called function value was read from —
-// directly (x.f()) or through a local bound from a field (w := x.f; w(), or
-// ranging over a field-held slice of functions).
+// A DynSite is one unresolved call site.
 type DynSite struct {
-	Call      *ast.CallExpr
-	Sig       *types.Signature
-	Iface     bool
-	FieldHint string
+	Call  *ast.CallExpr
+	Sig   *types.Signature
+	Iface bool
 }
 
 type ifaceMethodKey struct {
 	iface *types.Interface
 	name  string
-}
-
-// Name returns a stable human-readable identifier, e.g.
-// "coherence.(*L1).Receive" or "coherence.tables.go:88:lit".
-func (n *CGNode) Name() string {
-	if n.Obj != nil {
-		return qualifiedFuncName(n.Obj)
-	}
-	pos := n.Pkg.Fset.Position(n.Lit.Pos())
-	return pathTail(n.Pkg.Path) + "." + pathTail(pos.Filename) + ":" + itoa(pos.Line) + ":lit"
-}
-
-// Pos returns the node's declaration position.
-func (n *CGNode) Pos() token.Pos {
-	if n.Decl != nil {
-		return n.Decl.Pos()
-	}
-	return n.Lit.Pos()
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // funcSig returns a function object's signature. (The go1.23 accessor
@@ -132,23 +73,6 @@ func funcSig(obj *types.Func) *types.Signature {
 	return sig
 }
 
-func qualifiedFuncName(obj *types.Func) string {
-	name := obj.Name()
-	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			name = "(*" + named.Obj().Name() + ")." + name
-		}
-	}
-	if obj.Pkg() != nil {
-		name = pathTail(obj.Pkg().Path()) + "." + name
-	}
-	return name
-}
-
 // CallGraphFact is the Facts key under which the shared call graph lives.
 const CallGraphFact = "analysis.callgraph"
 
@@ -156,14 +80,9 @@ const CallGraphFact = "analysis.callgraph"
 func BuildCallGraph(prog *Program) (*CallGraph, error) {
 	v, err := prog.Fact(CallGraphFact, func(prog *Program) (any, error) {
 		g := &CallGraph{
-			prog:         prog,
-			byObj:        make(map[*types.Func]*CGNode),
-			byLit:        make(map[*ast.FuncLit]*CGNode),
-			enclosed:     make(map[*CGNode]*CGNode),
-			siteTargets:  make(map[*ast.CallExpr][]*CGNode),
-			litsByField:  make(map[string][]*CGNode),
-			addressTaken: make(map[*types.Func]bool),
-			ifaceCache:   make(map[ifaceMethodKey][]*types.Func),
+			prog:       prog,
+			byObj:      make(map[*types.Func]*CGNode),
+			ifaceCache: make(map[ifaceMethodKey][]*types.Func),
 		}
 		g.build()
 		return g, nil
@@ -184,9 +103,6 @@ func (g *CallGraph) NodeFor(obj *types.Func) *CGNode {
 
 // Nodes returns every node in deterministic creation order.
 func (g *CallGraph) Nodes() []*CGNode { return g.nodes }
-
-// TargetsOf returns the resolved callees of one call expression.
-func (g *CallGraph) TargetsOf(call *ast.CallExpr) []*CGNode { return g.siteTargets[call] }
 
 func (g *CallGraph) build() {
 	pkgs := append([]*Package(nil), g.prog.Pkgs...)
@@ -239,12 +155,8 @@ func (g *CallGraph) build() {
 				case *ast.FuncLit:
 					ln := &CGNode{Lit: x, Pkg: pkg, calleeSet: make(map[*CGNode]bool)}
 					g.nodes = append(g.nodes, ln)
-					g.byLit[x] = ln
 					if len(stack) > 0 && stack[len(stack)-1] != nil {
-						parent := stack[len(stack)-1]
-						g.enclosed[ln] = parent
-						parent.Lits = append(parent.Lits, ln)
-						parent.addCallee(ln)
+						stack[len(stack)-1].addCallee(ln)
 					}
 					stack = append(stack, ln)
 					ast.Inspect(x.Body, walk)
@@ -259,23 +171,7 @@ func (g *CallGraph) build() {
 		}
 	}
 
-	// Pass 2: index which struct fields hold which function literals. First
-	// find constructor-shaped functions that store a parameter into a field
-	// (act(name, do) → Action{Do: do}), so literals passed through one level
-	// of wrapping are still attributed to the field they end up in.
-	sinks := make(map[*types.Func]map[int]string)
-	for _, n := range g.nodes {
-		if n.Decl != nil {
-			paramFieldSinks(n.Pkg, n.Decl, sinks)
-		}
-	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			g.indexFieldStores(pkg, f, sinks)
-		}
-	}
-
-	// Pass 3: resolve call edges per node body.
+	// Pass 2: resolve call edges per node body.
 	for _, n := range g.nodes {
 		var body *ast.BlockStmt
 		if n.Decl != nil {
@@ -289,203 +185,6 @@ func (g *CallGraph) build() {
 	}
 }
 
-// paramFieldSinks records, for one declared function, which parameter
-// indexes are stored into which struct fields — the act(name, do) →
-// Action{Do: do} constructor shape. The same store patterns as
-// indexFieldStores apply, with a parameter identifier on the value side.
-func paramFieldSinks(pkg *Package, d *ast.FuncDecl, out map[*types.Func]map[int]string) {
-	obj, _ := pkg.Info.Defs[d.Name].(*types.Func)
-	if obj == nil || d.Body == nil || d.Type.Params == nil {
-		return
-	}
-	paramIdx := make(map[types.Object]int)
-	i := 0
-	for _, field := range d.Type.Params.List {
-		for _, name := range field.Names {
-			if po := pkg.Info.Defs[name]; po != nil {
-				paramIdx[po] = i
-			}
-			i++
-		}
-		if len(field.Names) == 0 {
-			i++
-		}
-	}
-	if len(paramIdx) == 0 {
-		return
-	}
-	info := pkg.Info
-	record := func(key string, e ast.Expr) {
-		id, ok := unparen(e).(*ast.Ident)
-		if !ok || key == "" {
-			return
-		}
-		idx, ok := paramIdx[identObj(info, id)]
-		if !ok {
-			return
-		}
-		m := out[obj.Origin()]
-		if m == nil {
-			m = make(map[int]string)
-			out[obj.Origin()] = m
-		}
-		if _, dup := m[idx]; !dup {
-			m[idx] = key
-		}
-	}
-	ast.Inspect(d.Body, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.CompositeLit:
-			typ := qualifiedTypeName(derefType(info.Types[x].Type))
-			if typ == "" {
-				return true
-			}
-			for _, el := range x.Elts {
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					if key, ok := kv.Key.(*ast.Ident); ok {
-						record(typ+"."+key.Name, kv.Value)
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range x.Lhs {
-				if i >= len(x.Rhs) {
-					break
-				}
-				if key := fieldKey(info, lhs); key != "" {
-					record(key, x.Rhs[i])
-				}
-			}
-		}
-		return true
-	})
-}
-
-// indexFieldStores records every function literal stored into a struct field
-// anywhere in a file: composite-literal values (Action[C]{Do: func...}),
-// field assignments (x.f = func...), appends to field-held slices
-// (x.f = append(x.f, func...)), and literals passed to a constructor that
-// forwards the parameter into a field (act("x", func...) where act stores
-// its second parameter into Action.Do — see paramFieldSinks).
-func (g *CallGraph) indexFieldStores(pkg *Package, f *ast.File, sinks map[*types.Func]map[int]string) {
-	info := pkg.Info
-	record := func(key string, e ast.Expr) {
-		lit, ok := unparen(e).(*ast.FuncLit)
-		if !ok || key == "" {
-			return
-		}
-		if ln := g.byLit[lit]; ln != nil {
-			g.litsByField[key] = append(g.litsByField[key], ln)
-		}
-	}
-	ast.Inspect(f, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.CompositeLit:
-			typ := qualifiedTypeName(derefType(info.Types[x].Type))
-			if typ == "" {
-				return true
-			}
-			for _, el := range x.Elts {
-				kv, ok := el.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				if key, ok := kv.Key.(*ast.Ident); ok {
-					record(typ+"."+key.Name, kv.Value)
-				}
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range x.Lhs {
-				if i >= len(x.Rhs) {
-					break
-				}
-				key := fieldKey(info, lhs)
-				if key == "" {
-					continue
-				}
-				rhs := unparen(x.Rhs[i])
-				record(key, rhs)
-				// x.f = append(x.f, func...)
-				if call, ok := rhs.(*ast.CallExpr); ok {
-					if id, ok := unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
-						for _, a := range call.Args[min(1, len(call.Args)):] {
-							record(key, a)
-						}
-					}
-				}
-			}
-		case *ast.CallExpr:
-			// act("x", func...) where act stores param 1 into Action.Do.
-			obj := staticCallee(info, x)
-			if obj == nil {
-				return true
-			}
-			m := sinks[obj.Origin()]
-			if m == nil {
-				return true
-			}
-			for j, a := range x.Args {
-				if key, ok := m[j]; ok {
-					record(key, a)
-				}
-			}
-		}
-		return true
-	})
-}
-
-// staticCallee returns the declared function a call expression statically
-// names (p.F(...), x.Method(...), F(...)), or nil for dynamic calls.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj, _ := info.Uses[fun].(*types.Func)
-		return obj
-	case *ast.SelectorExpr:
-		obj, _ := info.Uses[fun.Sel].(*types.Func)
-		return obj
-	case *ast.IndexExpr: // explicit instantiation: act[ctx](...)
-		return staticCalleeFromExpr(info, fun.X)
-	case *ast.IndexListExpr:
-		return staticCalleeFromExpr(info, fun.X)
-	}
-	return nil
-}
-
-func staticCalleeFromExpr(info *types.Info, e ast.Expr) *types.Func {
-	switch fun := unparen(e).(type) {
-	case *ast.Ident:
-		obj, _ := info.Uses[fun].(*types.Func)
-		return obj
-	case *ast.SelectorExpr:
-		obj, _ := info.Uses[fun.Sel].(*types.Func)
-		return obj
-	}
-	return nil
-}
-
-// fieldKey renders e as "pkg.Type.Field" when it is a struct field selection
-// (optionally through an index), or "".
-func fieldKey(info *types.Info, e ast.Expr) string {
-	e = unparen(e)
-	if ix, ok := e.(*ast.IndexExpr); ok {
-		e = unparen(ix.X)
-	}
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	s, found := info.Selections[sel]
-	if !found || s.Kind() != types.FieldVal {
-		return ""
-	}
-	typ := qualifiedTypeName(derefType(info.Types[sel.X].Type))
-	if typ == "" {
-		return ""
-	}
-	return typ + "." + sel.Sel.Name
-}
-
 func (g *CallGraph) byObjDecl(pkg *Package, d *ast.FuncDecl) *CGNode {
 	if obj, _ := pkg.Info.Defs[d.Name].(*types.Func); obj != nil {
 		return g.byObj[obj.Origin()]
@@ -494,90 +193,21 @@ func (g *CallGraph) byObjDecl(pkg *Package, d *ast.FuncDecl) *CGNode {
 }
 
 // resolveBody walks one node's body (excluding nested literals, which are
-// their own nodes) classifying calls and recording address-taken functions.
+// their own nodes) classifying its calls.
 func (g *CallGraph) resolveBody(n *CGNode, body *ast.BlockStmt) {
-	info := n.Pkg.Info
-	// Call-fun positions, so a function name used as a value is told apart
-	// from one being called. Alongside, bind locals that take their value from
-	// a struct field (w := x.f, or ranging over a field-held slice) to that
-	// field, so calling them later carries the field's provenance.
-	funPos := make(map[ast.Expr]bool)
-	binds := make(map[types.Object]string)
 	ast.Inspect(body, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			funPos[unparen(x.Fun)] = true
-		case *ast.AssignStmt:
-			for i, lhs := range x.Lhs {
-				if i >= len(x.Rhs) {
-					break
-				}
-				id, ok := unparen(lhs).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if key := fieldKey(info, x.Rhs[i]); key != "" {
-					if obj := identObj(info, id); obj != nil {
-						binds[obj] = key
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			if id, ok := unparen(x.Value).(*ast.Ident); x.Value != nil && ok {
-				if key := fieldKey(info, x.X); key != "" {
-					if obj := identObj(info, id); obj != nil {
-						binds[obj] = key
-					}
-				}
-			}
-		}
-		return true
-	})
-	// Sel identifiers are handled by their enclosing SelectorExpr; without
-	// this, walking into a called selector's children would mark every
-	// called method address-taken through its bare Sel ident.
-	selIdent := make(map[*ast.Ident]bool)
-	ast.Inspect(body, func(x ast.Node) bool {
-		if sel, ok := x.(*ast.SelectorExpr); ok {
-			selIdent[sel.Sel] = true
-		}
-		return true
-	})
-	ast.Inspect(body, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			g.resolveCall(n, x, binds)
-		case *ast.Ident:
-			if !funPos[x] && !selIdent[x] {
-				if obj, ok := info.Uses[x].(*types.Func); ok {
-					g.addressTaken[obj.Origin()] = true
-				}
-			}
-		case *ast.SelectorExpr:
-			if !funPos[x] {
-				if obj, ok := info.Uses[x.Sel].(*types.Func); ok {
-					g.addressTaken[obj.Origin()] = true
-				}
-			}
+			g.resolveCall(n, x)
 		}
 		return true
 	})
 }
 
-func identObj(info *types.Info, id *ast.Ident) types.Object {
-	if o := info.Defs[id]; o != nil {
-		return o
-	}
-	return info.Uses[id]
-}
-
-// resolveCall classifies one call expression in node n. binds maps locals to
-// the struct field their value came from (see resolveBody).
-func (g *CallGraph) resolveCall(n *CGNode, call *ast.CallExpr, binds map[types.Object]string) {
+// resolveCall classifies one call expression in node n.
+func (g *CallGraph) resolveCall(n *CGNode, call *ast.CallExpr) {
 	info := n.Pkg.Info
 	fun := unparen(call.Fun)
 
@@ -591,17 +221,17 @@ func (g *CallGraph) resolveCall(n *CGNode, call *ast.CallExpr, binds map[types.O
 		case *types.Builtin:
 			return
 		case *types.Func:
-			g.addEdge(n, call, obj.Origin())
+			g.addEdge(n, obj.Origin())
 			return
 		}
 	case *ast.SelectorExpr:
 		if obj, ok := info.Uses[f.Sel].(*types.Func); ok {
 			sig, _ := obj.Type().(*types.Signature)
 			if sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-				g.resolveInterfaceCall(n, call, f, obj)
+				g.resolveInterfaceCall(n, call, obj)
 				return
 			}
-			g.addEdge(n, call, obj.Origin())
+			g.addEdge(n, obj.Origin())
 			return
 		}
 	case *ast.IndexExpr, *ast.IndexListExpr:
@@ -616,29 +246,19 @@ func (g *CallGraph) resolveCall(n *CGNode, call *ast.CallExpr, binds map[types.O
 		switch b := unparen(base).(type) {
 		case *ast.Ident:
 			if obj, ok := info.Uses[b].(*types.Func); ok {
-				g.addEdge(n, call, obj.Origin())
+				g.addEdge(n, obj.Origin())
 				return
 			}
 		case *ast.SelectorExpr:
 			if obj, ok := info.Uses[b.Sel].(*types.Func); ok {
-				g.addEdge(n, call, obj.Origin())
+				g.addEdge(n, obj.Origin())
 				return
 			}
 		}
 	}
 
-	// A call through a function-typed value: hint at the field it came from
-	// when that is syntactically evident.
-	hint := fieldKey(info, fun)
-	if hint == "" {
-		if id, ok := fun.(*ast.Ident); ok {
-			if obj := identObj(info, id); obj != nil {
-				hint = binds[obj]
-			}
-		}
-	}
-	sig := dynSig(info, call)
-	n.DynSites = append(n.DynSites, DynSite{Call: call, Sig: sig, FieldHint: hint})
+	// A call through a function-typed value.
+	n.DynSites = append(n.DynSites, DynSite{Call: call, Sig: dynSig(info, call)})
 }
 
 func dynSig(info *types.Info, call *ast.CallExpr) *types.Signature {
@@ -652,7 +272,7 @@ func dynSig(info *types.Info, call *ast.CallExpr) *types.Signature {
 
 // resolveInterfaceCall binds a method call on an interface value to the
 // matching method of every named type in the load that implements it.
-func (g *CallGraph) resolveInterfaceCall(n *CGNode, call *ast.CallExpr, sel *ast.SelectorExpr, m *types.Func) {
+func (g *CallGraph) resolveInterfaceCall(n *CGNode, call *ast.CallExpr, m *types.Func) {
 	iface, _ := funcSig(m).Recv().Type().Underlying().(*types.Interface)
 	if iface == nil {
 		n.DynSites = append(n.DynSites, DynSite{Call: call, Sig: funcSig(m), Iface: true})
@@ -660,12 +280,12 @@ func (g *CallGraph) resolveInterfaceCall(n *CGNode, call *ast.CallExpr, sel *ast
 	}
 	impls := g.implementers(iface, m.Name())
 	if len(impls) == 0 {
-		// No in-load implementation: summaries must fall back to unknown.
+		// No in-load implementation: the call stays dynamic.
 		n.DynSites = append(n.DynSites, DynSite{Call: call, Sig: funcSig(m), Iface: true})
 		return
 	}
 	for _, impl := range impls {
-		g.addEdge(n, call, impl)
+		g.addEdge(n, impl)
 	}
 }
 
@@ -695,15 +315,13 @@ func (g *CallGraph) implementers(iface *types.Interface, name string) []*types.F
 	return impls
 }
 
-func (g *CallGraph) addEdge(n *CGNode, call *ast.CallExpr, obj *types.Func) {
+func (g *CallGraph) addEdge(n *CGNode, obj *types.Func) {
 	target := g.byObj[obj]
 	if target == nil {
-		// Callee outside the load (stdlib). Not a node; summaries treat
-		// stdlib calls as effect-free on model state.
+		// Callee outside the load (stdlib): not a node.
 		return
 	}
 	n.addCallee(target)
-	g.siteTargets[call] = append(g.siteTargets[call], target)
 }
 
 func (n *CGNode) addCallee(t *CGNode) {
@@ -722,254 +340,4 @@ func unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
-}
-
-// --- reachability with dynamic-call attachment ----------------------------
-
-// Reach computes the set of nodes reachable from roots, resolving dynamic
-// call sites as it goes. universe filters which packages may contribute
-// dynamic candidates (nil means all). The attachment loop is deterministic:
-// each round attaches, against the current reachable set, every
-// signature-shape-compatible candidate whose definer is not reachable, then
-// recomputes reachability until a fixpoint.
-func (g *CallGraph) Reach(roots []*CGNode, universe func(*Package) bool) map[*CGNode]bool {
-	inUniverse := func(p *Package) bool { return universe == nil || universe(p) }
-
-	reach := make(map[*CGNode]bool)
-	var visit func(n *CGNode)
-	visit = func(n *CGNode) {
-		if n == nil || reach[n] {
-			return
-		}
-		reach[n] = true
-		for _, c := range n.Callees {
-			visit(c)
-		}
-	}
-	for _, r := range roots {
-		visit(r)
-	}
-
-	attached := make(map[*ast.CallExpr]bool)
-	for {
-		changed := false
-		// Deterministic node order: creation order, filtered by reach.
-		for _, n := range g.nodes {
-			if !reach[n] {
-				continue
-			}
-			for _, site := range n.DynSites {
-				if attached[site.Call] || site.Sig == nil {
-					continue
-				}
-				cands := g.dynCandidates(site, reach, inUniverse)
-				if len(cands) == 0 {
-					continue
-				}
-				attached[site.Call] = true
-				for _, c := range cands {
-					n.addCallee(c)
-					g.siteTargets[site.Call] = append(g.siteTargets[site.Call], c)
-				}
-				changed = true
-			}
-		}
-		if !changed {
-			return reach
-		}
-		reach = make(map[*CGNode]bool)
-		for _, r := range roots {
-			visit(r)
-		}
-	}
-}
-
-// dynCandidates returns the dynamic-call candidates for a site.
-//
-// A site whose callee was read from a known struct field resolves against the
-// literals stored into that field anywhere in the load — and nothing else: if
-// no stores were indexed the site stays unattached and the summaries record
-// the indirection itself as a dyncall access.
-//
-// Sites with no field provenance (calls through parameters and locals of
-// unknown origin) fall back to signature-shape matching over address-taken
-// named functions only. Literals never participate in the fallback: a literal
-// is either inline-walked at its definition site, where captured variables
-// still have known regions (see summary.go's inline literal walk), or — when
-// its definer is outside the reachable universe, e.g. init-time table
-// construction — attached through the field it was stored into. Standalone
-// literal summaries degrade every captured variable to RUnknown, so letting
-// them shape-match arbitrary sites floods the inventory with spurious
-// unknown-region accesses.
-//
-// On the FieldHint path, literals whose defining function is reachable are
-// likewise excluded for the same reason.
-func (g *CallGraph) dynCandidates(site DynSite, reach map[*CGNode]bool, inUniverse func(*Package) bool) []*CGNode {
-	litExcluded := func(n *CGNode) bool {
-		parent := g.enclosed[n]
-		return parent != nil && reach[parent]
-	}
-	if site.FieldHint != "" {
-		var out []*CGNode
-		for _, n := range g.litsByField[site.FieldHint] {
-			if !inUniverse(n.Pkg) || litExcluded(n) {
-				continue
-			}
-			if tv, ok := n.Pkg.Info.Types[n.Lit]; ok {
-				if csig, _ := tv.Type.Underlying().(*types.Signature); csig != nil && shapeMatch(site.Sig, csig) {
-					out = append(out, n)
-				}
-			}
-		}
-		return out
-	}
-	var out []*CGNode
-	for _, n := range g.nodes {
-		if !inUniverse(n.Pkg) {
-			continue
-		}
-		if n.Obj == nil || !g.addressTaken[n.Obj] {
-			continue
-		}
-		csig := funcSig(n.Obj)
-		if csig != nil && shapeMatch(site.Sig, csig) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// shapeMatch reports whether two signatures are compatible for dynamic-call
-// attachment: same parameter and result counts, with each corresponding type
-// identical — except that type parameters act as wildcards, so a call inside
-// a generic body (parameter type C) matches any concrete candidate.
-// Receivers are ignored: a bound method value has no receiver parameter.
-func shapeMatch(site, cand *types.Signature) bool {
-	if site.Params().Len() != cand.Params().Len() ||
-		site.Results().Len() != cand.Results().Len() ||
-		site.Variadic() != cand.Variadic() {
-		return false
-	}
-	for i := 0; i < site.Params().Len(); i++ {
-		if !typeShapeMatch(site.Params().At(i).Type(), cand.Params().At(i).Type()) {
-			return false
-		}
-	}
-	for i := 0; i < site.Results().Len(); i++ {
-		if !typeShapeMatch(site.Results().At(i).Type(), cand.Results().At(i).Type()) {
-			return false
-		}
-	}
-	return true
-}
-
-func typeShapeMatch(a, b types.Type) bool {
-	if hasTypeParam(a) || hasTypeParam(b) {
-		return true
-	}
-	return types.Identical(a, b)
-}
-
-func hasTypeParam(t types.Type) bool {
-	switch t := t.(type) {
-	case *types.TypeParam:
-		return true
-	case *types.Pointer:
-		return hasTypeParam(t.Elem())
-	case *types.Slice:
-		return hasTypeParam(t.Elem())
-	case *types.Array:
-		return hasTypeParam(t.Elem())
-	case *types.Map:
-		return hasTypeParam(t.Key()) || hasTypeParam(t.Elem())
-	case *types.Chan:
-		return hasTypeParam(t.Elem())
-	case *types.Named:
-		if args := t.TypeArgs(); args != nil {
-			for i := 0; i < args.Len(); i++ {
-				if hasTypeParam(args.At(i)) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// --- SCC decomposition ----------------------------------------------------
-
-// SCCOrder returns the strongly connected components of the call graph in
-// bottom-up order: every component is emitted after all components it calls
-// into, so summaries computed in this order see their callees finished
-// (mutually recursive functions share a component and iterate to a local
-// fixpoint; see summary.go).
-func (g *CallGraph) SCCOrder() [][]*CGNode {
-	index := make(map[*CGNode]int)
-	low := make(map[*CGNode]int)
-	onStack := make(map[*CGNode]bool)
-	var stack []*CGNode
-	var sccs [][]*CGNode
-	next := 1
-
-	// Iterative Tarjan: the load's deepest call chains are comfortably
-	// within stack limits, but recursion through closures can nest; an
-	// explicit frame stack keeps this robust on large loads.
-	type frame struct {
-		n  *CGNode
-		ci int
-	}
-	for _, start := range g.nodes {
-		if index[start] != 0 {
-			continue
-		}
-		frames := []frame{{n: start}}
-		index[start] = next
-		low[start] = next
-		next++
-		stack = append(stack, start)
-		onStack[start] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ci < len(f.n.Callees) {
-				c := f.n.Callees[f.ci]
-				f.ci++
-				if index[c] == 0 {
-					index[c] = next
-					low[c] = next
-					next++
-					stack = append(stack, c)
-					onStack[c] = true
-					frames = append(frames, frame{n: c})
-				} else if onStack[c] {
-					if index[c] < low[f.n] {
-						low[f.n] = index[c]
-					}
-				}
-				continue
-			}
-			// Finished f.n.
-			n := f.n
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].n
-				if low[n] < low[p] {
-					low[p] = low[n]
-				}
-			}
-			if low[n] == index[n] {
-				var comp []*CGNode
-				for {
-					m := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[m] = false
-					comp = append(comp, m)
-					if m == n {
-						break
-					}
-				}
-				sccs = append(sccs, comp)
-			}
-		}
-	}
-	return sccs
 }

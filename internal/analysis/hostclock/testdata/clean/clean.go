@@ -9,7 +9,6 @@ import "time"
 type EngineProbe interface {
 	EventBegin()
 	EventEnd(class string, kind uint8)
-	StrandExec()
 }
 
 type engine struct {
@@ -28,8 +27,9 @@ func (e *engine) step() {
 	e.now++
 }
 
-func (e *engine) coordinate(strand bool) {
-	if pr := e.probe; pr != nil && strand {
-		pr.StrandExec()
+// A nil comparison inside a compound condition still guards the call.
+func (e *engine) mark(sampled bool) {
+	if pr := e.probe; pr != nil && sampled {
+		pr.EventBegin()
 	}
 }

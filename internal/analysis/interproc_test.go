@@ -1,11 +1,9 @@
 package analysis_test
 
 import (
-	"fmt"
 	"go/types"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -36,20 +34,6 @@ func writeModule(t *testing.T, files map[string]string) []*analysis.Package {
 	return pkgs
 }
 
-func summariesOf(t *testing.T, pkgs []*analysis.Package) (*analysis.CallGraph, *analysis.Summaries) {
-	t.Helper()
-	prog := analysis.NewProgram(pkgs)
-	g, err := analysis.BuildCallGraph(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums, err := analysis.BuildSummaries(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, sums
-}
-
 func funcNode(t *testing.T, g *analysis.CallGraph, pkgs []*analysis.Package, name string) *analysis.CGNode {
 	t.Helper()
 	for _, pkg := range pkgs {
@@ -63,59 +47,10 @@ func funcNode(t *testing.T, g *analysis.CallGraph, pkgs []*analysis.Package, nam
 	return nil
 }
 
-// TestSummaryMutualRecursion pins the SCC fixpoint: two mutually recursive
-// functions each see the other's effects, the iteration converges, and
-// neither summary degrades to Unknown.
-func TestSummaryMutualRecursion(t *testing.T) {
-	pkgs := writeModule(t, map[string]string{
-		"go.mod": "module seeded\n\ngo 1.22\n",
-		"m/m.go": `package m
-
-type S struct{ a, b int }
-
-func A(s *S, k int) {
-	s.a = k
-	if k > 0 {
-		B(s, k-1)
-	}
-}
-
-func B(s *S, k int) {
-	s.b = k
-	if k > 0 {
-		A(s, k-1)
-	}
-}
-`,
-	})
-	g, sums := summariesOf(t, pkgs)
-	sum := sums.Of(funcNode(t, g, pkgs, "A"))
-	if sum == nil {
-		t.Fatal("no summary for A")
-	}
-	if sum.Unknown {
-		t.Fatal("mutual recursion degraded A's summary to Unknown")
-	}
-	resolved := sums.Resolve(sum, []analysis.Val{{R: analysis.RShared}, {R: analysis.RFresh}})
-	want := map[string]bool{"m.S.a": false, "m.S.b": false}
-	for _, a := range resolved {
-		if a.Kind == analysis.AWrite && a.Base.R == analysis.RShared {
-			if _, ok := want[a.Type+"."+a.Field]; ok {
-				want[a.Type+"."+a.Field] = true
-			}
-		}
-	}
-	for field, seen := range want {
-		if !seen {
-			t.Errorf("A's resolved summary is missing the shared write of %s (mutual recursion must union both halves): %+v", field, resolved)
-		}
-	}
-}
-
-// TestInterfaceDispatch pins the two halves of interface-call resolution: a
-// call with an in-load implementation binds to that method (the caller sees
-// its effects), and a call with no implementation falls back to a sound
-// dynamic/unknown effect instead of silently vanishing.
+// TestInterfaceDispatch pins the two halves of interface-call resolution in
+// the call graph: a call with an in-load implementation binds to that method
+// (an edge to it), and a call with no implementation is recorded as a
+// dynamic interface site instead of silently vanishing.
 func TestInterfaceDispatch(t *testing.T) {
 	pkgs := writeModule(t, map[string]string{
 		"go.mod": "module seeded\n\ngo 1.22\n",
@@ -134,64 +69,39 @@ type Ext interface{ Gone() }
 func RunExt(e Ext) { e.Gone() }
 `,
 	})
-	g, sums := summariesOf(t, pkgs)
+	g, err := analysis.BuildCallGraph(analysis.NewProgram(pkgs))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	run := sums.Of(funcNode(t, g, pkgs, "Run"))
-	found := false
-	for _, a := range sums.Resolve(run, []analysis.Val{{R: analysis.RShared}}) {
-		if a.Kind == analysis.AWrite && a.Type == "m.T" && a.Field == "n" && a.Base.R == analysis.RShared {
-			found = true
+	run := funcNode(t, g, pkgs, "Run")
+	tType, ok := pkgs[0].Types.Scope().Lookup("T").(*types.TypeName)
+	if !ok {
+		t.Fatal("no type T in the fixture")
+	}
+	doObj, _, _ := types.LookupFieldOrMethod(types.NewPointer(tType.Type()), true, tType.Pkg(), "Do")
+	do := g.NodeFor(doObj.(*types.Func))
+	if do == nil {
+		t.Fatal("no call-graph node for (*T).Do")
+	}
+	reached := false
+	for _, c := range run.Callees {
+		if c == do {
+			reached = true
 		}
 	}
-	if !found {
-		t.Errorf("Run's summary does not see (*T).Do's write through the interface call")
+	if !reached {
+		t.Error("Run does not reach (*T).Do through the interface call")
+	}
+	if len(run.DynSites) != 0 {
+		t.Errorf("Run: resolved interface call also left %d dynamic sites", len(run.DynSites))
 	}
 
-	ext := sums.Of(funcNode(t, g, pkgs, "RunExt"))
-	sound := false
-	for _, a := range sums.Resolve(ext, []analysis.Val{{R: analysis.RShared}}) {
-		if a.Kind == analysis.ADynCall || a.Kind == analysis.AUnknown {
-			sound = true
-		}
+	ext := funcNode(t, g, pkgs, "RunExt")
+	if len(ext.Callees) != 0 {
+		t.Errorf("RunExt: unimplementable interface call bound to %d callees", len(ext.Callees))
 	}
-	if !sound {
-		t.Errorf("RunExt's unresolvable interface call left no dynamic/unknown effect (unsound): %+v",
-			sums.Resolve(ext, []analysis.Val{{R: analysis.RShared}}))
-	}
-}
-
-// TestSummarySizeCap pins the overflow fallback: a function with more
-// distinct accesses than the cap is marked Unknown, and its callers record
-// an AUnknown effect naming it rather than a silently truncated summary.
-func TestSummarySizeCap(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("package m\n\n")
-	for i := 0; i < 4200; i++ {
-		fmt.Fprintf(&b, "var v%d int\n", i)
-	}
-	b.WriteString("\nfunc Big() int {\n\ts := 0\n")
-	for i := 0; i < 4200; i++ {
-		fmt.Fprintf(&b, "\ts += v%d\n", i)
-	}
-	b.WriteString("\treturn s\n}\n\nfunc Caller() int { return Big() }\n")
-	pkgs := writeModule(t, map[string]string{
-		"go.mod": "module seeded\n\ngo 1.22\n",
-		"m/m.go": b.String(),
-	})
-	g, sums := summariesOf(t, pkgs)
-
-	big := sums.Of(funcNode(t, g, pkgs, "Big"))
-	if !big.Unknown {
-		t.Fatalf("Big has %d distinct accesses, above the cap, but was not marked Unknown", 4200)
-	}
-	caller := sums.Of(funcNode(t, g, pkgs, "Caller"))
-	sound := false
-	for _, a := range sums.Resolve(caller, nil) {
-		if a.Kind == analysis.AUnknown {
-			sound = true
-		}
-	}
-	if !sound {
-		t.Error("Caller of an overflowed summary records no AUnknown effect")
+	if len(ext.DynSites) != 1 || !ext.DynSites[0].Iface {
+		t.Errorf("RunExt: want one dynamic interface site, got %+v", ext.DynSites)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/crosstile"
 	"repro/internal/analysis/detmap"
 	"repro/internal/analysis/evtalloc"
 	"repro/internal/analysis/nowallclock"
@@ -84,94 +83,6 @@ func Now() int64 { return time.Now().UnixNano() }
 	}
 	if !strings.Contains(diags[0].Message, "time.Now") || diags[0].Analyzer != "nowallclock" {
 		t.Fatalf("unexpected diagnostic: %s", diags[0])
-	}
-}
-
-// seededCrossTileModule writes a miniature module whose coherence package
-// contains a tile-owned event handler performing two synchronous
-// foreign-tile field writes, optionally with a registry entry covering the
-// first and a waiver covering the second.
-func seededCrossTileModule(t *testing.T, covered bool) string {
-	t.Helper()
-	dir := t.TempDir()
-	write := func(rel, src string) {
-		t.Helper()
-		path := filepath.Join(dir, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module seeded\n\ngo 1.22\n")
-	waiver := ""
-	if covered {
-		waiver = "\t//lockiller:crosstile-ok drained at the window barrier, never same-window\n"
-		write("internal/coherence/crosstile_registry.txt", "foreign coherence.L1.hits write\n")
-	}
-	write("internal/coherence/l1.go", `package coherence
-
-//lockiller:tile-state
-type L1 struct {
-	id     int
-	hits   uint64
-	misses uint64
-	sys    *System
-}
-
-type System struct {
-	l1s []*L1
-}
-
-func (l *L1) SimTile() int { return l.id }
-
-func (l *L1) OnEvent(kind uint8, cycle uint64, data any) {
-	l.sys.l1s[int(cycle)].hits = cycle
-`+waiver+`	l.sys.l1s[int(cycle)].misses = cycle
-}
-`)
-	return dir
-}
-
-func runCrossTileOn(t *testing.T, dir string) []analysis.Diagnostic {
-	t.Helper()
-	loader, err := analysis.NewLoader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadAll([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.RunAnalyzers(pkgs, []*analysis.Analyzer{crosstile.Analyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return diags
-}
-
-// TestSeededCrossTileWriteFails pins the property the registry exists for:
-// introducing a new synchronous foreign-tile field write in a coherence
-// package makes the suite fail.
-func TestSeededCrossTileWriteFails(t *testing.T) {
-	diags := runCrossTileOn(t, seededCrossTileModule(t, false))
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2 (one per foreign field write): %v", len(diags), diags)
-	}
-	for _, d := range diags {
-		if d.Analyzer != "crosstile" || !strings.Contains(d.Message, "foreign coherence.L1.") {
-			t.Fatalf("unexpected diagnostic: %s", d)
-		}
-	}
-}
-
-// TestSeededCrossTileCovered pins the two remediations: a registry entry for
-// one access class and a //lockiller:crosstile-ok waiver for the other make
-// the same module pass.
-func TestSeededCrossTileCovered(t *testing.T) {
-	if diags := runCrossTileOn(t, seededCrossTileModule(t, true)); len(diags) != 0 {
-		t.Fatalf("registry + waiver should silence the suite, got: %v", diags)
 	}
 }
 

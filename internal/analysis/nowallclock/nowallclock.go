@@ -5,15 +5,8 @@
 // randomness must flow through internal/sim's seeded RNG (sim.NewRNG /
 // RNG.Split) so that every run replays bit-for-bit from its seed; the event
 // loop is single-threaded by design, so any goroutine or channel in these
-// packages injects scheduler nondeterminism.
-//
-// One scoped exception: the sharded-engine coordinator (package sim, files
-// named par*.go) may waive the five concurrency checks line-by-line with
-// //lockiller:par-ok, because its channel operations are the execution-token
-// handoffs whose happens-before edges the PDES exactness argument (DESIGN.md
-// §11) is built on. The waiver is ignored in every other file, and never
-// applies to wall-clock/rand/env reads — those stay banned even in the
-// coordinator.
+// packages injects scheduler nondeterminism. None of these checks can be
+// waived.
 package nowallclock
 
 import (
@@ -59,35 +52,24 @@ func run(pass *analysis.Pass) error {
 	if !analysis.IsDeterministicPkg(pass.Pkg) {
 		return nil
 	}
-	// parWaived reports whether a concurrency construct is excused: only
-	// inside the PDES coordinator, and only with an explicit line waiver.
-	parWaived := func(n ast.Node) bool {
-		return pass.InParCoordinatorFile(n) && pass.Waived(n, analysis.DirectiveParOK)
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.SelectorExpr:
 				checkSelector(pass, x)
 			case *ast.GoStmt:
-				if !parWaived(x) {
-					pass.Reportf(x.Pos(), "goroutine in deterministic package %q: the event loop is single-threaded; schedule with sim.Engine instead", pass.Pkg.Name())
-				}
+				pass.Reportf(x.Pos(), "goroutine in deterministic package %q: the event loop is single-threaded; schedule with sim.Engine instead", pass.Pkg.Name())
 			case *ast.SendStmt:
-				if !parWaived(x) {
-					pass.Reportf(x.Pos(), "channel send in deterministic package %q: channels order by the Go scheduler, not by simulated time", pass.Pkg.Name())
-				}
+				pass.Reportf(x.Pos(), "channel send in deterministic package %q: channels order by the Go scheduler, not by simulated time", pass.Pkg.Name())
 			case *ast.SelectStmt:
-				if !parWaived(x) {
-					pass.Reportf(x.Pos(), "select in deterministic package %q: channels order by the Go scheduler, not by simulated time", pass.Pkg.Name())
-				}
+				pass.Reportf(x.Pos(), "select in deterministic package %q: channels order by the Go scheduler, not by simulated time", pass.Pkg.Name())
 			case *ast.UnaryExpr:
-				if x.Op == token.ARROW && !parWaived(x) {
+				if x.Op == token.ARROW {
 					pass.Reportf(x.Pos(), "channel receive in deterministic package %q: channels order by the Go scheduler, not by simulated time", pass.Pkg.Name())
 				}
 			case *ast.CallExpr:
 				if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-					if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "close" && !parWaived(x) {
+					if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "close" {
 						pass.Reportf(x.Pos(), "channel close in deterministic package %q", pass.Pkg.Name())
 					}
 				}

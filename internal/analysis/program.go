@@ -11,23 +11,18 @@ import (
 
 // A Program is the whole-load view shared by every analyzer in one run: all
 // loaded packages under one FileSet, a memoized Facts store so expensive
-// derived structures (call graph, function summaries) are built once and
-// reused across analyzers, and the global waiver index with per-comment
-// used/unused tracking for the stale-waiver audit.
-//
-// Per-package analyzers keep receiving a Pass (with Pass.Prog pointing here);
-// whole-program analyzers implement Analyzer.RunProgram instead and are
-// invoked once per run.
+// derived structures (the call graph, poolsafe's sink summaries) are built
+// once and reused across analyzers, and the global waiver index with
+// per-comment used/unused tracking for the stale-waiver audit. Analyzers
+// reach it through Pass.Prog.
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
 	// ModRoot, when set, is stripped from filenames by RelPath so exported
-	// artifacts (JSON diagnostics, the crosstile inventory) are stable
-	// across checkouts. Empty for fixture loads.
+	// artifacts (JSON diagnostics) are stable across checkouts. Empty for
+	// fixture loads.
 	ModRoot string
-
-	diags *[]Diagnostic
 
 	facts        map[string]any
 	factBuilding map[string]bool
@@ -46,15 +41,6 @@ type waiverSite struct {
 type WaiverSite struct {
 	Directive string
 	Pos       token.Position
-}
-
-// annotationDirectives are declarative markers, not suppressions: they state
-// facts about types or dispatch sites that analyzers consume as input, so the
-// stale-waiver audit never reports them.
-var annotationDirectives = map[string]bool{
-	DirectiveTileState:     true,
-	DirectiveSharedState:   true,
-	DirectiveOwnerDispatch: true,
 }
 
 // NewProgram indexes the packages of one analysis run. All packages must
@@ -132,34 +118,14 @@ func (prog *Program) WaivedAt(pos token.Pos, directive string) bool {
 	return hit
 }
 
-// DirectiveAt reports whether a directive comment sits on the line of pos or
-// the line above it, without marking it used. Annotation directives
-// (tile-state, shared-state, owner-dispatch) are looked up this way.
-func (prog *Program) DirectiveAt(pos token.Pos, directive string) bool {
-	p := prog.Fset.Position(pos)
-	lines := prog.waivers[p.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, l := range []int{p.Line, p.Line - 1} {
-		for _, w := range lines[l] {
-			if w.Directive == directive {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// UnusedWaivers returns every suppression waiver comment that matched zero
-// diagnostics in this run, sorted by file, line, then directive. Annotation
-// directives are excluded: they are inputs, not suppressions.
+// UnusedWaivers returns every waiver comment that matched zero diagnostics
+// in this run, sorted by file, line, then directive.
 func (prog *Program) UnusedWaivers() []WaiverSite {
 	var out []WaiverSite
 	for _, lines := range prog.waivers {
 		for _, ws := range lines {
 			for _, w := range ws {
-				if !w.Used && !annotationDirectives[w.Directive] {
+				if !w.Used {
 					out = append(out, WaiverSite{Directive: w.Directive, Pos: w.Pos})
 				}
 			}
@@ -179,8 +145,8 @@ func (prog *Program) UnusedWaivers() []WaiverSite {
 }
 
 // Fact returns the memoized result of build for key, computing it on first
-// use. One analyzer's derived structures (call graph, summaries) become
-// reusable by every other analyzer in the same run.
+// use. One analyzer's derived structures (the call graph) become reusable
+// by every other analyzer in the same run.
 func (prog *Program) Fact(key string, build func(*Program) (any, error)) (any, error) {
 	if v, ok := prog.facts[key]; ok {
 		return v, nil
@@ -196,39 +162,6 @@ func (prog *Program) Fact(key string, build func(*Program) (any, error)) (any, e
 	}
 	prog.facts[key] = v
 	return v, nil
-}
-
-// PeekFact returns a fact if it was already computed this run.
-func (prog *Program) PeekFact(key string) (any, bool) {
-	v, ok := prog.facts[key]
-	return v, ok
-}
-
-// PackageByName returns the loaded package whose name or import-path tail
-// matches name, or nil.
-func (prog *Program) PackageByName(name string) *Package {
-	for _, pkg := range prog.Pkgs {
-		if pkg.Types.Name() == name || pathTail(pkg.Path) == name {
-			return pkg
-		}
-	}
-	return nil
-}
-
-// Reportf records a diagnostic at a token position on behalf of a
-// whole-program analyzer.
-func (prog *Program) Reportf(analyzer string, pos token.Pos, format string, args ...any) {
-	prog.ReportAtPosition(analyzer, prog.Fset.Position(pos), format, args...)
-}
-
-// ReportAtPosition records a diagnostic at an explicit file position — used
-// for findings in non-Go inputs such as the crosstile registry file.
-func (prog *Program) ReportAtPosition(analyzer string, pos token.Position, format string, args ...any) {
-	*prog.diags = append(*prog.diags, Diagnostic{
-		Analyzer: analyzer,
-		Pos:      pos,
-		Message:  fmt.Sprintf(format, args...),
-	})
 }
 
 // RelPath renders filename relative to the module root when known; exported

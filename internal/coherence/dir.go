@@ -54,7 +54,6 @@ func (d *dirLine) isSharer(c int) bool { return d.sharers.Contains(c) }
 // The bank at tile 0 additionally hosts the centralized HTMLock arbiter
 // (paper §III-C: "our approach of LLC's authorization seamlessly extends
 // to distributed LLCs by adding a lightweight centralized arbiter module").
-//lockiller:tile-state
 type Bank struct {
 	sys *System
 	id  int
@@ -147,10 +146,6 @@ const (
 	evBankReceive  uint8 = iota // p = *Msg: re-enter Receive (post-eviction restart)
 	evBankAllocate              // a = line, p = cont func(): memory fetch matured
 )
-
-// SimTile implements sim.TileOwner: every bank event belongs to the bank's
-// own tile.
-func (b *Bank) SimTile() int { return b.id }
 
 // ProbeClass implements sim.ProbeClasser for self-profiler reports.
 func (b *Bank) ProbeClass() string { return "bank" }

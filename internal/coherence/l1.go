@@ -47,7 +47,6 @@ type mshr struct {
 
 // L1 is a private L1 cache controller with best-effort HTM support and the
 // three LockillerTM mechanisms.
-//lockiller:tile-state
 type L1 struct {
 	sys  *System
 	core int
@@ -135,10 +134,6 @@ func (l1 *L1) SetClient(c Client) { l1.client = c }
 
 // Core returns the core/tile id.
 func (l1 *L1) Core() int { return l1.core }
-
-// SimTile implements sim.TileOwner: every L1 event belongs to the L1's own
-// tile.
-func (l1 *L1) SimTile() int { return l1.core }
 
 // ProbeClass implements sim.ProbeClasser for self-profiler reports.
 func (l1 *L1) ProbeClass() string { return "l1" }

@@ -114,7 +114,6 @@ func (p Params) topology() topology.Topology {
 
 // System is the assembled memory subsystem: one L1 and one LLC bank per
 // tile, connected by the mesh, plus the HTMLock arbiter when enabled.
-//lockiller:shared-state
 type System struct {
 	Params
 	HTM     htm.Config
@@ -218,18 +217,6 @@ const (
 	evSend                 // p = *Msg: a delayed send matured; route it now
 )
 
-// EventTile implements sim.EventOwner for the sharded engine: a delivery
-// belongs to the tile consuming the message, a delayed send to the tile
-// injecting it. Both are routing facts of the message itself, so ownership
-// is independent of which tile's event scheduled it.
-func (s *System) EventTile(kind uint8, _ uint64, p any) int {
-	m := p.(*Msg)
-	if kind == evSend {
-		return m.Src
-	}
-	return m.Dst
-}
-
 // ProbeClass implements sim.ProbeClasser for self-profiler reports.
 func (s *System) ProbeClass() string { return "noc" }
 
@@ -239,9 +226,9 @@ func (s *System) OnEvent(kind uint8, _ uint64, p any) {
 	case evDeliver:
 		m := p.(*Msg)
 		if m.toBank() {
-			s.Banks[m.Dst].Receive(m) //lockiller:owner-dispatch EventTile returned m.Dst for evDeliver
+			s.Banks[m.Dst].Receive(m)
 		} else {
-			s.L1s[m.Dst].Receive(m) //lockiller:owner-dispatch EventTile returned m.Dst for evDeliver
+			s.L1s[m.Dst].Receive(m)
 		}
 	case evSend:
 		s.route(p.(*Msg))

@@ -13,7 +13,6 @@ import (
 // Core is one hardware thread: an in-order, single-issue core bound to one
 // L1 cache, executing its thread program section by section. It implements
 // coherence.Client so the L1 can notify it of asynchronous aborts.
-//lockiller:tile-state
 type Core struct {
 	m    *Machine
 	id   int
@@ -54,10 +53,6 @@ const (
 	evResume  uint8 = iota // continue runOps from c.resume
 	evRestart              // restart the current section's attempt
 )
-
-// SimTile implements sim.TileOwner: every core event belongs to the core's
-// own tile.
-func (c *Core) SimTile() int { return c.id }
 
 // ProbeClass implements sim.ProbeClasser for self-profiler reports.
 func (c *Core) ProbeClass() string { return "core" }

@@ -79,12 +79,6 @@ type Config struct {
 	// fusion equivalence tests); the knob exists for differential testing
 	// and as a diagnostic escape hatch.
 	DisableFusion bool
-	// Par, when positive, runs the simulation on the sharded (tile-
-	// parallel) engine with that many tile groups (DESIGN.md §11). Results
-	// are bit-for-bit identical to the sequential engine at every worker
-	// count — pinned by the parallel-parity tests — so the knob trades
-	// engine structure, not simulated behavior. 0 = sequential.
-	Par int
 	// Tracer, when non-nil, records simulation events (internal/trace).
 	Tracer *trace.Tracer
 	// Telemetry, when non-nil, attaches the observability layer: sampled
@@ -92,9 +86,9 @@ type Config struct {
 	// (internal/telemetry).
 	Telemetry *telemetry.Telemetry
 	// Probe, when non-nil, attaches the host-side engine self-profiler
-	// (internal/obs): per-event-type dispatch wall time and par
-	// coordinator internals. Callers must leave it nil rather than wrap a
-	// nil concrete pointer — a typed nil defeats the engine's nil guards.
+	// (internal/obs): per-event-type dispatch wall time. Callers must leave
+	// it nil rather than wrap a nil concrete pointer — a typed nil defeats
+	// the engine's nil guards.
 	Probe obs.EngineProbe
 	// Placement binds threads to mesh tiles (default: packed, per paper).
 	Placement Placement
@@ -113,7 +107,6 @@ func (c Config) Defaults() Config {
 
 // Machine is an assembled simulation: memory subsystem, cores, fallback
 // lock, and barrier.
-//lockiller:shared-state
 type Machine struct {
 	Cfg     Config
 	Engine  *sim.Engine
@@ -144,16 +137,7 @@ func NewMachine(cfg Config, label, workload string, programs []Program) *Machine
 		panic(fmt.Sprintf("cpu: %d threads exceed %d cores", cfg.Threads, cfg.Machine.Cores))
 	}
 	engine := sim.NewEngine()
-	if cfg.Par > 0 {
-		// Sharded mode must be armed before any component schedules an
-		// event; the grant width defaults to 8x the NoC lookahead once the
-		// network exists below.
-		engine.EnablePar(cfg.Par, cfg.Machine.Cores)
-	}
 	sys := coherence.NewSystem(engine, cfg.Machine, cfg.HTM)
-	if cfg.Par > 0 {
-		engine.SetParGrantWidth(8 * sys.Net.Lookahead())
-	}
 	if cfg.Probe != nil {
 		engine.SetProbe(cfg.Probe)
 	}
@@ -278,42 +262,28 @@ func (m *Machine) Run() (*stats.Run, error) {
 	return m.Stats, nil
 }
 
-// collectTraffic gathers the memory-subsystem counters into the run stats.
-// Per-tile counters are first folded into one partial Traffic per tile
-// group, then merged in group order — a deterministic merge that yields the
-// same totals whether the run used the sequential engine (one group) or the
-// sharded one.
+// collectTraffic sums the per-tile and machine-global memory-subsystem
+// counters into the run stats.
 func (m *Machine) collectTraffic() {
-	groups := m.Engine.ParWorkers()
-	if groups == 0 {
-		groups = 1
-	}
-	parts := make([]stats.Traffic, groups)
-	for i, l1 := range m.Sys.L1s {
-		p := &parts[m.Engine.ParGroupOf(i)]
-		p.L1Hits += l1.Hits
-		p.L1Misses += l1.Misses
-		p.TxWBs += l1.TxWBs
-		p.NacksSent += l1.NacksSent
-		p.RejectsSent += l1.RejectsSent
-		p.RejectsReceived += l1.RejectsReceived
-		p.WakesSent += l1.WakesSent
-		p.SignatureSpills += l1.OverflowEvictions
-		p.SwitchTries += l1.SwitchTries
-		p.SwitchGrants += l1.SwitchGrants
-	}
-	for i, b := range m.Sys.Banks {
-		p := &parts[m.Engine.ParGroupOf(i)]
-		p.DirRequests += b.Requests
-		p.LLCRejections += b.Rejections
-		p.MemFetches += b.MemFetches
-		p.BackInvals += b.BackInvals
-	}
 	t := &m.Stats.Traffic
-	for i := range parts {
-		t.Merge(&parts[i])
+	for _, l1 := range m.Sys.L1s {
+		t.L1Hits += l1.Hits
+		t.L1Misses += l1.Misses
+		t.TxWBs += l1.TxWBs
+		t.NacksSent += l1.NacksSent
+		t.RejectsSent += l1.RejectsSent
+		t.RejectsReceived += l1.RejectsReceived
+		t.WakesSent += l1.WakesSent
+		t.SignatureSpills += l1.OverflowEvictions
+		t.SwitchTries += l1.SwitchTries
+		t.SwitchGrants += l1.SwitchGrants
 	}
-	// NoC and lock state are machine-global, not per-tile.
+	for _, b := range m.Sys.Banks {
+		t.DirRequests += b.Requests
+		t.LLCRejections += b.Rejections
+		t.MemFetches += b.MemFetches
+		t.BackInvals += b.BackInvals
+	}
 	t.Messages = m.Sys.Net.Messages
 	t.FlitHops = m.Sys.Net.FlitHops
 	t.QueueWait = m.Sys.Net.QueueWait

@@ -37,17 +37,6 @@ func TestResetDiffCleanAfterDirtyRun(t *testing.T) {
 	}
 }
 
-func TestResetDiffCleanWithParEngine(t *testing.T) {
-	cfg := resetCfg(42)
-	cfg.Par = 2
-	progs := counterProgram(cfg.Threads, 25, 8192)
-	reset := runAndReset(t, cfg, progs)
-	fresh := NewMachine(cfg, "test", "unit", progs)
-	if diffs := ResetDiff(fresh, reset); len(diffs) != 0 {
-		t.Fatalf("reset par machine differs from fresh:\n  %s", strings.Join(diffs, "\n  "))
-	}
-}
-
 func TestResetDiffCatchesDirtyMachine(t *testing.T) {
 	cfg := resetCfg(42)
 	progs := counterProgram(cfg.Threads, 40, 4096)

@@ -12,7 +12,6 @@ import (
 // The coherence traffic of lock operations is simulated through real L1
 // accesses to Line; only the held/owner/queue state is tracked
 // functionally (the simulator does not model data values).
-//lockiller:shared-state
 type SpinLock struct {
 	Line  mem.Line
 	held  bool
@@ -87,7 +86,6 @@ func (s *SpinLock) release(core int) func() {
 
 // Barrier is a program-level sense barrier: threads arriving wait until
 // all n participants have arrived, then all resume.
-//lockiller:shared-state
 type Barrier struct {
 	engine  *sim.Engine
 	n       int

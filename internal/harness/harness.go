@@ -110,11 +110,6 @@ type Spec struct {
 	// §10). Results are bit-for-bit identical either way — the knob exists
 	// for the fusion equivalence tests and as a diagnostic escape hatch.
 	DisableFusion bool
-	// Par, when positive, runs on the sharded tile-parallel engine with
-	// that many tile groups (DESIGN.md §11). Bit-for-bit identical to the
-	// sequential engine, but key-affecting so differential tests can hold
-	// both results at once.
-	Par int
 	// Cores, Topo, MeshW/MeshH, and ClusterSize override the Table I
 	// machine shape (32 cores, 4x8 mesh, flat directory) for scaling runs
 	// (DESIGN.md §13). Zero values keep the defaults — and the memo keys
@@ -129,12 +124,18 @@ type Spec struct {
 }
 
 func (s Spec) key() string {
-	k := fmt.Sprintf("%s|%s|%d|%s|%d", s.System.Name, s.Workload.Name, s.Threads, s.Cache.Name, s.Seed)
+	return fmt.Sprintf("%s|%s|%d|%s|%d", s.System.Name, s.Workload.Name, s.Threads, s.Cache.Name, s.Seed) +
+		s.keySuffix()
+}
+
+// keySuffix renders the optional key-affecting dimensions, in the fixed
+// order ParseKey accepts, for both key and poolKey. Unset fields add
+// nothing, so specs that leave them zero keep the keys they had before the
+// fields existed.
+func (s Spec) keySuffix() string {
+	k := ""
 	if s.DisableFusion {
 		k += "|nofuse"
-	}
-	if s.Par > 0 {
-		k += fmt.Sprintf("|par%d", s.Par)
 	}
 	if s.Cores > 0 {
 		k += fmt.Sprintf("|cores%d", s.Cores)
@@ -160,26 +161,7 @@ func (s Spec) Key() string { return s.key() }
 // Two specs with the same poolKey can share one constructed machine across
 // resets.
 func (s Spec) poolKey() string {
-	k := fmt.Sprintf("%s|%d|%s", s.System.Name, s.Threads, s.Cache.Name)
-	if s.DisableFusion {
-		k += "|nofuse"
-	}
-	if s.Par > 0 {
-		k += fmt.Sprintf("|par%d", s.Par)
-	}
-	if s.Cores > 0 {
-		k += fmt.Sprintf("|cores%d", s.Cores)
-	}
-	if s.Topo != "" {
-		k += "|topo" + s.Topo
-	}
-	if s.MeshW > 0 || s.MeshH > 0 {
-		k += fmt.Sprintf("|grid%dx%d", s.MeshW, s.MeshH)
-	}
-	if s.ClusterSize > 0 {
-		k += fmt.Sprintf("|cl%d", s.ClusterSize)
-	}
-	return k
+	return fmt.Sprintf("%s|%d|%s", s.System.Name, s.Threads, s.Cache.Name) + s.keySuffix()
 }
 
 // GridFor returns the most-square W×H factorization of n tiles with W ≤ H,
@@ -277,7 +259,6 @@ func NewMachineFor(s Spec, opts ExecOptions) *cpu.Machine {
 		Telemetry:     opts.Telemetry,
 		Probe:         opts.Probe,
 		DisableFusion: s.DisableFusion,
-		Par:           s.Par,
 	}
 	if tel := opts.Telemetry; tel != nil {
 		tel.Meta = telemetry.Meta{
@@ -297,10 +278,6 @@ type Runner struct {
 	Workers int
 	// Log, when non-nil, receives one line per completed simulation.
 	Log func(string)
-	// Par, when positive, is the default tile-parallel worker count
-	// stamped onto every spec that does not choose its own (Spec.Par ==
-	// 0). It is key-affecting, exactly as if each spec had carried it.
-	Par int
 	// Reuse pools constructed machines by shape (Spec.poolKey) and
 	// Resets them in place for each later spec of the same shape instead
 	// of rebuilding (DESIGN.md §15). Key-neutral: reset-then-run is
@@ -387,10 +364,8 @@ func WorkersFromEnv() int {
 }
 
 // DefaultWorkers resolves the runner worker count: an explicit positive
-// flag value wins, then LOCKILLER_WORKERS, then one worker per CPU. This is
-// the outer, spec-level parallelism budget; it composes multiplicatively
-// with any inner tile-level parallelism (Spec.Par), so front-ends that
-// enable both should split the CPU budget between the two layers.
+// flag value wins, then LOCKILLER_WORKERS, then one worker per CPU. Specs
+// are the only unit of parallelism: each simulation runs on one goroutine.
 func DefaultWorkers(flagVal int) int {
 	if flagVal > 0 {
 		return flagVal
@@ -401,14 +376,9 @@ func DefaultWorkers(flagVal int) int {
 	return runtime.NumCPU()
 }
 
-// stamp normalizes a spec for this runner: the runner's seed always wins,
-// and the runner-level Par default applies to specs that don't set their
-// own.
+// stamp normalizes a spec for this runner: the runner's seed always wins.
 func (r *Runner) stamp(s Spec) Spec {
 	s.Seed = r.Seed
-	if s.Par == 0 {
-		s.Par = r.Par
-	}
 	return s
 }
 
@@ -417,8 +387,8 @@ func (r *Runner) execute(s Spec) (*stats.Run, error) {
 		return r.exec(s)
 	}
 	if r.Profiler != nil {
-		// Each run gets a private probe (the engine requires single-token
-		// access); the sweep-level aggregate locks on merge. Machine.Reset
+		// Each run gets a private probe (the probe path does not lock);
+		// the sweep-level aggregate locks on merge. Machine.Reset
 		// refuses observer-attached machines, so the profiled path always
 		// builds fresh and never touches the pool.
 		p := obs.NewProfiler()
@@ -531,7 +501,6 @@ func LedgerRecord(s Spec, res *stats.Run, err error, wall time.Duration, mem obs
 		CacheHit:        cacheSrc != "",
 		CacheSrc:        cacheSrc,
 		Key:             s.Key(),
-		ParWorkers:      s.Par,
 		Seed:            s.Seed,
 		WallNS:          int64(wall),
 		GCCycles:        mem.GCCycles,

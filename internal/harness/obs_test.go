@@ -12,8 +12,7 @@ import (
 )
 
 // TestObsProbePreservesGoldenCycles runs golden-matrix cells with the
-// self-profiler probe attached — sequential and tile-parallel — and asserts
-// the simulated timing is bit-for-bit what the plain run produces. The
+// self-profiler probe attached and asserts the simulated timing is bit-for-bit what the plain run produces. The
 // probe reads the host clock on every dispatch; none of that may reach
 // model state.
 func TestObsProbePreservesGoldenCycles(t *testing.T) {
@@ -21,37 +20,29 @@ func TestObsProbePreservesGoldenCycles(t *testing.T) {
 		{"LockillerTM", "intruder", 2},
 		{"Baseline", "kmeans", 4},
 	} {
-		for _, par := range []int{0, 4} {
-			cell, par := cell, par
-			t.Run(fmt.Sprintf("%s/%s/par=%d", cell.System, cell.Workload, par), func(t *testing.T) {
-				t.Parallel()
-				p := obs.NewProfiler()
-				run, err := ExecuteWith(Spec{
-					System: mustSystem(cell.System), Workload: mustWorkload(cell.Workload),
-					Threads: cell.Threads, Cache: TypicalCache(), Seed: 1, Par: par,
-				}, ExecOptions{Probe: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := goldenCycles[cell]
-				if run.ExecCycles != want {
-					t.Errorf("ExecCycles with probe = %d, want %d (probe perturbed timing)",
-						run.ExecCycles, want)
-				}
-				if p.Events() == 0 {
-					t.Error("profiler observed no events")
-				}
-				if p.Events() != run.EventsExecuted {
-					t.Errorf("profiler saw %d events, engine executed %d", p.Events(), run.EventsExecuted)
-				}
-				if par > 0 && p.Grants() == 0 {
-					t.Error("tile-parallel run granted no spans to the profiler")
-				}
-				if par == 0 && p.Grants() != 0 {
-					t.Errorf("sequential run reported %d grants", p.Grants())
-				}
-			})
-		}
+		cell := cell
+		t.Run(fmt.Sprintf("%s/%s", cell.System, cell.Workload), func(t *testing.T) {
+			t.Parallel()
+			p := obs.NewProfiler()
+			run, err := ExecuteWith(Spec{
+				System: mustSystem(cell.System), Workload: mustWorkload(cell.Workload),
+				Threads: cell.Threads, Cache: TypicalCache(), Seed: 1,
+			}, ExecOptions{Probe: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := goldenCycles[cell]
+			if run.ExecCycles != want {
+				t.Errorf("ExecCycles with probe = %d, want %d (probe perturbed timing)",
+					run.ExecCycles, want)
+			}
+			if p.Events() == 0 {
+				t.Error("profiler observed no events")
+			}
+			if p.Events() != run.EventsExecuted {
+				t.Errorf("profiler saw %d events, engine executed %d", p.Events(), run.EventsExecuted)
+			}
+		})
 	}
 }
 

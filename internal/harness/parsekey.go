@@ -16,7 +16,9 @@ import (
 // of the matrix and must not be served as a current result.
 //
 // ParseKey does not recover the runner-internal defaults a key omits; the
-// returned Spec reproduces exactly the key it was parsed from.
+// returned Spec reproduces exactly the key it was parsed from. Keys written
+// by the removed sharded engine carry a |parN suffix; they are rejected with
+// an error naming that cause, not as an unknown suffix.
 func ParseKey(key string) (Spec, error) {
 	parts := strings.Split(key, "|")
 	if len(parts) < 5 {
@@ -55,9 +57,7 @@ func ParseKey(key string) (Spec, error) {
 		case p == "nofuse":
 			s.DisableFusion = true
 		case strings.HasPrefix(p, "par"):
-			if s.Par, err = atoiPositive(p[len("par"):]); err != nil {
-				return Spec{}, fmt.Errorf("harness: key %q: bad suffix %q", key, p)
-			}
+			return Spec{}, fmt.Errorf("harness: key %q: suffix %q is from the sharded engine, which was removed; re-run the spec", key, p)
 		case strings.HasPrefix(p, "cores"):
 			if s.Cores, err = atoiPositive(p[len("cores"):]); err != nil {
 				return Spec{}, fmt.Errorf("harness: key %q: bad suffix %q", key, p)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/stamp"
@@ -16,14 +17,13 @@ func TestParseKeyRoundTrip(t *testing.T) {
 		func(s *Spec) { s.System = mustSystem("CGL"); s.Workload = stamp.VacationHigh() },
 		func(s *Spec) { s.Cache = SmallCache(); s.Seed = 1 },
 		func(s *Spec) { s.DisableFusion = true },
-		func(s *Spec) { s.Par = 4 },
-		func(s *Spec) { s.DisableFusion = true; s.Par = 2; s.Cores = 128 },
+		func(s *Spec) { s.DisableFusion = true; s.Cores = 128 },
 		func(s *Spec) { s.Cores = 64; s.Topo = "torus" },
 		func(s *Spec) { s.Topo = "cmesh"; s.ClusterSize = 8 },
 		func(s *Spec) { s.MeshW, s.MeshH = 8, 16 },
 		func(s *Spec) {
 			s.DisableFusion = true
-			s.Par, s.Cores, s.Topo, s.MeshW, s.MeshH, s.ClusterSize = 2, 256, "mesh", 16, 16, 4
+			s.Cores, s.Topo, s.MeshW, s.MeshH, s.ClusterSize = 256, "mesh", 16, 16, 4
 		},
 	}
 	for i, v := range variants {
@@ -52,7 +52,6 @@ func TestParseKeyRejects(t *testing.T) {
 		"CGL|intruder|2|gigantic|1",               // unknown cache config
 		"CGL|intruder|2|typical|minusone",         // bad seed
 		"CGL|intruder|2|typical|1|bogus",          // unknown suffix
-		"CGL|intruder|2|typical|1|par0",           // non-positive par
 		"CGL|intruder|2|typical|1|topo",           // empty topo
 		"CGL|intruder|2|typical|1|grid8",          // malformed grid
 		"CGL|intruder|2|typical|1|cores-4",        // negative cores
@@ -63,9 +62,17 @@ func TestParseKeyRejects(t *testing.T) {
 			t.Errorf("ParseKey accepted %q", key)
 		}
 	}
+	// Keys from the removed sharded engine fail with their own message, not
+	// the generic unknown-suffix one.
+	for _, key := range []string{"CGL|intruder|2|typical|1|par2", "CGL|intruder|2|typical|1|nofuse|par4|cores64"} {
+		_, err := ParseKey(key)
+		if err == nil || !strings.Contains(err.Error(), "sharded engine, which was removed") {
+			t.Errorf("ParseKey(%q) = %v, want the removed-engine error", key, err)
+		}
+	}
 	// Out-of-canonical-order suffixes parse (the loop is order-blind) but
 	// fail the round-trip check Load applies.
-	key := "CGL|intruder|2|typical|1|par2|nofuse"
+	key := "CGL|intruder|2|typical|1|cores64|nofuse"
 	s, err := ParseKey(key)
 	if err != nil {
 		t.Fatalf("ParseKey(%q): %v", key, err)

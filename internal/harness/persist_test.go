@@ -75,8 +75,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 // TestLoadRejectsBadKeys pins the per-record validation: records whose keys
 // fail ParseKey (unknown system/workload, malformed or out-of-order
-// suffixes) are counted rejected, never merged, while well-formed siblings
-// in the same file still load.
+// suffixes, legacy sharded-engine |parN keys) are counted rejected, never
+// merged, while well-formed siblings in the same file still load.
 func TestLoadRejectsBadKeys(t *testing.T) {
 	r := NewRunner(1)
 	goodKey := Spec{System: mustSystem("CGL"), Workload: stamp.Intruder(),
@@ -85,14 +85,15 @@ func TestLoadRejectsBadKeys(t *testing.T) {
 		`"` + goodKey + `":{},` +
 		`"NoSuchSystem|intruder|2|typical|1":{},` +
 		`"CGL|tiny|2|typical|1":{},` +
-		`"CGL|intruder|2|typical|1|par2|nofuse":{},` +
+		`"CGL|intruder|2|typical|1|cores64|nofuse":{},` +
+		`"CGL|intruder|2|typical|1|par2":{},` +
 		`"CGL|intruder|0|typical|1":{}}}`
 	rep, err := r.Load(bytes.NewReader([]byte(blob)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Loaded != 1 || rep.Rejected != 4 {
-		t.Fatalf("LoadReport = %+v, want 1 loaded, 4 rejected", rep)
+	if rep.Loaded != 1 || rep.Rejected != 5 {
+		t.Fatalf("LoadReport = %+v, want 1 loaded, 5 rejected", rep)
 	}
 	if r.Cached() != 1 {
 		t.Fatalf("Cached = %d, want 1", r.Cached())

@@ -64,27 +64,6 @@ func TestGoldenCycleCountsReuse(t *testing.T) {
 	}
 }
 
-// TestGoldenCycleCountsReusePar repeats the reuse golden matrix on the
-// sharded tile-parallel engine for every evaluated worker count. The par
-// engine is bit-identical to the sequential oracle, so the pinned values
-// hold unchanged; what this adds is reset-then-run coverage of the par
-// runtime's own state (spans, outboxes, coordinator counters).
-func TestGoldenCycleCountsReusePar(t *testing.T) {
-	for _, par := range []int{1, 2, 4, 8} {
-		par := par
-		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
-			t.Parallel()
-			r := NewRunner(1)
-			r.Workers = 2
-			r.Par = par
-			if err := r.RunAll(goldenSpecs()); err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, r)
-		})
-	}
-}
-
 // TestReuseDifferentialRandom drives randomized specs through a Reuse
 // runner and a fresh build and requires deep equality of the full stats —
 // the randomized half of the bit-identity contract, also run under -race
@@ -101,13 +80,12 @@ func TestReuseDifferentialRandom(t *testing.T) {
 			System:  systems[rng.Intn(len(systems))],
 			Threads: []int{2, 4}[rng.Intn(2)],
 			Cache:   caches[rng.Intn(len(caches))],
-			Par:     []int{0, 2}[rng.Intn(2)],
 		}
 		wlA := workloads[rng.Intn(len(workloads))]
 		wlB := workloads[rng.Intn(len(workloads))]
 		seed := uint64(rng.Intn(1000) + 1)
-		t.Run(fmt.Sprintf("%s|%d|%s|par%d|%s->%s", shape.System.Name, shape.Threads,
-			shape.Cache.Name, shape.Par, wlA.Name, wlB.Name), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s|%d|%s|%s->%s", shape.System.Name, shape.Threads,
+			shape.Cache.Name, wlA.Name, wlB.Name), func(t *testing.T) {
 			r := NewRunner(seed)
 			r.Workers = 1
 			r.Reuse = true

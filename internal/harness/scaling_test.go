@@ -75,10 +75,10 @@ func TestMachineParamsOverrides(t *testing.T) {
 
 // TestScaling256Deterministic runs a 256-core, two-level-directory machine
 // on one workload per system class — lock-based (CGL), plain best-effort
-// HTM (Baseline), and the full proposal (LockillerTM) — sequentially and
-// on the sharded engine, and requires the two runs to be identical. This
-// is the scaled counterpart of the golden-matrix parity tests; CI's
-// nightly job runs it under -race.
+// HTM (Baseline), and the full proposal (LockillerTM) — twice each, and
+// requires the two runs to be identical. This is the scaled counterpart of
+// the golden-matrix determinism tests; CI's nightly job runs it under
+// -race.
 func TestScaling256Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-core runs are not -short tests")
@@ -90,17 +90,16 @@ func TestScaling256Deterministic(t *testing.T) {
 			spec := Spec{System: mustSystem(name), Workload: stamp.Intruder(),
 				Threads: 16, Cache: TypicalCache(), Seed: 1,
 				Cores: 256, ClusterSize: 16}
-			seq, err := Execute(spec)
+			first, err := Execute(spec)
 			if err != nil {
-				t.Fatalf("sequential: %v", err)
+				t.Fatalf("first run: %v", err)
 			}
-			spec.Par = 4
-			par, err := Execute(spec)
+			second, err := Execute(spec)
 			if err != nil {
-				t.Fatalf("par=4: %v", err)
+				t.Fatalf("second run: %v", err)
 			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("256-core stats.Run diverged between engines\nseq: %+v\npar: %+v", seq, par)
+			if !reflect.DeepEqual(first, second) {
+				t.Errorf("256-core stats.Run diverged between same-seed runs\nfirst : %+v\nsecond: %+v", first, second)
 			}
 		})
 	}

@@ -12,7 +12,6 @@ import "repro/internal/mem"
 // The paper places this serialization point in the LLC; with a distributed
 // LLC it becomes "a lightweight centralized arbiter module". The coherence
 // layer models the message round-trip; this type models the decision.
-//lockiller:shared-state
 type Arbiter struct {
 	holder     int // core ID of the current HTMLock-mode transaction, -1 if none
 	holderMode Mode

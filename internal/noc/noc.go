@@ -43,7 +43,6 @@ func DefaultConfig() Config {
 }
 
 // Network delivers messages between tiles of a topology.
-//lockiller:shared-state
 type Network struct {
 	engine *sim.Engine
 	topo   topology.Topology
@@ -130,28 +129,6 @@ func (n *Network) Reset() {
 	n.Messages, n.FlitHops, n.QueueWait = 0, 0, 0
 }
 
-// Lookahead returns the conservative-PDES lookahead of the interconnect:
-// the minimum latency of any cross-tile message. On a mesh or torus that is
-// one hop of a single-flit control message — link plus router pipeline; on
-// a concentrated mesh two tiles can share a router, so the zero-hop
-// crossbar latency bounds it too. Always at least one cycle. No event on
-// one tile can cause an event on another tile sooner than this, which is
-// what lets the sharded engine (internal/sim/par.go) let a tile group
-// simulate ahead of its neighbors; the machine layer also derives the
-// default span-grant width from it.
-func (n *Network) Lookahead() uint64 {
-	l := n.cfg.LinkLatency + n.cfg.RouterDelay
-	if n.topo.MinCrossHops() == 0 {
-		if local := maxU64(n.cfg.LocalLatency, 1); local < l {
-			l = local
-		}
-	}
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
 // Send schedules deliver to run when a message of the given flit count
 // arrives at dst, reserving link bandwidth along the route.
 func (n *Network) Send(src, dst int, flits int, deliver func()) {
@@ -185,8 +162,7 @@ func (n *Network) arrival(src, dst, flits int) uint64 {
 	}
 	if len(route) == 0 {
 		// Distinct tiles on the same router (concentrated mesh): the local
-		// crossbar, like a tile talking to itself. Lookahead depends on
-		// this never being zero.
+		// crossbar, like a tile talking to itself; never zero cycles.
 		return now + maxU64(n.cfg.LocalLatency, 1)
 	}
 	n.FlitHops += uint64(flits * len(route))

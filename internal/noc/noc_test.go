@@ -209,9 +209,6 @@ func TestCMeshSameRouterUsesLocalLatency(t *testing.T) {
 	e := sim.NewEngine()
 	c := topology.NewCMesh(4, 4, 4)
 	n := New(e, c, DefaultConfig())
-	if got := n.Lookahead(); got != 1 {
-		t.Fatalf("cmesh lookahead = %d, want 1 (zero-hop crossbar)", got)
-	}
 	var at uint64
 	n.Send(0, 3, ControlFlits, func() { at = e.Now() }) // same router
 	if err := e.Run(0); err != nil {

@@ -16,8 +16,9 @@ import (
 
 // LedgerSchemaVersion is stamped into every record; ValidateLedger rejects
 // records from any other version so schema drift fails loudly. Version 2
-// added CacheSrc (which cache satisfied a hit: memo or disk).
-const LedgerSchemaVersion = 2
+// added CacheSrc (which cache satisfied a hit: memo or disk); version 3
+// dropped par_workers with the sharded engine.
+const LedgerSchemaVersion = 3
 
 // Record is one run's ledger entry. Fields are declared in alphabetical
 // json-name order — encoding/json emits struct fields in declaration
@@ -52,8 +53,6 @@ type Record struct {
 	// Key is the spec's memo key (harness.Spec.Key).
 	Key     string `json:"key" obs:"det"`
 	Mallocs uint64 `json:"mallocs" obs:"host"`
-	// ParWorkers is the tile-parallel worker count (0 = sequential).
-	ParWorkers int `json:"par_workers" obs:"det"`
 	// Schema is LedgerSchemaVersion.
 	Schema int `json:"schema" obs:"det"`
 	// Seed is the simulation seed.
@@ -144,10 +143,12 @@ func sortRecords(recs []Record) {
 	}
 }
 
-// ValidateLedger checks a JSONL ledger stream: every line must decode
-// strictly into Record (unknown fields rejected), carry the current schema
-// version and a non-empty key, emit its keys in sorted order, and the
-// lines themselves must be sorted by record key. Returns the record count.
+// ValidateLedger checks a JSONL ledger stream: every line must carry the
+// current schema version (checked first, so a line from an older schema
+// fails with a schema error rather than an unknown-field one), decode
+// strictly into Record (unknown fields rejected), have a non-empty key,
+// emit its keys in sorted order, and the lines themselves must be sorted
+// by record key. Returns the record count.
 func ValidateLedger(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -159,14 +160,20 @@ func ValidateLedger(r io.Reader) (int, error) {
 			continue
 		}
 		n++
+		var head struct {
+			Schema int `json:"schema"`
+		}
+		if err := json.Unmarshal(line, &head); err != nil {
+			return n, fmt.Errorf("obs: ledger line %d: %w", n, err)
+		}
+		if head.Schema != LedgerSchemaVersion {
+			return n, fmt.Errorf("obs: ledger line %d: schema %d, want %d", n, head.Schema, LedgerSchemaVersion)
+		}
 		dec := json.NewDecoder(bytes.NewReader(line))
 		dec.DisallowUnknownFields()
 		var rec Record
 		if err := dec.Decode(&rec); err != nil {
 			return n, fmt.Errorf("obs: ledger line %d: %w", n, err)
-		}
-		if rec.Schema != LedgerSchemaVersion {
-			return n, fmt.Errorf("obs: ledger line %d: schema %d, want %d", n, rec.Schema, LedgerSchemaVersion)
 		}
 		if rec.Key == "" {
 			return n, fmt.Errorf("obs: ledger line %d: empty key", n)

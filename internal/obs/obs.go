@@ -1,8 +1,8 @@
 // Package obs is the host-side observability layer: structured run
-// ledgers, sweep progress streaming, and the PDES self-profiler.
+// ledgers, sweep progress streaming, and the engine self-profiler.
 //
 // Everything in this package measures the *host* — wall-clock time,
-// allocator pressure, coordinator handoffs — never the simulated machine.
+// allocator pressure, dispatch time — never the simulated machine.
 // The simulated-time story lives in internal/telemetry; the two layers are
 // deliberately disjoint so that observing a run can never perturb it. Two
 // invariants keep the boundary sound:

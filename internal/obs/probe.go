@@ -1,8 +1,8 @@
-// The PDES self-profiler: host-side counters for the discrete-event engine
-// and the par.go span coordinator. The engine sees only the EngineProbe
-// interface, injected from a non-deterministic layer (the harness or a
-// CLI), and every callsite is nil-guarded, so the disabled cost is one
-// pointer test per event.
+// The engine self-profiler: host-side dispatch timing for the
+// discrete-event engine. The engine sees only the EngineProbe interface,
+// injected from a non-deterministic layer (the harness or a CLI), and every
+// callsite is nil-guarded, so the disabled cost is one pointer test per
+// event.
 
 package obs
 
@@ -15,33 +15,20 @@ import (
 	"time"
 )
 
-// EngineProbe observes the simulation engine from the host side. All
-// methods are invoked by whichever goroutine holds the PDES execution
-// token (DESIGN.md §11) — at most one at any instant, with channel
-// handoffs providing the happens-before edges — so implementations need no
-// locking for the per-run path.
+// EngineProbe observes the simulation engine from the host side. The
+// engine runs on one goroutine, so implementations need no locking for the
+// per-run path.
 //
 // EventBegin/EventEnd bracket one event dispatch; class names the handler
 // (via sim.ProbeClasser) and kind is the handler's event discriminator.
-// The remaining methods surface par-coordinator internals: Grant fires
-// when a span is handed to a worker (width = cycles to the frozen
-// horizon; all-ones means the horizon is unbounded — no other pending
-// event exists), SpanEnd when the token returns (events = events the span
-// executed), StrandExec for each inline coordinator execution of a
-// global-strand event, and OutboxMerge for each post-span merge (n =
-// staged events folded back).
 type EngineProbe interface {
 	EventBegin()
 	EventEnd(class string, kind uint8)
-	Grant(group int, width uint64)
-	SpanEnd(group int, events uint64)
-	StrandExec()
-	OutboxMerge(n int)
 }
 
 // histBuckets is the power-of-two histogram width: bucket i counts values
 // v with bits.Len64(v) == i, so bucket 0 is v==0 and bucket 63 covers the
-// full uint64 range. Nanosecond dispatch times and span widths both fit.
+// full uint64 range.
 const histBuckets = 64
 
 // hist is a power-of-two-bucketed histogram.
@@ -76,9 +63,9 @@ func (h *hist) mean() float64 {
 	return float64(h.sum) / float64(h.n)
 }
 
-// render prints "n=… mean=… p2max=…" — the count, mean, and the upper
+// render prints "n=… mean=…ns max<…ns" — the count, mean, and the upper
 // bound of the highest populated power-of-two bucket.
-func (h *hist) render(w io.Writer, unit string) {
+func (h *hist) render(w io.Writer) {
 	top := 0
 	for i, c := range h.b {
 		if c > 0 {
@@ -89,7 +76,7 @@ func (h *hist) render(w io.Writer, unit string) {
 	if top > 0 {
 		bound = uint64(1) << top
 	}
-	fmt.Fprintf(w, "n=%d mean=%.1f%s max<%d%s", h.n, h.mean(), unit, bound, unit)
+	fmt.Fprintf(w, "n=%d mean=%.1fns max<%dns", h.n, h.mean(), bound)
 }
 
 // eventKey identifies one dispatch-time series: the handler class plus its
@@ -100,9 +87,8 @@ type eventKey struct {
 }
 
 // Profiler is the standard EngineProbe: per-event-type dispatch wall-time
-// histograms plus the par-coordinator counters. One Profiler instruments
-// one run; Merge folds runs into a sweep-level aggregate (Merge locks, the
-// probe path does not — see EngineProbe's token-discipline contract).
+// histograms. One Profiler instruments one run; Merge folds runs into a
+// sweep-level aggregate (Merge locks, the probe path does not).
 // All methods are nil-receiver-safe so a nil *Profiler can be passed
 // around freely without wrapping hazards.
 type Profiler struct {
@@ -110,13 +96,6 @@ type Profiler struct {
 
 	events map[eventKey]*hist
 	t0     time.Time
-
-	grants     uint64
-	unbounded  uint64 // grants with no frozen horizon (all-ones width)
-	spanWidth  hist   // grant width in simulated cycles (bounded grants only)
-	spanEvents hist   // events executed per granted span
-	strand     uint64
-	outbox     hist // staged events per outbox merge
 }
 
 // NewProfiler returns an empty profiler.
@@ -147,45 +126,6 @@ func (p *Profiler) EventEnd(class string, kind uint8) {
 	h.add(ns)
 }
 
-// Grant implements EngineProbe. The all-ones width is the unbounded-horizon
-// sentinel: counted as a grant, but kept out of the width histogram so it
-// cannot distort the mean.
-func (p *Profiler) Grant(group int, width uint64) {
-	if p == nil {
-		return
-	}
-	p.grants++
-	if width == ^uint64(0) {
-		p.unbounded++
-		return
-	}
-	p.spanWidth.add(width)
-}
-
-// SpanEnd implements EngineProbe.
-func (p *Profiler) SpanEnd(group int, events uint64) {
-	if p == nil {
-		return
-	}
-	p.spanEvents.add(events)
-}
-
-// StrandExec implements EngineProbe.
-func (p *Profiler) StrandExec() {
-	if p == nil {
-		return
-	}
-	p.strand++
-}
-
-// OutboxMerge implements EngineProbe.
-func (p *Profiler) OutboxMerge(n int) {
-	if p == nil {
-		return
-	}
-	p.outbox.add(uint64(n))
-}
-
 // Events returns the total number of dispatches observed.
 func (p *Profiler) Events() uint64 {
 	if p == nil {
@@ -198,27 +138,6 @@ func (p *Profiler) Events() uint64 {
 		n += h.n
 	}
 	return n
-}
-
-// Grants returns the number of spans handed to worker goroutines.
-func (p *Profiler) Grants() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.grants
-}
-
-// Handoffs returns the channel handoffs the grants cost: every granted
-// span is one grant send plus one completion receive.
-func (p *Profiler) Handoffs() uint64 { return 2 * p.Grants() }
-
-// StrandExecs returns the number of global-strand events the coordinator
-// executed inline.
-func (p *Profiler) StrandExecs() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.strand
 }
 
 // Merge folds another profiler's counters into p. The destination locks,
@@ -238,18 +157,11 @@ func (p *Profiler) Merge(src *Profiler) {
 		}
 		d.merge(h)
 	}
-	p.grants += src.grants
-	p.unbounded += src.unbounded
-	p.spanWidth.merge(&src.spanWidth)
-	p.spanEvents.merge(&src.spanEvents)
-	p.strand += src.strand
-	p.outbox.merge(&src.outbox)
 }
 
 // Render writes the self-profile report: dispatch wall-time per event
 // class/kind (sorted, so the layout is deterministic even though the
-// host-time values are not), then the coordinator section when any par
-// activity was observed.
+// host-time values are not).
 func (p *Profiler) Render(w io.Writer) {
 	if p == nil {
 		return
@@ -278,21 +190,7 @@ func (p *Profiler) Render(w io.Writer) {
 			share = 100 * float64(h.sum) / float64(totalNs)
 		}
 		fmt.Fprintf(w, "  %-12s kind=%-3d %5.1f%%  ", k.class, k.kind, share)
-		h.render(w, "ns")
+		h.render(w)
 		fmt.Fprintln(w)
 	}
-	if p.grants == 0 && p.strand == 0 && p.outbox.n == 0 {
-		return
-	}
-	fmt.Fprintf(w, "par coordinator: grants=%d handoffs=%d strand=%d unbounded=%d\n",
-		p.grants, 2*p.grants, p.strand, p.unbounded)
-	fmt.Fprintf(w, "  span width  : ")
-	p.spanWidth.render(w, "cy")
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  span events : ")
-	p.spanEvents.render(w, "")
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  outbox merge: ")
-	p.outbox.render(w, "")
-	fmt.Fprintln(w)
 }

@@ -25,8 +25,6 @@
 // popping the heap whenever its top is <= the earliest ring bucket preserves
 // the global (when, seq) order exactly. The two-tier scheduler is therefore
 // bit-for-bit identical in execution order to a single ordered queue.
-// (The same argument extends to the sharded engine in par.go, where events
-// are additionally staged across tile-group queues; see DESIGN.md §11.)
 //
 // Events are plain values in flat slices. The typed-event API (AtEvent /
 // AfterEvent) lets hot paths schedule a Handler callback with two payload
@@ -81,11 +79,9 @@ type bucket struct {
 	head int
 }
 
-// equeue is one two-tier calendar queue: the near-future bucket ring plus
-// the far-future 4-ary min-heap. The sequential engine owns exactly one;
-// the sharded engine (par.go) owns one per tile group plus one for the
-// global strand. Time (now) lives in the Engine and is passed in, so every
-// queue shares the same clock.
+// equeue is the two-tier calendar queue: the near-future bucket ring plus
+// the far-future 4-ary min-heap. Time (now) lives in the Engine and is
+// passed in.
 type equeue struct {
 	ring      [ringSize]bucket
 	ringCount int
@@ -106,17 +102,10 @@ type Engine struct {
 
 	q equeue
 
-	// par, when non-nil, switches the engine into sharded (tile-parallel)
-	// mode: events route to per-group queues by ownership and Run drives
-	// the span coordinator instead of the flat loop. See par.go.
-	par *parRuntime
-
-	// probe, when non-nil, observes event dispatch and the par
-	// coordinator on the host clock (internal/obs). Every callsite is
-	// nil-guarded (enforced by the hostclock lint rule), so the disabled
-	// cost is one pointer test per event. Probe methods run on whichever
-	// goroutine holds the execution token — never two at once — so the
-	// probe needs no locking (DESIGN.md §14).
+	// probe, when non-nil, observes event dispatch on the host clock
+	// (internal/obs). Every callsite is nil-guarded (enforced by the
+	// hostclock lint rule), so the disabled cost is one pointer test per
+	// event (DESIGN.md §14).
 	probe obs.EngineProbe
 
 	// Watchdog state: the engine aborts a Run if no progress callback fires
@@ -136,17 +125,13 @@ func (e *Engine) Now() uint64 { return e.now }
 
 // Reset returns the engine to its just-constructed state in place: clock and
 // sequence counter at zero, no pending events, executed count cleared. The
-// calendar-queue backings (ring buckets, heap slice, par group queues and
-// outbox) keep their grown capacity — queue order never depends on capacity,
-// only on (when, seq) — so a reset machine schedules without re-growing.
-// Watchdog and probe are configuration and survive; no run may be in
-// progress (in sharded mode the workers of the previous run have exited).
+// calendar-queue backings (ring buckets, heap slice) keep their grown
+// capacity — queue order never depends on capacity, only on (when, seq) —
+// so a reset machine schedules without re-growing. Watchdog and probe are
+// configuration and survive; no run may be in progress.
 func (e *Engine) Reset() {
 	e.now, e.seq, e.executed, e.lastProgress = 0, 0, 0, 0
 	e.q.reset()
-	if e.par != nil {
-		e.par.reset()
-	}
 }
 
 // Executed returns the number of events executed so far; useful for
@@ -154,12 +139,7 @@ func (e *Engine) Reset() {
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events currently queued.
-func (e *Engine) Pending() int {
-	if e.par != nil {
-		return e.par.pending()
-	}
-	return e.q.pending()
-}
+func (e *Engine) Pending() int { return e.q.pending() }
 
 // schedule places ev at absolute cycle t. Scheduling in the past panics: it
 // is always a component bug.
@@ -169,10 +149,6 @@ func (e *Engine) schedule(t uint64, ev event) {
 	}
 	e.seq++
 	ev.when, ev.seq = t, e.seq
-	if e.par != nil {
-		e.par.schedule(e, ev)
-		return
-	}
 	e.q.push(e.now, ev)
 }
 
@@ -203,9 +179,6 @@ func (e *Engine) Progress() { e.lastProgress = e.now }
 // design — the event-fusion fast path (internal/cpu) calls it once per
 // inlined operation to prove no event could interleave.
 func (e *Engine) PeekNext() (when uint64, ok bool) {
-	if e.par != nil {
-		return e.par.peekNext(e)
-	}
 	when, _, ok = e.q.peek(e.now)
 	return when, ok
 }
@@ -229,8 +202,7 @@ func (e *Engine) AdvanceTo(t uint64) {
 }
 
 // SetProbe attaches (or, with nil, detaches) the host-side engine probe.
-// It must be set before Run: the par workers read it without locks, which
-// is safe only because it is immutable for the duration of a run.
+// It must be set before Run and stay fixed for the duration of the run.
 func (e *Engine) SetProbe(p obs.EngineProbe) { e.probe = p }
 
 // ProbeClasser lets a Handler name itself in self-profiler reports.
@@ -273,17 +245,9 @@ func (e *Engine) execObserved(ev *event) {
 }
 
 // Step executes the next pending event, advancing time. It reports whether
-// an event was executed. In sharded mode Step is not part of the hot loop
-// (the coordinator in par.go is), but it remains exact: it executes the
-// globally earliest event.
+// an event was executed.
 func (e *Engine) Step() bool {
-	var ev event
-	var ok bool
-	if e.par != nil {
-		ev, ok = e.par.popGlobal(e)
-	} else {
-		ev, ok = e.q.pop(e.now)
-	}
+	ev, ok := e.q.pop(e.now)
 	if !ok {
 		return false
 	}
@@ -298,9 +262,6 @@ func (e *Engine) Step() bool {
 // call the run aborts with a diagnostic error.
 func (e *Engine) Run(limit uint64) error {
 	e.lastProgress = e.now
-	if e.par != nil {
-		return e.par.run(e, limit)
-	}
 	for {
 		t, _, ok := e.q.peek(e.now)
 		if !ok {
@@ -319,9 +280,7 @@ func (e *Engine) Run(limit uint64) error {
 	}
 }
 
-// limitErr and watchdogErr build the Run failure diagnostics. They are
-// shared with the sharded coordinator so both engines fail with identical
-// messages at identical points.
+// limitErr and watchdogErr build the Run failure diagnostics.
 func (e *Engine) limitErr() error {
 	return fmt.Errorf("%w: now=%d pending=%d", ErrLimitReached, e.now, e.Pending())
 }
@@ -397,8 +356,7 @@ func (q *equeue) peekRing(now uint64) (uint64, bool) {
 // peek returns the (when, seq) of the queue's earliest event in (when, seq)
 // order without removing it. The heap wins ties at equal when because for
 // any cycle, every heap insertion into this queue was sequenced before every
-// ring insertion (see the package comment; DESIGN.md §11 extends the
-// argument to merged cross-group events).
+// ring insertion (see the package comment).
 func (q *equeue) peek(now uint64) (when, seq uint64, ok bool) {
 	rt, rok := q.peekRing(now)
 	if len(q.heap) > 0 && (!rok || q.heap[0].when <= rt) {

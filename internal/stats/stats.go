@@ -117,7 +117,6 @@ func (c *Core) TotalCycles() uint64 {
 }
 
 // Run aggregates a whole simulation's results.
-//lockiller:shared-state
 type Run struct {
 	System   string
 	Workload string
@@ -134,9 +133,8 @@ type Run struct {
 	// EventsExecuted is the number of simulation events the engine
 	// dispatched; FusedRuns the number of event-fusion fast-path runs the
 	// cores executed inline (DESIGN.md §10). Both are deterministic for a
-	// spec and identical between the sequential and sharded engines, but
-	// they legitimately differ between fusion on and off — the fusion
-	// equivalence tests compare architectural fields, not these.
+	// spec, but they legitimately differ between fusion on and off — the
+	// fusion equivalence tests compare architectural fields, not these.
 	EventsExecuted uint64
 	FusedRuns      uint64
 }

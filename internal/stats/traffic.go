@@ -37,10 +37,7 @@ type Traffic struct {
 	LockHandovers    uint64
 }
 
-// Merge adds o's counters into t. The machine folds one partial Traffic
-// per tile group and merges them in group order, so totals are identical
-// between the sequential and sharded engines (uint64 addition is exact and
-// associative; only the fold order is fixed for clarity).
+// Merge adds o's counters into t, aggregating traffic across runs.
 func (t *Traffic) Merge(o *Traffic) {
 	t.Messages += o.Messages
 	t.FlitHops += o.FlitHops

@@ -9,7 +9,7 @@ import (
 // TestTrafficMergeCoversEveryField fills two Traffic values with distinct
 // random counters via reflection and checks Merge sums every uint64 field —
 // so a counter added to the struct without a matching Merge line fails here
-// instead of silently vanishing from sharded-engine runs.
+// instead of silently vanishing from aggregates.
 func TestTrafficMergeCoversEveryField(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	fill := func(tr *Traffic) {
@@ -34,8 +34,8 @@ func TestTrafficMergeCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestTrafficMergeOrderIrrelevant pins the property collectTraffic relies
-// on: folding per-group partials yields the same totals in any order.
+// TestTrafficMergeOrderIrrelevant pins that aggregating runs yields the
+// same totals in any order.
 func TestTrafficMergeOrderIrrelevant(t *testing.T) {
 	parts := []Traffic{
 		{L1Hits: 3, DirRequests: 7, NacksSent: 1},

@@ -58,7 +58,6 @@ type Meta struct {
 // Telemetry is one run's observability state. Create with New, attach with
 // Start before the machine runs. A nil *Telemetry is a valid disabled
 // instance: every hook returns immediately.
-//lockiller:shared-state
 type Telemetry struct {
 	cfg    Config
 	engine *sim.Engine

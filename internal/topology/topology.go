@@ -4,8 +4,7 @@
 // (DESIGN.md §13) generalizes the layer behind the Topology interface so
 // the simulated machine can grow to 64–1024 tiles on a larger mesh, a
 // torus (wraparound X-Y), or a concentrated mesh (several tiles per
-// router) without the NoC or the sharded engine caring which shape is
-// underneath.
+// router) without the NoC caring which shape is underneath.
 package topology
 
 import "fmt"
@@ -37,10 +36,6 @@ type Topology interface {
 	// NumLinks returns the number of distinct directed links, used to
 	// normalize link-occupancy telemetry.
 	NumLinks() int
-	// MinCrossHops returns the minimum Hops between two distinct tiles:
-	// 1 on a mesh or torus, 0 on a concentrated mesh (same-router tiles).
-	// The NoC derives its conservative-PDES lookahead from it.
-	MinCrossHops() int
 	// Name identifies the shape ("mesh", "torus", "cmesh").
 	Name() string
 }
@@ -121,14 +116,6 @@ func (m Mesh) Hops(src, dst int) int {
 	sx, sy := m.XY(src)
 	dx, dy := m.XY(dst)
 	return abs(sx-dx) + abs(sy-dy)
-}
-
-// MinCrossHops implements Topology: adjacent tiles are one link apart.
-func (m Mesh) MinCrossHops() int {
-	if m.Tiles() == 1 {
-		return 0
-	}
-	return 1
 }
 
 // NumLinks returns the number of distinct directed links: W*(H-1) vertical
@@ -227,14 +214,6 @@ func (t Torus) Hops(src, dst int) int {
 	return hx + hy
 }
 
-// MinCrossHops implements Topology.
-func (t Torus) MinCrossHops() int {
-	if t.Tiles() == 1 {
-		return 0
-	}
-	return 1
-}
-
 // NumLinks returns the number of distinct directed links. A ring of length
 // L contributes 2L directed links (L each way); length 2 degenerates to one
 // bidirectional channel pair (the two directions collapse onto the same
@@ -327,15 +306,6 @@ func (c CMesh) Hops(src, dst int) int {
 	sx, sy := c.routerXY(c.Router(src))
 	dx, dy := c.routerXY(c.Router(dst))
 	return abs(sx-dx) + abs(sy-dy)
-}
-
-// MinCrossHops implements Topology: with Conc > 1 two distinct tiles can
-// share a router and exchange messages over the zero-hop crossbar.
-func (c CMesh) MinCrossHops() int {
-	if c.Conc > 1 || c.Tiles() == 1 {
-		return 0
-	}
-	return 1
 }
 
 // NumLinks returns the router grid's distinct directed links.

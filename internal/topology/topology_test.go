@@ -290,24 +290,6 @@ func TestCMeshSameRouter(t *testing.T) {
 	if got := c.Hops(3, 4); got != 1 {
 		t.Fatalf("adjacent-router tiles: Hops=%d, want 1", got)
 	}
-	if c.MinCrossHops() != 0 {
-		t.Fatal("cmesh with conc>1 must report MinCrossHops 0")
-	}
-	if NewCMesh(4, 4, 1).MinCrossHops() != 1 {
-		t.Fatal("cmesh with conc=1 must report MinCrossHops 1")
-	}
-}
-
-func TestMinCrossHops(t *testing.T) {
-	if NewMesh(4, 8).MinCrossHops() != 1 {
-		t.Fatal("mesh MinCrossHops should be 1")
-	}
-	if NewTorus(4, 8).MinCrossHops() != 1 {
-		t.Fatal("torus MinCrossHops should be 1")
-	}
-	if NewMesh(1, 1).MinCrossHops() != 0 {
-		t.Fatal("1-tile mesh MinCrossHops should be 0")
-	}
 }
 
 func TestNumLinksMatchesEnumeration(t *testing.T) {

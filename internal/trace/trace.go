@@ -87,7 +87,6 @@ func (e Event) String() string {
 }
 
 // Tracer records events into a bounded ring buffer.
-//lockiller:shared-state
 type Tracer struct {
 	cats  map[Category]bool
 	ring  []Event
