@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build vet lint staticcheck vulncheck test test-race test-short bench bench-compare telemetry-smoke obs-smoke figures eval clean
+.PHONY: all build vet lint staticcheck vulncheck test test-race test-short bench telemetry-smoke obs-smoke figures eval clean
 
 all: vet lint build test
 
@@ -57,20 +57,15 @@ test-short:
 # host-side observability layer (adds ObsDisabledOverhead/
 # ObsEnabledOverhead), BENCH_8.json machine reuse (adds
 # MachineConstruction/MachineReset — reset must stay >= 5x cheaper than
-# construction — and SweepThroughput/reuse={off,on}, the end-to-end sweep
-# wall with and without the machine pool). Compare SimulatorThroughput
-# across files, and within a file compare the Telemetry/ObsDisabledOverhead
-# pair against SimulatorThroughput (< 2% budget for disabled telemetry
-# hooks, <= 1% and zero extra allocs for disabled probes).
-# scripts/bench_compare.sh diffs a fresh run against the newest committed
-# BENCH_*.json.
+# construction — and SweepThroughput, the end-to-end sweep wall through the
+# machine pool). Compare SimulatorThroughput across files, and within a file
+# compare the Telemetry/ObsDisabledOverhead pair against SimulatorThroughput
+# (< 2% budget for disabled telemetry hooks, <= 1% and zero extra allocs for
+# disabled probes). The regression gate is `bash bench/run.sh compare`
+# (bench/README.md): medians of repeated end-to-end runs against fixed
+# bounds.
 bench:
 	sh scripts/bench.sh BENCH_8.json
-
-# Regression guard: fresh bench run compared against the newest committed
-# BENCH_*.json (±15% per benchmark; FusedHitChain must stay 0 allocs/op).
-bench-compare:
-	sh scripts/bench_compare.sh
 
 # Short end-to-end observability check: run one small simulation with all
 # telemetry enabled twice with the same seed, assert byte-identical output,

@@ -481,7 +481,7 @@ func BenchmarkTelemetryDisabledOverhead(b *testing.B) {
 	spec := telemetryBenchSpec(b)
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := harness.ExecuteInstrumented(spec, nil, nil)
+		res, err := harness.ExecuteWith(spec, harness.ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -498,7 +498,7 @@ func BenchmarkTelemetryEnabledOverhead(b *testing.B) {
 	var cycles, samples uint64
 	for i := 0; i < b.N; i++ {
 		tel := telemetry.New(telemetry.Config{Interval: 10_000, Chrome: true})
-		res, err := harness.ExecuteInstrumented(spec, nil, tel)
+		res, err := harness.ExecuteWith(spec, harness.ExecOptions{Telemetry: tel})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -589,9 +589,9 @@ func BenchmarkMachineReset(b *testing.B) {
 }
 
 // BenchmarkSweepThroughput runs a small multi-workload sweep through one
-// Runner per iteration, reuse on and off — the end-to-end form of the
-// construction-vs-reset trade: with reuse on, every spec after the first
-// of each shape runs on a reset machine instead of a fresh build.
+// Runner per iteration — the end-to-end form of the construction-vs-reset
+// trade: every spec after the first of each shape runs on a reset machine
+// from the Runner's pool instead of a fresh build.
 func BenchmarkSweepThroughput(b *testing.B) {
 	// The `lockillerbench -fig 13 -quick` shape: four systems and three
 	// light workloads over threads {2, 8, 32} on the small and large cache
@@ -613,24 +613,15 @@ func BenchmarkSweepThroughput(b *testing.B) {
 			}
 		}
 	}
-	for _, reuse := range []bool{false, true} {
-		name := "reuse=off"
-		if reuse {
-			name = "reuse=on"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := harness.NewRunner(1)
+		r.Workers = 1 // serialize so the reset savings are not masked by idle cores
+		if err := r.RunAll(specs); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := harness.NewRunner(1)
-				r.Workers = 1 // serialize so the reuse delta is not masked by idle cores
-				r.Reuse = reuse
-				if err := r.RunAll(specs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(specs)), "specs/op")
-		})
 	}
+	b.ReportMetric(float64(len(specs)), "specs/op")
 }
 
 // --- tiny helpers (stdlib only, no fmt in hot paths) ---------------------

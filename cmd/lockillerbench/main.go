@@ -15,10 +15,7 @@
 //	lockillerbench -fig 7 -selfprofile
 //	                                 # print the engine self-profile after the sweep
 //	lockillerbench -fig 7 -results out/cache
-//	                                 # persistent content-addressed result cache (a
-//	                                 # .json path selects the legacy snapshot file)
-//	lockillerbench -fig 7 -reuse off # rebuild every machine instead of resetting
-//	                                 # pooled ones (bit-identical; diagnostic)
+//	                                 # persistent content-addressed result cache
 package main
 
 import (
@@ -46,7 +43,7 @@ func main() {
 	check := flag.Bool("check", false, "evaluate the paper's qualitative claims (PASS/FAIL) and exit")
 	scaling := flag.Bool("scaling", false, "run the core-count scaling sweep (threads = cores, 32..256)")
 	scalingWl := flag.String("scaling-workload", "intruder", "workload for the -scaling sweep")
-	cacheFile := flag.String("results", "", "persist simulation results: a .json path is a snapshot file (loaded first, saved after); any other path is a content-addressed cache directory (e.g. out/cache), written incrementally")
+	resultsDir := flag.String("results", "", "content-addressed result cache directory (e.g. out/cache), checked before each run and written incrementally")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	workers := flag.Int("workers", 0, "parallel simulations (0 = LOCKILLER_WORKERS env, then one per CPU)")
@@ -54,8 +51,12 @@ func main() {
 	ledgerPath := flag.String("ledger", "", "append one JSONL ledger record per simulation to this file")
 	obsRedact := flag.Bool("obs-redact", false, "zero host-derived ledger fields (wall, allocator) for byte-stable diffing")
 	selfProfile := flag.Bool("selfprofile", false, "profile the event engine itself and print the report after the sweep")
-	reuse := flag.String("reuse", "on", "machine reuse across sweep points: on or off (results are bit-identical either way; off rebuilds every machine and exists as a diagnostic escape hatch)")
 	flag.Parse()
+
+	if strings.HasSuffix(*resultsDir, ".json") {
+		fmt.Fprintf(os.Stderr, "lockillerbench: -results %s: the single-file snapshot cache was removed; pass a cache directory (e.g. out/cache)\n", *resultsDir)
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -87,21 +88,13 @@ func main() {
 
 	r := harness.NewRunner(*seed)
 	r.Workers = harness.DefaultWorkers(*workers)
-	switch *reuse {
-	case "on":
-	case "off":
-		r.Reuse = false
-	default:
-		fmt.Fprintf(os.Stderr, "lockillerbench: unknown -reuse value %q (want on or off)\n", *reuse)
-		os.Exit(2)
-	}
 	if *obsProgress {
 		r.Progress = &obs.TextSink{W: os.Stderr}
 	}
 	if *ledgerPath != "" {
 		r.Ledger = &obs.Ledger{Redact: *obsRedact}
-		// Written on normal exit, like the results cache below; error paths
-		// that os.Exit early drop the partial ledger by design.
+		// Written on normal exit; error paths that os.Exit early drop the
+		// partial ledger by design.
 		defer func() {
 			f, err := os.Create(*ledgerPath)
 			if err != nil {
@@ -120,36 +113,11 @@ func main() {
 		r.Profiler = obs.NewProfiler()
 		defer r.Profiler.Render(os.Stderr)
 	}
-	switch {
-	case *cacheFile == "":
-	case strings.HasSuffix(*cacheFile, ".json"):
-		// Legacy snapshot mode: one JSON file, loaded up front (with
-		// per-record key validation) and rewritten on normal exit.
-		if f, err := os.Open(*cacheFile); err == nil {
-			rep, err := r.Load(f)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "lockillerbench: ignoring results cache:", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "results: %s\n", rep)
-			}
-			f.Close()
-		}
-		defer func() {
-			f, err := os.Create(*cacheFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "lockillerbench:", err)
-				return
-			}
-			defer f.Close()
-			if err := r.Save(f); err != nil {
-				fmt.Fprintln(os.Stderr, "lockillerbench:", err)
-			}
-		}()
-	default:
-		// Content-addressed store: every fresh result is written the
-		// moment it finishes, keyed by (key, seed, schema version), so
-		// interrupted sweeps lose nothing and repeat sweeps are near-free.
-		d, err := harness.OpenDiskCache(*cacheFile)
+	if *resultsDir != "" {
+		// Every fresh result is written the moment it finishes, keyed by
+		// (key, seed, schema version), so interrupted sweeps lose nothing
+		// and repeat sweeps are near-free.
+		d, err := harness.OpenDiskCache(*resultsDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lockillerbench:", err)
 			os.Exit(1)

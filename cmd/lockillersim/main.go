@@ -44,7 +44,6 @@ func main() {
 	interval := flag.Uint64("interval", 10_000, "telemetry sampling interval in simulated cycles")
 	chromePath := flag.String("chrometrace", "", "write a Chrome-trace-event (Perfetto) JSON trace to this path")
 	hotLines := flag.Int("hot-lines", 16, "number of hottest conflict lines to report")
-	fuse := flag.String("fuse", "on", "event-fusion fast path: on or off (results are identical; off is a diagnostic mode)")
 	cores := flag.Int("cores", 0, "scale the machine to N cores on a near-square grid (0 = Table I's 32)")
 	topo := flag.String("topo", "", "interconnect topology: mesh, torus, or cmesh (default: Table I's mesh)")
 	cluster := flag.Int("cluster", 0, "two-level directory cluster size (0 = flat directory)")
@@ -53,15 +52,6 @@ func main() {
 	ledgerPath := flag.String("ledger", "", "write this run's ledger record to the file as JSONL")
 	obsRedact := flag.Bool("obs-redact", false, "zero host-derived ledger fields (wall, allocator) for byte-stable diffing")
 	flag.Parse()
-
-	var disableFusion bool
-	switch *fuse {
-	case "on":
-	case "off":
-		disableFusion = true
-	default:
-		fatal(fmt.Errorf("unknown -fuse value %q (want on or off)", *fuse))
-	}
 
 	if *list {
 		fmt.Println("Systems (Table II):")
@@ -113,7 +103,7 @@ func main() {
 		fatal(fmt.Errorf("unknown -topo value %q (want mesh, torus, or cmesh)", *topo))
 	}
 	spec := harness.Spec{System: sys, Workload: wl, Threads: *threads, Cache: cache, Seed: *seed,
-		DisableFusion: disableFusion, Cores: *cores, Topo: *topo, ClusterSize: *cluster}
+		Cores: *cores, Topo: *topo, ClusterSize: *cluster}
 	if *exportPath != "" {
 		f, err := os.Create(*exportPath)
 		if err != nil {
@@ -138,8 +128,10 @@ func main() {
 		})
 	}
 	var prof *obs.Profiler
+	opts := harness.ExecOptions{Tracer: tracer, Telemetry: tel}
 	if *obsFlag {
 		prof = obs.NewProfiler()
+		opts.Probe = prof // never wrap a nil *Profiler in the interface
 	}
 	// The disk cache only serves the plain execution path: instrumented or
 	// custom runs produce side outputs (traces, telemetry, profiles) a
@@ -158,7 +150,7 @@ func main() {
 	mem := obs.TakeMemSnapshot()
 	switch {
 	case *importPath != "" || *threeLevel:
-		run, err = runCustom(spec, tracer, tel, prof, *importPath, *threeLevel)
+		run, err = runCustom(spec, opts, *importPath, *threeLevel)
 	default:
 		if disk != nil {
 			if cached, ok := disk.Load(spec.Key(), *seed); ok {
@@ -166,10 +158,6 @@ func main() {
 			}
 		}
 		if run == nil {
-			opts := harness.ExecOptions{Tracer: tracer, Telemetry: tel}
-			if prof != nil { // never wrap a nil *Profiler in the interface
-				opts.Probe = prof
-			}
 			run, err = harness.ExecuteWith(spec, opts)
 			if err == nil && disk != nil {
 				if serr := disk.Store(spec.Key(), *seed, run); serr != nil {
@@ -283,11 +271,7 @@ func writeFile(path string, write func(*os.File) error) error {
 
 // runCustom executes a spec with non-standard machine options (replayed
 // programs and/or the three-level protocol organization).
-func runCustom(spec harness.Spec, tracer *trace.Tracer, tel *telemetry.Telemetry, prof *obs.Profiler, importPath string, threeLevel bool) (*stats.Run, error) {
-	p := spec.MachineParams()
-	if threeLevel {
-		p.MidSize, p.MidWays = 64*1024, 8
-	}
+func runCustom(spec harness.Spec, opts harness.ExecOptions, importPath string, threeLevel bool) (*stats.Run, error) {
 	progs := stamp.Programs(spec.Workload, spec.Threads, spec.Seed)
 	if importPath != "" {
 		f, err := os.Open(importPath)
@@ -300,23 +284,12 @@ func runCustom(spec harness.Spec, tracer *trace.Tracer, tel *telemetry.Telemetry
 			return nil, err
 		}
 	}
-	cfg := cpu.Config{
-		Machine: p, HTM: spec.System.HTM, Sync: spec.System.Sync,
-		Threads: len(progs), Seed: spec.Seed, Limit: 4_000_000_000, Tracer: tracer,
-		Telemetry: tel, DisableFusion: spec.DisableFusion,
+	spec.Threads = len(progs)
+	cfg := spec.Config(opts)
+	if threeLevel {
+		cfg.Machine.MidSize, cfg.Machine.MidWays = 64*1024, 8
 	}
-	if prof != nil { // never wrap a nil *Profiler in the interface
-		cfg.Probe = prof
-	}
-	if tel != nil {
-		tel.Meta = telemetry.Meta{
-			System:   spec.System.Name,
-			Threads:  len(progs),
-			Workload: spec.Workload.Name,
-		}
-	}
-	m := cpu.NewMachine(cfg, spec.System.Name, spec.Workload.Name, progs)
-	return m.Run()
+	return cpu.NewMachine(cfg, spec.System.Name, spec.Workload.Name, progs).Run()
 }
 
 func fatal(err error) {

@@ -41,7 +41,7 @@ func spawn(fn func()) {
 
 // channels order by the runtime, not by simulated time.
 func channels(c chan int) int {
-	c <- 1 // want `channel send in deterministic package "htm"`
+	c <- 1   // want `channel send in deterministic package "htm"`
 	v := <-c // want `channel receive in deterministic package "htm"`
 	close(c) // want `channel close in deterministic package "htm"`
 	return v

@@ -30,12 +30,12 @@ const (
 // request per line. A rejected request is "held in the MSHR, marked
 // incomplete, and restored to the state before sending" (paper §III-A).
 type mshr struct {
-	line    mem.Line
-	write   bool
-	txBits  bool // set tx metadata on fill
-	epoch   uint64
-	state   mshrState
-	done    func()
+	line   mem.Line
+	write  bool
+	txBits bool // set tx metadata on fill
+	epoch  uint64
+	state  mshrState
+	done   func()
 	// doneEp is done's guard epoch: done fires only while l1.epoch still
 	// equals it. Storing the pair instead of a guard closure keeps the
 	// dominant miss path allocation-free (see guard).

@@ -76,8 +76,8 @@ type Config struct {
 	// DisableFusion turns off the event-fusion fast path (DESIGN.md §10),
 	// forcing every compute delay and L1 hit through the event queue. The
 	// simulated behavior is bit-for-bit identical either way (pinned by the
-	// fusion equivalence tests); the knob exists for differential testing
-	// and as a diagnostic escape hatch.
+	// fusion equivalence tests); the knob is the unfused reference those
+	// tests compare against.
 	DisableFusion bool
 	// Tracer, when non-nil, records simulation events (internal/trace).
 	Tracer *trace.Tracer

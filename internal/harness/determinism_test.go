@@ -2,9 +2,15 @@ package harness
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/cpu"
+	"repro/internal/obs"
 	"repro/internal/stamp"
+	"repro/internal/stats"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // goldenCycles pins the exact ExecCycles of a small system x workload x
@@ -39,32 +45,167 @@ type goldenKey struct {
 	Threads  int
 }
 
-func goldenWorkloads() []stamp.Profile {
-	return []stamp.Profile{stamp.Intruder(), stamp.Kmeans()}
-}
-
-// TestGoldenCycleCounts runs the golden matrix and asserts every ExecCycles
-// value bit-for-bit.
-func TestGoldenCycleCounts(t *testing.T) {
+// goldenSpecs returns the 16-point golden matrix as specs.
+func goldenSpecs() []Spec {
+	var specs []Spec
 	for _, sysName := range []string{"CGL", "Baseline", "LockillerTM-RWI", "LockillerTM"} {
-		sys := mustSystem(sysName)
-		for _, wl := range goldenWorkloads() {
+		for _, wl := range []stamp.Profile{stamp.Intruder(), stamp.Kmeans()} {
 			for _, th := range []int{2, 4} {
-				sysName, wl, th := sysName, wl, th
-				t.Run(fmt.Sprintf("%s/%s/%d", sysName, wl.Name, th), func(t *testing.T) {
-					t.Parallel()
-					run, err := Execute(Spec{System: sys, Workload: wl, Threads: th, Cache: TypicalCache(), Seed: 1})
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := goldenCycles[goldenKey{sysName, wl.Name, th}]
-					if run.ExecCycles != want {
-						t.Errorf("ExecCycles = %d, want %d (simulated timing changed)", run.ExecCycles, want)
-					}
+				specs = append(specs, Spec{
+					System: mustSystem(sysName), Workload: wl,
+					Threads: th, Cache: TypicalCache(), Seed: 1,
 				})
 			}
 		}
 	}
+	return specs
+}
+
+// goldenRow is one way of executing a golden-matrix point. Every row must
+// reproduce the pinned cycles; a row with deepEqual must also reproduce a
+// fresh build's full stats.Run, up to the engine-strategy counters
+// (sameOutcome). A new axis — another execution strategy or observer — is
+// one more row and one more test driving it through runGolden.
+type goldenRow struct {
+	deepEqual bool
+	run       func(t *testing.T, s Spec) *stats.Run
+}
+
+var (
+	freshRow = goldenRow{run: func(t *testing.T, s Spec) *stats.Run {
+		return mustRun(t)(Execute(s))
+	}}
+	// The runner's pool path: a Workers=1 runner first runs the same shape
+	// on another workload, so s always runs on a Reset machine.
+	poolResetRow = goldenRow{deepEqual: true, run: func(t *testing.T, s Spec) *stats.Run {
+		r := NewRunner(s.Seed)
+		r.Workers = 1
+		warm := s
+		warm.Workload = tinyProfile()
+		mustRun(t)(r.Get(warm))
+		return mustRun(t)(r.Get(s))
+	}}
+	// The runner's build path: a new runner's pool is empty, so s runs on
+	// a machine the runner constructs itself.
+	poolBuildRow = goldenRow{deepEqual: true, run: func(t *testing.T, s Spec) *stats.Run {
+		return mustRun(t)(NewRunner(s.Seed).Get(s))
+	}}
+	unfusedRow = goldenRow{deepEqual: true, run: func(t *testing.T, s Spec) *stats.Run {
+		cfg := s.Config(ExecOptions{})
+		cfg.DisableFusion = true
+		progs := stamp.Programs(s.Workload, s.Threads, s.Seed)
+		return mustRun(t)(cpu.NewMachine(cfg, s.System.Name, s.Workload.Name, progs).Run())
+	}}
+	// The self-profiler reads the host clock on every dispatch; none of
+	// that may reach model state.
+	probeRow = goldenRow{run: func(t *testing.T, s Spec) *stats.Run {
+		p := obs.NewProfiler()
+		run := mustRun(t)(ExecuteWith(s, ExecOptions{Probe: p}))
+		if p.Events() != run.EventsExecuted {
+			t.Errorf("profiler saw %d events, engine executed %d", p.Events(), run.EventsExecuted)
+		}
+		return run
+	}}
+	tracerTelemetryRow = goldenRow{run: func(t *testing.T, s Spec) *stats.Run {
+		tel := telemetry.New(telemetry.Config{Interval: 10_000, Chrome: true})
+		run := mustRun(t)(ExecuteWith(s, ExecOptions{Tracer: trace.New(256, nil), Telemetry: tel}))
+		if tel.Reg.Samples() == 0 {
+			t.Error("telemetry took no samples")
+		}
+		return run
+	}}
+)
+
+// mustRun fails the test on a run error and returns the result.
+func mustRun(t *testing.T) func(*stats.Run, error) *stats.Run {
+	return func(run *stats.Run, err error) *stats.Run {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
+	}
+}
+
+// sameOutcome reports whether two runs agree on every stats field except
+// EventsExecuted and FusedRuns, which count how the engine got there and
+// legitimately move with event fusion.
+func sameOutcome(a, b *stats.Run) bool {
+	x, y := *a, *b
+	x.EventsExecuted, x.FusedRuns = 0, 0
+	y.EventsExecuted, y.FusedRuns = 0, 0
+	return reflect.DeepEqual(x, y)
+}
+
+// pointName names a golden-matrix point system/workload/threads.
+func pointName(s Spec) string {
+	return fmt.Sprintf("%s/%s/%d", s.System.Name, s.Workload.Name, s.Threads)
+}
+
+// cellName names a golden-matrix cell system/workload, covering both of its
+// thread counts.
+func cellName(s Spec) string { return s.System.Name + "/" + s.Workload.Name }
+
+// runGolden runs every golden-matrix point through row and asserts its
+// pinned ExecCycles bit-for-bit; deepEqual rows also compare against a
+// fresh Execute. Points run in parallel subtests named by name; points that
+// share a name run in one subtest.
+func runGolden(t *testing.T, row goldenRow, name func(Spec) string) {
+	var names []string
+	points := make(map[string][]Spec)
+	for _, s := range goldenSpecs() {
+		n := name(s)
+		if points[n] == nil {
+			names = append(names, n)
+		}
+		points[n] = append(points[n], s)
+	}
+	for _, n := range names {
+		specs := points[n]
+		t.Run(n, func(t *testing.T) {
+			t.Parallel()
+			for _, s := range specs {
+				run := row.run(t, s)
+				if want := goldenCycles[goldenKey{s.System.Name, s.Workload.Name, s.Threads}]; run.ExecCycles != want {
+					t.Errorf("%s: ExecCycles = %d, want %d (simulated timing changed)", pointName(s), run.ExecCycles, want)
+				}
+				if !row.deepEqual {
+					continue
+				}
+				if fresh := mustRun(t)(Execute(s)); !sameOutcome(fresh, run) {
+					t.Errorf("%s: stats diverge from the fresh build:\nfresh: %+v\ngot:   %+v", pointName(s), fresh, run)
+				}
+			}
+		})
+	}
+}
+
+// TestGoldenCycleCounts pins the golden matrix on fresh builds.
+func TestGoldenCycleCounts(t *testing.T) { runGolden(t, freshRow, pointName) }
+
+// TestGoldenCycleCountsFusionOff pins the golden matrix with the event-fusion
+// fast path disabled. Fusion is a pure execution-strategy change, so the
+// unfused run must match the fused one in every outcome — cycles, traffic,
+// aborts by cause, per-core commits.
+func TestGoldenCycleCountsFusionOff(t *testing.T) { runGolden(t, unfusedRow, pointName) }
+
+// TestGoldenCycleCountsReuse pins the golden matrix on the runner's machine
+// pool: reset-then-run (reuse=true) and the runner's own first build
+// (reuse=false) must both reproduce a fresh Execute exactly.
+func TestGoldenCycleCountsReuse(t *testing.T) {
+	t.Run("reuse=true", func(t *testing.T) { runGolden(t, poolResetRow, pointName) })
+	t.Run("reuse=false", func(t *testing.T) { runGolden(t, poolBuildRow, pointName) })
+}
+
+// TestObsProbePreservesGoldenCycles pins the golden matrix with the
+// self-profiler probe attached.
+func TestObsProbePreservesGoldenCycles(t *testing.T) { runGolden(t, probeRow, cellName) }
+
+// TestTelemetryPreservesGoldenCycles pins the golden matrix with a tracer and
+// full telemetry (metrics sampling, Chrome recording) attached: observing
+// must never perturb the simulation.
+func TestTelemetryPreservesGoldenCycles(t *testing.T) {
+	runGolden(t, tracerTelemetryRow, cellName)
 }
 
 // TestRepeatedRunsIdentical runs the same spec twice in one process and

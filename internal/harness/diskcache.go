@@ -13,11 +13,11 @@ import (
 
 // The persistent sweep cache: one content-addressed JSON file per
 // (spec key, seed, schema version) under a directory (out/cache/ by
-// convention). Unlike the single-file Save/Load snapshot, the store is
-// incremental — every fresh result lands as its own file the moment it
-// finishes, so an interrupted sweep loses nothing and repeated sweeps are
-// near-free. The schema version is part of the address, so a format change
-// simply misses old entries instead of misreading them.
+// convention). The store is incremental — every fresh result lands as its
+// own file the moment it finishes, so an interrupted sweep loses nothing and
+// repeated sweeps are near-free. Entries are addressed by a hash of the key;
+// keys are never parsed back. The schema version is part of the address, so
+// a format change simply misses old entries instead of misreading them.
 
 // diskCacheSchema versions the stored entry format; bump it whenever the
 // stats.Run encoding or the entry envelope changes shape.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -78,16 +79,16 @@ func TestRunnerDiskCache(t *testing.T) {
 	r1 := NewRunner(1)
 	r1.Workers = 2
 	r1.Disk = d
-	execs := 0
+	var execs atomic.Int64 // bumped from both sweep workers
 	r1.exec = func(s Spec) (*stats.Run, error) {
-		execs++
+		execs.Add(1)
 		return &stats.Run{ExecCycles: uint64(s.Threads)}, nil
 	}
 	if err := r1.RunAll(specs); err != nil {
 		t.Fatal(err)
 	}
-	if execs != len(specs) {
-		t.Fatalf("first sweep executed %d specs, want %d", execs, len(specs))
+	if n := execs.Load(); n != int64(len(specs)) {
+		t.Fatalf("first sweep executed %d specs, want %d", n, len(specs))
 	}
 
 	r2 := NewRunner(1)

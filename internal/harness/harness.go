@@ -106,10 +106,6 @@ type Spec struct {
 	Threads  int
 	Cache    CacheConfig
 	Seed     uint64
-	// DisableFusion runs with the event-fusion fast path off (DESIGN.md
-	// §10). Results are bit-for-bit identical either way — the knob exists
-	// for the fusion equivalence tests and as a diagnostic escape hatch.
-	DisableFusion bool
 	// Cores, Topo, MeshW/MeshH, and ClusterSize override the Table I
 	// machine shape (32 cores, 4x8 mesh, flat directory) for scaling runs
 	// (DESIGN.md §13). Zero values keep the defaults — and the memo keys
@@ -128,15 +124,11 @@ func (s Spec) key() string {
 		s.keySuffix()
 }
 
-// keySuffix renders the optional key-affecting dimensions, in the fixed
-// order ParseKey accepts, for both key and poolKey. Unset fields add
-// nothing, so specs that leave them zero keep the keys they had before the
-// fields existed.
+// keySuffix renders the optional key-affecting dimensions, in a fixed
+// order, for both key and poolKey. Unset fields add nothing, so specs that
+// leave them zero keep the keys they had before the fields existed.
 func (s Spec) keySuffix() string {
 	k := ""
-	if s.DisableFusion {
-		k += "|nofuse"
-	}
 	if s.Cores > 0 {
 		k += fmt.Sprintf("|cores%d", s.Cores)
 	}
@@ -153,7 +145,7 @@ func (s Spec) keySuffix() string {
 }
 
 // Key returns the spec's memo key — the identity used by the runner's
-// cache, the results file, and the obs run ledger.
+// memo, the disk cache, and the obs run ledger.
 func (s Spec) Key() string { return s.key() }
 
 // poolKey identifies the machine *shape* a spec needs: every key-affecting
@@ -209,20 +201,10 @@ func (s Spec) MachineParams() coherence.Params {
 	return p
 }
 
-// Execute runs one simulation to completion.
+// Execute runs one simulation to completion on a freshly built machine: the
+// reference every pooled, unfused or instrumented execution is compared
+// against.
 func Execute(s Spec) (*stats.Run, error) { return ExecuteWith(s, ExecOptions{}) }
-
-// ExecuteTraced is Execute with an optional event tracer attached.
-func ExecuteTraced(s Spec, tracer *trace.Tracer) (*stats.Run, error) {
-	return ExecuteWith(s, ExecOptions{Tracer: tracer})
-}
-
-// ExecuteInstrumented is Execute with an optional event tracer and an
-// optional telemetry instance attached. Both may be nil; a non-nil telemetry
-// gets its Meta stamped from the spec and is ready for export after the run.
-func ExecuteInstrumented(s Spec, tracer *trace.Tracer, tel *telemetry.Telemetry) (*stats.Run, error) {
-	return ExecuteWith(s, ExecOptions{Tracer: tracer, Telemetry: tel})
-}
 
 // ExecOptions bundles the optional instrumentation of one execution. The
 // zero value runs bare.
@@ -243,23 +225,10 @@ func ExecuteWith(s Spec, opts ExecOptions) (*stats.Run, error) {
 	return NewMachineFor(s, opts).Run()
 }
 
-// NewMachineFor constructs the machine a spec describes, programmed and
-// ready to Run. The runner's reuse path builds machines here once per shape
-// and Resets them for every later spec with the same poolKey.
-func NewMachineFor(s Spec, opts ExecOptions) *cpu.Machine {
-	p := s.MachineParams()
-	cfg := cpu.Config{
-		Machine:       p,
-		HTM:           s.System.HTM,
-		Sync:          s.System.Sync,
-		Threads:       s.Threads,
-		Seed:          s.Seed,
-		Limit:         4_000_000_000,
-		Tracer:        opts.Tracer,
-		Telemetry:     opts.Telemetry,
-		Probe:         opts.Probe,
-		DisableFusion: s.DisableFusion,
-	}
+// Config resolves the machine configuration a spec describes, with the
+// given instrumentation attached. A non-nil telemetry gets its Meta stamped
+// from the spec.
+func (s Spec) Config(opts ExecOptions) cpu.Config {
 	if tel := opts.Telemetry; tel != nil {
 		tel.Meta = telemetry.Meta{
 			System:   s.System.Name,
@@ -267,24 +236,38 @@ func NewMachineFor(s Spec, opts ExecOptions) *cpu.Machine {
 			Workload: s.Workload.Name,
 		}
 	}
+	return cpu.Config{
+		Machine:   s.MachineParams(),
+		HTM:       s.System.HTM,
+		Sync:      s.System.Sync,
+		Threads:   s.Threads,
+		Seed:      s.Seed,
+		Limit:     4_000_000_000,
+		Tracer:    opts.Tracer,
+		Telemetry: opts.Telemetry,
+		Probe:     opts.Probe,
+	}
+}
+
+// NewMachineFor constructs the machine a spec describes, programmed and
+// ready to Run. The runner builds machines here once per shape and Resets
+// them for every later spec with the same poolKey.
+func NewMachineFor(s Spec, opts ExecOptions) *cpu.Machine {
 	progs := stamp.Programs(s.Workload, s.Threads, s.Seed)
-	return cpu.NewMachine(cfg, s.System.Name, s.Workload.Name, progs)
+	return cpu.NewMachine(s.Config(opts), s.System.Name, s.Workload.Name, progs)
 }
 
 // Runner executes specs in parallel with memoization (CGL baselines are
-// shared across figures).
+// shared across figures). It pools constructed machines by shape
+// (Spec.poolKey) and Resets them in place for each later spec of the same
+// shape instead of rebuilding (DESIGN.md §15); reset-then-run is bit-for-bit
+// identical to Execute. Instrumented executions (Profiler, custom exec)
+// always build fresh.
 type Runner struct {
 	Seed    uint64
 	Workers int
 	// Log, when non-nil, receives one line per completed simulation.
 	Log func(string)
-	// Reuse pools constructed machines by shape (Spec.poolKey) and
-	// Resets them in place for each later spec of the same shape instead
-	// of rebuilding (DESIGN.md §15). Key-neutral: reset-then-run is
-	// bit-for-bit identical to fresh-build-then-run, so the flag changes
-	// host wall time and allocations only. Instrumented executions
-	// (Profiler, custom exec) always build fresh.
-	Reuse bool
 	// Disk, when non-nil, is the persistent content-addressed sweep
 	// cache: get() consults it after a memo miss and stores every fresh
 	// successful result. Hits produce ledger records with
@@ -304,7 +287,8 @@ type Runner struct {
 	Profiler *obs.Profiler
 
 	// exec runs one spec; tests may replace it before first use. Defaults
-	// to Execute (with the self-profiler probe when Profiler is set).
+	// to the pooled path (a fresh build with the self-profiler probe when
+	// Profiler is set).
 	exec func(Spec) (*stats.Run, error)
 
 	mu       sync.Mutex
@@ -339,14 +323,11 @@ type runAccount struct {
 // hit reports whether any cache satisfied the get.
 func (a runAccount) hit() bool { return a.CacheSrc != "" }
 
-// NewRunner creates a runner with DefaultWorkers(0) workers and machine
-// reuse on (results are bit-identical either way; Reuse=false is the
-// escape hatch).
+// NewRunner creates a runner with DefaultWorkers(0) workers.
 func NewRunner(seed uint64) *Runner {
 	return &Runner{
 		Seed:     seed,
 		Workers:  DefaultWorkers(0),
-		Reuse:    true,
 		results:  make(map[string]*stats.Run),
 		inflight: make(map[string]*call),
 	}
@@ -396,18 +377,11 @@ func (r *Runner) execute(s Spec) (*stats.Run, error) {
 		r.Profiler.Merge(p)
 		return res, err
 	}
-	if r.Reuse {
-		return r.executeReused(s)
-	}
-	return Execute(s)
-}
-
-// executeReused satisfies one spec from the machine pool: take a machine of
-// the right shape and Reset it for this spec's workload and seed, or build
-// one if the pool has none. Machines return to the pool only after a clean
-// run — an errored machine's state is suspect, so it is dropped for the
-// garbage collector.
-func (r *Runner) executeReused(s Spec) (*stats.Run, error) {
+	// Satisfy the spec from the machine pool: take a machine of the right
+	// shape and Reset it for this spec's workload and seed, or build one if
+	// the pool has none. Machines return to the pool only after a clean run
+	// — an errored machine's state is suspect, so it is dropped for the
+	// garbage collector.
 	pk := s.poolKey()
 	m := r.pool.acquire(pk)
 	if m == nil {

@@ -11,41 +11,6 @@ import (
 	"repro/internal/stats"
 )
 
-// TestObsProbePreservesGoldenCycles runs golden-matrix cells with the
-// self-profiler probe attached and asserts the simulated timing is bit-for-bit what the plain run produces. The
-// probe reads the host clock on every dispatch; none of that may reach
-// model state.
-func TestObsProbePreservesGoldenCycles(t *testing.T) {
-	for _, cell := range []goldenKey{
-		{"LockillerTM", "intruder", 2},
-		{"Baseline", "kmeans", 4},
-	} {
-		cell := cell
-		t.Run(fmt.Sprintf("%s/%s", cell.System, cell.Workload), func(t *testing.T) {
-			t.Parallel()
-			p := obs.NewProfiler()
-			run, err := ExecuteWith(Spec{
-				System: mustSystem(cell.System), Workload: mustWorkload(cell.Workload),
-				Threads: cell.Threads, Cache: TypicalCache(), Seed: 1,
-			}, ExecOptions{Probe: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := goldenCycles[cell]
-			if run.ExecCycles != want {
-				t.Errorf("ExecCycles with probe = %d, want %d (probe perturbed timing)",
-					run.ExecCycles, want)
-			}
-			if p.Events() == 0 {
-				t.Error("profiler observed no events")
-			}
-			if p.Events() != run.EventsExecuted {
-				t.Errorf("profiler saw %d events, engine executed %d", p.Events(), run.EventsExecuted)
-			}
-		})
-	}
-}
-
 // recSink records progress events. The runner serializes Event calls, so no
 // lock is needed.
 type recSink struct {

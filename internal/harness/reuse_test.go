@@ -9,67 +9,13 @@ import (
 	"repro/internal/stamp"
 )
 
-// goldenSpecs returns the 16-point golden matrix as runner specs.
-func goldenSpecs() []Spec {
-	var specs []Spec
-	for _, sysName := range []string{"CGL", "Baseline", "LockillerTM-RWI", "LockillerTM"} {
-		for _, wl := range goldenWorkloads() {
-			for _, th := range []int{2, 4} {
-				specs = append(specs, Spec{
-					System: mustSystem(sysName), Workload: wl,
-					Threads: th, Cache: TypicalCache(), Seed: 1,
-				})
-			}
-		}
-	}
-	return specs
-}
-
-// checkGolden asserts every matrix cell the runner holds matches the pinned
-// ExecCycles values.
-func checkGolden(t *testing.T, r *Runner) {
-	t.Helper()
-	for _, s := range goldenSpecs() {
-		run, err := r.Get(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := goldenCycles[goldenKey{s.System.Name, s.Workload.Name, s.Threads}]
-		if run.ExecCycles != want {
-			t.Errorf("%s: ExecCycles = %d, want %d (machine reuse changed simulated timing)",
-				s.Key(), run.ExecCycles, want)
-		}
-	}
-}
-
-// TestGoldenCycleCountsReuse pins the reuse bit-identity contract on the
-// golden 16-point matrix: a Reuse runner — whose pool Resets each machine
-// shape for the second workload instead of rebuilding — must reproduce
-// exactly the cycle counts TestGoldenCycleCounts pins for fresh builds.
-// Workers=1 serializes the sweep through one pool, so every shape's second
-// spec is guaranteed to run on a reset machine.
-func TestGoldenCycleCountsReuse(t *testing.T) {
-	for _, reuse := range []bool{true, false} {
-		reuse := reuse
-		t.Run(fmt.Sprintf("reuse=%v", reuse), func(t *testing.T) {
-			t.Parallel()
-			r := NewRunner(1)
-			r.Workers = 1
-			r.Reuse = reuse
-			if err := r.RunAll(goldenSpecs()); err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, r)
-		})
-	}
-}
-
-// TestReuseDifferentialRandom drives randomized specs through a Reuse
-// runner and a fresh build and requires deep equality of the full stats —
-// the randomized half of the bit-identity contract, also run under -race
-// by the nightly reuse-determinism job. Each round runs two workloads of
-// one shape back to back on one pool (Workers=1), so the second result
-// always comes from a reset machine.
+// TestReuseDifferentialRandom drives randomized specs through a runner's
+// machine pool and a fresh build and requires deep equality of the full
+// stats — the randomized half of the bit-identity contract whose golden half
+// is TestGoldenCycleCountsReuse; the nightly determinism job runs
+// both under -race. Each round runs two workloads of one shape back to back
+// on one pool (Workers=1), so the second result always comes from a reset
+// machine.
 func TestReuseDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	systems := Systems()
@@ -88,7 +34,6 @@ func TestReuseDifferentialRandom(t *testing.T) {
 			shape.Cache.Name, wlA.Name, wlB.Name), func(t *testing.T) {
 			r := NewRunner(seed)
 			r.Workers = 1
-			r.Reuse = true
 			specA, specB := shape, shape
 			specA.Workload, specB.Workload = wlA, wlB
 			if _, err := r.Get(specA); err != nil {

@@ -8,48 +8,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestTelemetryPreservesGoldenCycles runs a golden-matrix cell with full
-// telemetry attached (metrics sampling, Chrome recording, provenance) and
-// asserts the simulated timing is bit-for-bit what the plain run produces:
-// observing must never perturb the simulation.
-func TestTelemetryPreservesGoldenCycles(t *testing.T) {
-	for _, cell := range []goldenKey{
-		{"LockillerTM", "intruder", 2},
-		{"Baseline", "kmeans", 4},
-	} {
-		cell := cell
-		t.Run(cell.System+"/"+cell.Workload, func(t *testing.T) {
-			t.Parallel()
-			tel := telemetry.New(telemetry.Config{Interval: 10_000, Chrome: true})
-			run, err := ExecuteInstrumented(Spec{
-				System: mustSystem(cell.System), Workload: mustWorkload(cell.Workload),
-				Threads: cell.Threads, Cache: TypicalCache(), Seed: 1,
-			}, nil, tel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := goldenCycles[cell]
-			if run.ExecCycles != want {
-				t.Errorf("ExecCycles with telemetry = %d, want %d (telemetry perturbed timing)",
-					run.ExecCycles, want)
-			}
-			if tel.Reg.Samples() == 0 {
-				t.Error("telemetry took no samples")
-			}
-		})
-	}
-}
-
 // TestTelemetryExportsByteIdentical runs the same seed twice with telemetry
 // and asserts both exports are byte-identical, schema-valid, and sorted-key.
 func TestTelemetryExportsByteIdentical(t *testing.T) {
 	export := func() (metrics, chrome []byte) {
 		t.Helper()
 		tel := telemetry.New(telemetry.Config{Interval: 10_000, HotLines: 8, Chrome: true})
-		_, err := ExecuteInstrumented(Spec{
+		_, err := ExecuteWith(Spec{
 			System: mustSystem("LockillerTM"), Workload: stamp.Intruder(),
 			Threads: 4, Cache: TypicalCache(), Seed: 1,
-		}, nil, tel)
+		}, ExecOptions{Telemetry: tel})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,12 +76,12 @@ type RequesterWins struct {
 	Timeout uint64
 }
 
-func (RequesterWins) Name() string                        { return "requester-win" }
-func (RequesterWins) OwnerWins(_, _ ConflictSide) bool    { return false }
-func (p RequesterWins) Rejected(Mode) RejectedDecision    { return RejectedDecision{Timeout: p.Timeout} }
-func (RequesterWins) RejectorCause(r Mode) AbortCause     { return CauseFor(r) }
-func (RequesterWins) ArbDelay() uint64                    { return 0 }
-func (RequesterWins) RecordsWake(mode Mode) bool          { return mode != HTM }
+func (RequesterWins) Name() string                     { return "requester-win" }
+func (RequesterWins) OwnerWins(_, _ ConflictSide) bool { return false }
+func (p RequesterWins) Rejected(Mode) RejectedDecision { return RejectedDecision{Timeout: p.Timeout} }
+func (RequesterWins) RejectorCause(r Mode) AbortCause  { return CauseFor(r) }
+func (RequesterWins) ArbDelay() uint64                 { return 0 }
+func (RequesterWins) RecordsWake(mode Mode) bool       { return mode != HTM }
 
 // Recovery is the Lockiller recovery mechanism (§III-A): priority-arbitrated
 // rejection of toxic requests with one of the three rejected-request

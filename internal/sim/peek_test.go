@@ -32,7 +32,7 @@ func TestPeekNextRingHeapTie(t *testing.T) {
 	if w, ok := e.PeekNext(); !ok || w != 40 {
 		t.Fatalf("PeekNext = (%d,%v), want (40,true)", w, ok)
 	}
-	e.Step() // now = 40
+	e.Step()                                       // now = 40
 	e.At(100, func() { order = append(order, 2) }) // 100-40 < 64: ring, same cycle as the heap event
 	if w, ok := e.PeekNext(); !ok || w != 100 {
 		t.Fatalf("PeekNext = (%d,%v), want (100,true)", w, ok)

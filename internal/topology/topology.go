@@ -196,7 +196,7 @@ func ringDist(a, b, n int) (dist, dir int) {
 	if a == b {
 		return 0, 1
 	}
-	fwd := ((b - a) % n + n) % n
+	fwd := ((b-a)%n + n) % n
 	back := n - fwd
 	if fwd <= back {
 		return fwd, 1
