@@ -59,9 +59,9 @@ test-short:
 # MachineConstruction/MachineReset — reset must stay >= 5x cheaper than
 # construction — and SweepThroughput, the end-to-end sweep wall through the
 # machine pool). Compare SimulatorThroughput across files, and within a file
-# compare the Telemetry/ObsDisabledOverhead pair against SimulatorThroughput
-# (< 2% budget for disabled telemetry hooks, <= 1% and zero extra allocs for
-# disabled probes). The regression gate is `bash bench/run.sh compare`
+# compare ObsDisabledOverhead (no tracer, telemetry or probe attached)
+# against SimulatorThroughput (<= 1% and zero extra allocs for the disabled
+# hooks). The regression gate is `bash bench/run.sh compare`
 # (bench/README.md): medians of repeated end-to-end runs against fixed
 # bounds.
 bench:

@@ -460,8 +460,8 @@ func BenchmarkFusedHitChain(b *testing.B) {
 
 // telemetryBenchSpec is the BenchmarkSimulatorThroughput machine point
 // (kmeans, LockillerTM, 8 threads, seed 1) expressed as a harness spec, so
-// the overhead pair below differs from the throughput benchmark only in
-// which telemetry value rides along.
+// the overhead benchmarks below differ from the throughput benchmark only
+// in which observers ride along.
 func telemetryBenchSpec(b *testing.B) harness.Spec {
 	sys, err := harness.SystemByName("LockillerTM")
 	if err != nil {
@@ -471,23 +471,6 @@ func telemetryBenchSpec(b *testing.B) harness.Spec {
 		System: sys, Workload: stamp.Kmeans(),
 		Threads: 8, Cache: harness.TypicalCache(), Seed: 1,
 	}
-}
-
-func BenchmarkTelemetryDisabledOverhead(b *testing.B) {
-	// The same run as BenchmarkSimulatorThroughput with telemetry nil: every
-	// hook site takes its disabled branch. Compare ns/op against
-	// SimulatorThroughput within one BENCH file — the disabled hooks have a
-	// < 2% budget.
-	spec := telemetryBenchSpec(b)
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.ExecuteWith(spec, harness.ExecOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.ExecCycles
-	}
-	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
 }
 
 func BenchmarkTelemetryEnabledOverhead(b *testing.B) {
@@ -510,10 +493,10 @@ func BenchmarkTelemetryEnabledOverhead(b *testing.B) {
 }
 
 func BenchmarkObsDisabledOverhead(b *testing.B) {
-	// The same run as BenchmarkSimulatorThroughput with no EngineProbe
-	// attached: every probe callsite takes its nil-guard branch (one pointer
-	// test per event). Compare against SimulatorThroughput within one BENCH
-	// file — the disabled probes have a <= 1% runtime budget and must add
+	// The same run as BenchmarkSimulatorThroughput with no observer
+	// attached: every tracer, telemetry and probe callsite takes its
+	// disabled branch. Compare against SimulatorThroughput within one BENCH
+	// file — the disabled hooks have a <= 1% runtime budget and must add
 	// zero allocations (allocs/op here equals SimulatorThroughput's).
 	spec := telemetryBenchSpec(b)
 	b.ReportAllocs()

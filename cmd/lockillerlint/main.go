@@ -7,13 +7,14 @@
 //	nowallclock   — wall-clock, global rand, env reads, goroutines, channels
 //	                in deterministic packages
 //	hostclock     — wall-clock reads outside internal/obs anywhere in the
-//	                repo, and unguarded obs.EngineProbe callsites
+//	                repo
 //	poolsafe      — use-after-free / double-free of pooled protocol objects
 //	evtalloc      — closure-literal Engine.At/After scheduling on hot paths
 //	tabledispatch — raw switches over MsgType in the coherence package that
 //	                bypass the protocol transition tables
 //	tracehook     — unguarded Tracer.Emit/Emitf or Telemetry hook calls on
-//	                hot paths that pay argument evaluation when disabled
+//	                hot paths that pay argument evaluation when disabled, and
+//	                unguarded obs.EngineProbe callsites outside internal/obs
 //	fusepath      — evL1Done scheduled outside L1.finishHit, breaking the
 //	                event-fusion fast path's single-completion-site invariant
 //

@@ -285,11 +285,13 @@ func runCustom(spec harness.Spec, opts harness.ExecOptions, importPath string, t
 		}
 	}
 	spec.Threads = len(progs)
-	cfg := spec.Config(opts)
+	cfg := spec.Config()
 	if threeLevel {
 		cfg.Machine.MidSize, cfg.Machine.MidWays = 64*1024, 8
 	}
-	return cpu.NewMachine(cfg, spec.System.Name, spec.Workload.Name, progs).Run()
+	m := cpu.NewMachine(cfg, spec.System.Name, spec.Workload.Name, progs)
+	m.Observe(opts)
+	return m.Run()
 }
 
 func fatal(err error) {

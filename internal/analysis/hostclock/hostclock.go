@@ -1,24 +1,18 @@
 // Package hostclock enforces the host/simulated time boundary that the obs
-// layer introduces (DESIGN.md §14). Two rules:
-//
-//  1. Wall-clock reads — time.Now, time.Since, time.Until — may appear only
-//     in package obs. nowallclock already bans them inside the deterministic
-//     packages; hostclock extends the ban to the whole repository, because a
-//     wall-clock read anywhere outside obs is either a measurement that
-//     belongs in the ledger/profiler (route it through obs.StartTimer) or a
-//     host value about to leak into model state. Package main may waive a
-//     line with //lockiller:hostclock-ok (a CLI printing "finished at ..."
-//     is harmless); the waiver is ignored everywhere else.
-//
-//  2. Method calls on obs.EngineProbe values must sit behind a nil guard,
-//     exactly as tracehook requires for Tracer/Telemetry: the probe is nil
-//     in every production run, and the guard is what makes the disabled
-//     cost one pointer test instead of an interface dispatch per event.
+// layer introduces (DESIGN.md §14): wall-clock reads — time.Now,
+// time.Since, time.Until — may appear only in package obs. nowallclock
+// already bans them inside the deterministic packages; hostclock extends
+// the ban to the whole repository, because a wall-clock read anywhere
+// outside obs is either a measurement that belongs in the ledger/profiler
+// (route it through obs.StartTimer) or a host value about to leak into
+// model state. Package main may waive a line with //lockiller:hostclock-ok
+// (a CLI printing "finished at ..." is harmless); the waiver is ignored
+// everywhere else. The nil-guard rule for obs.EngineProbe calls lives in
+// tracehook with the other observer hooks.
 package hostclock
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"repro/internal/analysis"
@@ -27,7 +21,7 @@ import (
 // Analyzer is the hostclock pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "hostclock",
-	Doc:  "confines wall-clock reads to internal/obs and requires nil-guarded EngineProbe callsites",
+	Doc:  "confines wall-clock reads to internal/obs",
 	Run:  run,
 }
 
@@ -41,11 +35,8 @@ func run(pass *analysis.Pass) error {
 	isMain := pass.Pkg.Name() == "main"
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				checkClock(pass, x, isMain)
-			case *ast.CallExpr:
-				checkProbeCall(pass, x)
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				checkClock(pass, sel, isMain)
 			}
 			return true
 		})
@@ -69,75 +60,4 @@ func checkClock(pass *analysis.Pass, sel *ast.SelectorExpr, isMain bool) {
 	pass.Reportf(sel.Pos(),
 		"time.%s outside internal/obs (package %q): host clocks are confined to obs — measure with obs.StartTimer/Timer.Elapsed, or waive a main-package line with //%s",
 		sel.Sel.Name, pass.Pkg.Name(), analysis.DirectiveHostClockOK)
-}
-
-// checkProbeCall flags EngineProbe method calls that are not lexically
-// behind a nil guard.
-func checkProbeCall(pass *analysis.Pass, call *ast.CallExpr) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !isNamed(pass, sel.X, "EngineProbe") {
-		return
-	}
-	if guarded(pass, call) {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"unguarded EngineProbe.%s call: the probe is nil in unprofiled runs; wrap the call in an if that compares the probe against nil",
-		sel.Sel.Name)
-}
-
-// guarded reports whether the call sits in the body of an if whose
-// condition performs a nil comparison. The search stops at the enclosing
-// function boundary (a guard outside a func literal does not cover calls
-// that run when the literal is later invoked) — the same discipline
-// tracehook uses.
-func guarded(pass *analysis.Pass, call *ast.CallExpr) bool {
-	var prev ast.Node = call
-	for cur := pass.ParentOf(call); cur != nil; cur = pass.ParentOf(cur) {
-		switch p := cur.(type) {
-		case *ast.IfStmt:
-			if prev == p.Body && condGuards(p.Cond) {
-				return true
-			}
-		case *ast.FuncDecl, *ast.FuncLit:
-			return false
-		}
-		prev = cur
-	}
-	return false
-}
-
-// condGuards reports whether cond contains a comparison against nil.
-func condGuards(cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if e, ok := n.(*ast.BinaryExpr); ok && (e.Op == token.NEQ || e.Op == token.EQL) {
-			if isNil(e.X) || isNil(e.Y) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-func isNil(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-// isNamed reports whether e's type is (a pointer to) a named type with the
-// given name — obs.EngineProbe in the real tree, local stand-ins in
-// fixtures.
-func isNamed(pass *analysis.Pass, e ast.Expr, name string) bool {
-	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == name
 }

@@ -1,39 +1,18 @@
-// A deterministic-engine stand-in that reads the wall clock and calls its
-// probe without a guard: both rules fire.
+// A deterministic-engine stand-in that reads the wall clock.
 package sim
 
 import "time"
 
-// EngineProbe mirrors obs.EngineProbe for the fixture.
-type EngineProbe interface {
-	EventBegin()
-	EventEnd(class string, kind uint8)
-}
-
 type engine struct {
-	now   uint64
-	probe EngineProbe
+	now uint64
 }
 
 func (e *engine) step() {
 	t := time.Now() // want `time\.Now outside internal/obs \(package "sim"\)`
 	_ = t
-	e.probe.EventBegin() // want `unguarded EngineProbe\.EventBegin call`
 	e.now++
-	e.probe.EventEnd("core", 1) // want `unguarded EngineProbe\.EventEnd call`
 }
 
 func (e *engine) wall(since time.Time) time.Duration {
 	return time.Since(since) // want `time\.Since outside internal/obs \(package "sim"\)`
-}
-
-// guardOutsideLiteral shows the function-boundary rule: the outer nil check
-// does not cover calls made when the literal later runs.
-func (e *engine) guardOutsideLiteral() func() {
-	if e.probe != nil {
-		return func() {
-			e.probe.EventBegin() // want `unguarded EngineProbe\.EventBegin call`
-		}
-	}
-	return nil
 }

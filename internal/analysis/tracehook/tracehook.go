@@ -18,6 +18,12 @@
 // Enabled(...) or compares the handle against nil. Cold paths that
 // deliberately call unguarded are waived with //lockiller:trace-ok plus a
 // justification.
+//
+// The same guard rule covers obs.EngineProbe method calls in every package
+// except obs itself: the probe is nil in every unprofiled run, and the guard
+// is what makes the disabled cost one pointer test instead of an interface
+// dispatch per event. An EngineProbe is an interface with no Enabled method,
+// so only a nil comparison guards it, and the rule has no waiver.
 package tracehook
 
 import (
@@ -31,7 +37,7 @@ import (
 // Analyzer is the tracehook pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "tracehook",
-	Doc:  "flags unguarded Tracer.Emit/Emitf or Telemetry hook calls in hot packages; wrap in an Enabled()/nil guard",
+	Doc:  "flags unguarded Tracer.Emit/Emitf or Telemetry hook calls in hot packages, and unguarded EngineProbe calls outside obs; wrap in an Enabled()/nil guard",
 	Run:  run,
 }
 
@@ -45,9 +51,8 @@ var telemetryMethods = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	if !analysis.IsHotPkg(pass.Pkg) {
-		return nil
-	}
+	hot := analysis.IsHotPkg(pass.Pkg)
+	probes := pass.Pkg.Name() != "obs" // obs implements the probe
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -61,14 +66,21 @@ func run(pass *analysis.Pass) error {
 			name := sel.Sel.Name
 			var recv string
 			switch {
-			case tracerMethods[name] && isNamed(pass, sel.X, "Tracer"):
+			case probes && isNamed(pass, sel.X, "EngineProbe"):
+				if !guarded(pass, call, false) {
+					pass.Reportf(call.Pos(),
+						"unguarded EngineProbe.%s call: the probe is nil in unprofiled runs; wrap the call in an if that compares the probe against nil",
+						name)
+				}
+				return true
+			case hot && tracerMethods[name] && isNamed(pass, sel.X, "Tracer"):
 				recv = "Tracer"
-			case telemetryMethods[name] && isNamed(pass, sel.X, "Telemetry"):
+			case hot && telemetryMethods[name] && isNamed(pass, sel.X, "Telemetry"):
 				recv = "Telemetry"
 			default:
 				return true
 			}
-			if guarded(pass, call) || pass.Waived(call, analysis.DirectiveTraceOK) {
+			if guarded(pass, call, true) || pass.Waived(call, analysis.DirectiveTraceOK) {
 				return true
 			}
 			pass.Reportf(call.Pos(),
@@ -81,15 +93,15 @@ func run(pass *analysis.Pass) error {
 }
 
 // guarded reports whether the call sits in the body of an if whose condition
-// checks Enabled(...) or performs a nil comparison. The search stops at the
-// enclosing function boundary: a guard outside a func literal does not cover
-// calls that run when the literal is later invoked.
-func guarded(pass *analysis.Pass, call *ast.CallExpr) bool {
+// performs a nil comparison or, when enabledOK, checks Enabled(...). The
+// search stops at the enclosing function boundary: a guard outside a func
+// literal does not cover calls that run when the literal is later invoked.
+func guarded(pass *analysis.Pass, call *ast.CallExpr, enabledOK bool) bool {
 	var prev ast.Node = call
 	for cur := pass.ParentOf(call); cur != nil; cur = pass.ParentOf(cur) {
 		switch p := cur.(type) {
 		case *ast.IfStmt:
-			if prev == p.Body && condGuards(p.Cond) {
+			if prev == p.Body && condGuards(p.Cond, enabledOK) {
 				return true
 			}
 		case *ast.FuncDecl, *ast.FuncLit:
@@ -100,14 +112,14 @@ func guarded(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return false
 }
 
-// condGuards reports whether cond contains an Enabled(...) call or a
-// comparison against nil.
-func condGuards(cond ast.Expr) bool {
+// condGuards reports whether cond contains a comparison against nil or, when
+// enabledOK, an Enabled(...) call.
+func condGuards(cond ast.Expr, enabledOK bool) bool {
 	found := false
 	ast.Inspect(cond, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.CallExpr:
-			if s, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && s.Sel.Name == "Enabled" {
+			if s, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && enabledOK && s.Sel.Name == "Enabled" {
 				found = true
 			}
 		case *ast.BinaryExpr:
@@ -128,8 +140,8 @@ func isNil(e ast.Expr) bool {
 }
 
 // isNamed reports whether e's type is (a pointer to) a named type with the
-// given name — trace.Tracer / telemetry.Telemetry in the real tree, local
-// stand-ins in fixtures.
+// given name — trace.Tracer / telemetry.Telemetry / obs.EngineProbe in the
+// real tree, local stand-ins in fixtures.
 func isNamed(pass *analysis.Pass, e ast.Expr, name string) bool {
 	tv, ok := pass.TypesInfo.Types[e]
 	if !ok || tv.Type == nil {

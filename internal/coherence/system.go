@@ -123,9 +123,11 @@ type System struct {
 	Banks   []*Bank
 	Arbiter *htm.Arbiter
 	// Tracer, when non-nil, records protocol events (see internal/trace).
+	// The machine layer sets it, and the CPU cores read it too.
 	Tracer *trace.Tracer
-	// Telemetry, when non-nil, receives conflict-provenance records (see
-	// internal/telemetry). Hot-path hook sites must nil-check it.
+	// Telemetry, when non-nil, receives conflict-provenance and
+	// transaction records (see internal/telemetry). The machine layer sets
+	// it. Hot-path hook sites must nil-check it.
 	Telemetry *telemetry.Telemetry
 	// ArbiterTile hosts the centralized HTMLock arbiter.
 	ArbiterTile int
@@ -186,9 +188,9 @@ func NewSystem(engine *sim.Engine, p Params, hc htm.Config) *System {
 // backings, table slots, and the free lists (protocol messages, MSHRs,
 // pending trackers, dirLine slabs) — survives to be reused by the next run.
 // The caller must guarantee no run is in progress: no live protocol
-// messages, no busy directory lines, and no pending events (the engine is
-// reset separately by the machine layer, which also swaps the Tracer and
-// Telemetry sinks for the next run).
+// messages, no busy directory lines, and no pending events. The engine is
+// reset separately by the machine layer, whose Reset also detaches the
+// Tracer and Telemetry; cpu.Machine.Observe attaches the next run's.
 func (s *System) Reset() {
 	s.Net.Reset()
 	if s.Arbiter != nil {

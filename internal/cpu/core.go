@@ -212,7 +212,7 @@ func (c *Core) runOps(ops []Op, i int, tok uint64, done func()) {
 			return
 		}
 		c.resume.ops, c.resume.i, c.resume.done = ops, i+1, done
-		c.engine().AfterEvent(c.m.Cfg.FaultPenalty, c, evResume, tok, nil)
+		c.engine().AfterEvent(faultPenalty, c, evResume, tok, nil)
 	default:
 		panic(fmt.Sprintf("cpu: unknown op kind %d", op.Kind))
 	}
@@ -339,10 +339,10 @@ func (c *Core) startAttempt(sec Section) {
 	c.st.StartSegment(stats.CatHTM, c.now())
 	c.tx().BeginAttempt(htm.HTM, c.now())
 	c.st.Attempts++
-	if tr := c.m.Cfg.Tracer; tr.Enabled(trace.CatTx) {
+	if tr := c.m.Sys.Tracer; tr.Enabled(trace.CatTx) {
 		tr.Emitf(c.id, trace.CatTx, 0, "xbegin section=%d attempt=%d", c.secIdx, c.tx().Attempt)
 	}
-	if t := c.m.Cfg.Telemetry; t != nil {
+	if t := c.m.Sys.Telemetry; t != nil {
 		t.TxBegin(c.id, c.secIdx, c.tx().Attempt)
 	}
 	tok := c.token
@@ -378,7 +378,7 @@ func (c *Core) finishAttempt(sec Section) {
 		c.applyStaged()
 		c.m.Sys.L1s[c.id].CommitTx()
 		c.st.Commits++
-		if t := c.m.Cfg.Telemetry; t != nil {
+		if t := c.m.Sys.Telemetry; t != nil {
 			t.TxCommit(c.id, c.secIdx, c.tx().Attempt, c.tx().AttemptStart, false)
 		}
 		c.st.CloseAs(stats.CatHTM, stats.CatNonTx, c.now())
@@ -390,7 +390,7 @@ func (c *Core) finishAttempt(sec Section) {
 		c.m.Sys.L1s[c.id].HLEnd()
 		c.st.Commits++ // the attempt's work was saved, not wasted
 		c.st.SwitchRuns++
-		if t := c.m.Cfg.Telemetry; t != nil {
+		if t := c.m.Sys.Telemetry; t != nil {
 			t.TxCommit(c.id, c.secIdx, c.tx().Attempt, c.tx().AttemptStart, true)
 		}
 		c.st.CloseAs(stats.CatSwitchLock, stats.CatNonTx, c.now())
@@ -424,7 +424,7 @@ func (c *Core) OnDoom(cause htm.AbortCause) {
 	c.token++
 	clear(c.staged) // discard speculative functional updates, keep the buckets
 	c.st.Abort(cause)
-	if t := c.m.Cfg.Telemetry; t != nil {
+	if t := c.m.Sys.Telemetry; t != nil {
 		t.TxAbort(c.id, c.secIdx, c.tx().Attempt, c.tx().AttemptStart, cause)
 	}
 	c.st.CloseAs(stats.CatAborted, stats.CatRollback, c.now())
@@ -452,7 +452,7 @@ func (c *Core) backoff() uint64 {
 // fallback executes the section on the non-speculative path: a TL lock
 // transaction under HTMLock, a plain mutex section otherwise.
 func (c *Core) fallback(sec Section) {
-	if tr := c.m.Cfg.Tracer; tr.Enabled(trace.CatTx) {
+	if tr := c.m.Sys.Tracer; tr.Enabled(trace.CatTx) {
 		tr.Emitf(c.id, trace.CatTx, 0, "fallback section=%d after %d retries", c.secIdx, c.retries)
 	}
 	c.st.StartSegment(stats.CatWaitLock, c.now())
@@ -506,7 +506,7 @@ func (c *Core) lockSectionDone() {
 // and is handed the lock directly by the releasing core, paying one more
 // cache-to-cache transfer on the handover.
 func (c *Core) acquire(lk *SpinLock, done func()) {
-	if tr := c.m.Cfg.Tracer; tr.Enabled(trace.CatLock) {
+	if tr := c.m.Sys.Tracer; tr.Enabled(trace.CatLock) {
 		tr.Emitf(c.id, trace.CatLock, lk.Line, "lock acquire (held=%v waiters=%d)", lk.Held(), lk.Waiters())
 	}
 	c.m.Sys.L1s[c.id].Access(lk.Line, true, func() {
@@ -522,7 +522,7 @@ func (c *Core) acquire(lk *SpinLock, done func()) {
 
 // release frees the lock with a real store, waking the next waiter.
 func (c *Core) release(lk *SpinLock, done func()) {
-	if tr := c.m.Cfg.Tracer; tr.Enabled(trace.CatLock) {
+	if tr := c.m.Sys.Tracer; tr.Enabled(trace.CatLock) {
 		tr.Emitf(c.id, trace.CatLock, lk.Line, "lock release (waiters=%d)", lk.Waiters())
 	}
 	c.m.Sys.L1s[c.id].Access(lk.Line, true, func() {
@@ -539,7 +539,7 @@ func (c *Core) spinWhileHeld(done func()) {
 	spin = func() {
 		c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, false, func() {
 			if c.m.Lock.Held() {
-				c.engine().After(c.m.Cfg.SpinInterval, spin)
+				c.engine().After(spinInterval, spin)
 				return
 			}
 			done()

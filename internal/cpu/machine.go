@@ -65,12 +65,6 @@ type Config struct {
 	Sync    SyncSystem
 	Threads int
 	Seed    uint64
-	// FaultPenalty is the non-speculative cost of an OpFault (an exception
-	// handled outside a transaction).
-	FaultPenalty uint64
-	// SpinInterval is the re-read period of the test-and-test-and-set
-	// lock spin loop.
-	SpinInterval uint64
 	// Limit bounds the simulation length in cycles (0 = unlimited).
 	Limit uint64
 	// DisableFusion turns off the event-fusion fast path (DESIGN.md §10),
@@ -79,30 +73,33 @@ type Config struct {
 	// fusion equivalence tests); the knob is the unfused reference those
 	// tests compare against.
 	DisableFusion bool
-	// Tracer, when non-nil, records simulation events (internal/trace).
-	Tracer *trace.Tracer
-	// Telemetry, when non-nil, attaches the observability layer: sampled
-	// metrics series, Chrome-trace spans, and conflict provenance
-	// (internal/telemetry).
-	Telemetry *telemetry.Telemetry
-	// Probe, when non-nil, attaches the host-side engine self-profiler
-	// (internal/obs): per-event-type dispatch wall time. Callers must leave
-	// it nil rather than wrap a nil concrete pointer — a typed nil defeats
-	// the engine's nil guards.
-	Probe obs.EngineProbe
 	// Placement binds threads to mesh tiles (default: packed, per paper).
 	Placement Placement
 }
 
-// Defaults fills unset tuning knobs.
-func (c Config) Defaults() Config {
-	if c.FaultPenalty == 0 {
-		c.FaultPenalty = 300
-	}
-	if c.SpinInterval == 0 {
-		c.SpinInterval = 16
-	}
-	return c
+const (
+	// faultPenalty is the non-speculative cost of an OpFault (an exception
+	// handled outside a transaction).
+	faultPenalty = 300
+	// spinInterval is the re-read period of the test-and-test-and-set lock
+	// spin loop.
+	spinInterval = 16
+)
+
+// Observers are the optional recorders of one run. None of them changes
+// a simulated cycle: they only read model state. The zero value observes
+// nothing.
+type Observers struct {
+	// Tracer records simulation events (internal/trace).
+	Tracer *trace.Tracer
+	// Telemetry attaches the simulated-time observability layer: sampled
+	// metrics series, Chrome-trace spans, and conflict provenance
+	// (internal/telemetry). One Telemetry observes one run.
+	Telemetry *telemetry.Telemetry
+	// Probe attaches the host-side engine self-profiler (internal/obs):
+	// per-event-type dispatch wall time. Leave it nil rather than wrap a
+	// nil concrete pointer — a typed nil defeats the engine's nil guards.
+	Probe obs.EngineProbe
 }
 
 // Machine is an assembled simulation: memory subsystem, cores, fallback
@@ -129,7 +126,6 @@ type Machine struct {
 // machine's core count (the paper binds each thread to one core, no OS
 // scheduling).
 func NewMachine(cfg Config, label, workload string, programs []Program) *Machine {
-	cfg = cfg.Defaults()
 	if len(programs) != cfg.Threads {
 		panic(fmt.Sprintf("cpu: %d programs for %d threads", len(programs), cfg.Threads))
 	}
@@ -138,14 +134,6 @@ func NewMachine(cfg Config, label, workload string, programs []Program) *Machine
 	}
 	engine := sim.NewEngine()
 	sys := coherence.NewSystem(engine, cfg.Machine, cfg.HTM)
-	if cfg.Probe != nil {
-		engine.SetProbe(cfg.Probe)
-	}
-	if cfg.Tracer != nil {
-		cfg.Tracer.Now = engine.Now
-		sys.Tracer = cfg.Tracer
-		sys.Net.Tracer = cfg.Tracer
-	}
 	m := &Machine{
 		Cfg:      cfg,
 		Engine:   engine,
@@ -161,9 +149,6 @@ func NewMachine(cfg Config, label, workload string, programs []Program) *Machine
 		c := newCore(m, coreOf[i], programs[i], m.Stats.Cores[i], rng.Split(uint64(i)))
 		m.Cores = append(m.Cores, c)
 	}
-	if tel := cfg.Telemetry; tel != nil {
-		m.attachTelemetry(tel)
-	}
 	return m
 }
 
@@ -178,18 +163,15 @@ func NewMachine(cfg Config, label, workload string, programs []Program) *Machine
 // cleanly (Run returned): no pending events, no live protocol messages, no
 // busy directory lines.
 //
-// Reset supports only bare machines: attached Tracer, Telemetry, or Probe
-// sinks are registered against the dead run and cannot be rebound, so such
-// machines must be rebuilt instead (the harness gates reuse accordingly).
-// The contract is bit-identity: reset-then-Run produces byte-for-byte the
-// same stats as building a fresh machine with the same shape and inputs —
-// pinned by the reuse golden tests and the reflection deep-state walk.
+// Reset detaches every observer: the previous run's tracer, telemetry and
+// probe keep what they recorded and see nothing of the next run. Call
+// Observe after Reset to watch the next run. The contract is bit-identity:
+// reset-then-Run produces byte-for-byte the same stats as building a fresh
+// machine with the same shape and inputs — pinned by the reuse golden tests
+// and the reflection deep-state walk.
 func (m *Machine) Reset(seed uint64, label, workload string, programs []Program) {
 	if len(programs) != m.Cfg.Threads {
 		panic(fmt.Sprintf("cpu: reset with %d programs for %d threads", len(programs), m.Cfg.Threads))
-	}
-	if m.Cfg.Tracer != nil || m.Cfg.Telemetry != nil || m.Cfg.Probe != nil {
-		panic("cpu: reset of a machine with attached observers")
 	}
 	m.Cfg.Seed = seed
 	m.Engine.Reset()
@@ -207,19 +189,39 @@ func (m *Machine) Reset(seed uint64, label, workload string, programs []Program)
 		}
 		c.reset(programs[i], m.Stats.Cores[i], rng.Split(uint64(i)))
 	}
+	m.Observe(Observers{})
 	resetForget(m)
 }
 
-// attachTelemetry wires the observability layer into the machine: the
-// coherence layer gets the conflict-provenance hook, every stats core feeds
-// its closed segments to the Chrome trace and cycle-share series, and the
-// machine registers its NoC and MSHR probes before the first sample freezes
-// the registry.
-func (m *Machine) attachTelemetry(tel *telemetry.Telemetry) {
-	m.Sys.Telemetry = tel
-	for _, sc := range m.Stats.Cores {
-		sc.Sink = tel
+// Observe attaches o to the machine's next run. Call it after NewMachine
+// or Reset and before Run; Reset detaches every observer. A telemetry
+// starts sampling as it attaches, so attach at most one per run. Observe is
+// the one place observers are wired in: the engine gets the probe, the
+// coherence layer and the NoC the tracer, and a telemetry is labeled from
+// the machine, fed every closed per-core segment, given its NoC and MSHR
+// series, and started on the engine's clock.
+func (m *Machine) Observe(o Observers) {
+	m.Engine.SetProbe(o.Probe)
+	if o.Tracer != nil {
+		o.Tracer.Now = m.Engine.Now
 	}
+	m.Sys.Tracer, m.Sys.Net.Tracer = o.Tracer, o.Tracer
+	m.Sys.Telemetry = o.Telemetry
+	var sink stats.SegmentSink
+	if tel := o.Telemetry; tel != nil {
+		sink = tel
+		m.registerSeries(tel)
+	}
+	for _, sc := range m.Stats.Cores {
+		sc.Sink = sink
+	}
+}
+
+// registerSeries labels tel with this run, registers the machine's NoC and
+// MSHR series before the first sample freezes the registry, and starts the
+// sampler.
+func (m *Machine) registerSeries(tel *telemetry.Telemetry) {
+	tel.Meta = telemetry.Meta{System: m.Stats.System, Threads: m.Cfg.Threads, Workload: m.Stats.Workload}
 	net := m.Sys.Net
 	tel.Reg.RateSeries("noc_messages",
 		func() float64 { return float64(net.Messages) })
@@ -227,7 +229,6 @@ func (m *Machine) attachTelemetry(tel *telemetry.Telemetry) {
 		func() float64 { return float64(net.QueueWait) })
 	// Flit-hops over link-cycles is the mean link occupancy; the topology
 	// knows its own directed-link count (mesh, torus, and cmesh differ).
-	p := m.Cfg.Machine
 	links := net.Topo().NumLinks()
 	tel.Reg.PerCycleSeries("noc_link_occupancy",
 		func() float64 { return float64(net.FlitHops) }, float64(links))
@@ -239,7 +240,7 @@ func (m *Machine) attachTelemetry(tel *telemetry.Telemetry) {
 		}
 		return float64(n)
 	})
-	tel.Start(m.Engine, p.Cores)
+	tel.Start(m.Engine, m.Cfg.Machine.Cores)
 }
 
 // Run executes the machine to completion and returns the collected stats.

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -78,12 +79,7 @@ var (
 	// The runner's pool path: a Workers=1 runner first runs the same shape
 	// on another workload, so s always runs on a Reset machine.
 	poolResetRow = goldenRow{deepEqual: true, run: func(t *testing.T, s Spec) *stats.Run {
-		r := NewRunner(s.Seed)
-		r.Workers = 1
-		warm := s
-		warm.Workload = tinyProfile()
-		mustRun(t)(r.Get(warm))
-		return mustRun(t)(r.Get(s))
+		return mustRun(t)(warmRunner(t, s).Get(s))
 	}}
 	// The runner's build path: a new runner's pool is empty, so s runs on
 	// a machine the runner constructs itself.
@@ -91,7 +87,7 @@ var (
 		return mustRun(t)(NewRunner(s.Seed).Get(s))
 	}}
 	unfusedRow = goldenRow{deepEqual: true, run: func(t *testing.T, s Spec) *stats.Run {
-		cfg := s.Config(ExecOptions{})
+		cfg := s.Config()
 		cfg.DisableFusion = true
 		progs := stamp.Programs(s.Workload, s.Threads, s.Seed)
 		return mustRun(t)(cpu.NewMachine(cfg, s.System.Name, s.Workload.Name, progs).Run())
@@ -114,7 +110,94 @@ var (
 		}
 		return run
 	}}
+	// Tracer, telemetry and probe attached to a pool-Reset machine (the pool
+	// warmed on another workload, as in poolResetRow) must record exactly
+	// what they record on a fresh instrumented build.
+	observedResetRow = goldenRow{run: func(t *testing.T, s Spec) *stats.Run {
+		m := warmRunner(t, s).pool.acquire(s.poolKey())
+		if m == nil {
+			t.Fatal("the warm-up machine did not return to the pool")
+		}
+		m.Reset(s.Seed, s.System.Name, s.Workload.Name, stamp.Programs(s.Workload, s.Threads, s.Seed))
+		got := newObservers()
+		m.Observe(got.opts())
+		run := mustRun(t)(m.Run())
+		want := newObservers()
+		fresh := mustRun(t)(ExecuteWith(s, want.opts()))
+		if got.probe.Events() != run.EventsExecuted || want.probe.Events() != fresh.EventsExecuted {
+			t.Errorf("%s: profilers saw %d/%d events, engines executed %d/%d (reset/fresh)", pointName(s),
+				got.probe.Events(), want.probe.Events(), run.EventsExecuted, fresh.EventsExecuted)
+		}
+		if meta := (telemetry.Meta{System: s.System.Name, Threads: s.Threads, Workload: s.Workload.Name}); got.tel.Meta != meta {
+			t.Errorf("%s: telemetry labeled %+v, want %+v", pointName(s), got.tel.Meta, meta)
+		}
+		g, w := got.exports(t), want.exports(t)
+		for i, name := range []string{"metrics JSON", "Chrome trace", "text trace"} {
+			if !bytes.Equal(g[i], w[i]) {
+				t.Errorf("%s: %s differs from the fresh instrumented build (%d vs %d bytes)",
+					pointName(s), name, len(g[i]), len(w[i]))
+			}
+		}
+		// The sinks hold the telemetries, whose registered closures
+		// reflect.DeepEqual never treats as equal.
+		for _, r := range []*stats.Run{run, fresh} {
+			for _, c := range r.Cores {
+				c.Sink = nil
+			}
+		}
+		if !reflect.DeepEqual(fresh, run) {
+			t.Errorf("%s: stats diverge from the fresh instrumented build:\nfresh: %+v\ngot:   %+v",
+				pointName(s), fresh, run)
+		}
+		return run
+	}}
 )
+
+// warmRunner returns a Workers=1 runner that has run s's shape on another
+// workload, so its pool holds a machine of that shape.
+func warmRunner(t *testing.T, s Spec) *Runner {
+	r := NewRunner(s.Seed)
+	r.Workers = 1
+	warm := s
+	warm.Workload = tinyProfile()
+	mustRun(t)(r.Get(warm))
+	return r
+}
+
+// observers is one full set of run observers: a tracer of every category,
+// telemetry with Chrome recording, and a self-profiler.
+type observers struct {
+	tracer *trace.Tracer
+	tel    *telemetry.Telemetry
+	probe  *obs.Profiler
+}
+
+func newObservers() observers {
+	return observers{
+		tracer: trace.New(256, nil),
+		tel:    telemetry.New(telemetry.Config{Interval: 10_000, Chrome: true}),
+		probe:  obs.NewProfiler(),
+	}
+}
+
+func (o observers) opts() ExecOptions {
+	return ExecOptions{Tracer: o.tracer, Telemetry: o.tel, Probe: o.probe}
+}
+
+// exports renders what the observers recorded: the metrics JSON, the Chrome
+// trace, and the text trace.
+func (o observers) exports(t *testing.T) [3][]byte {
+	t.Helper()
+	var metrics, chrome, text bytes.Buffer
+	if err := o.tel.WriteMetricsJSON(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.tel.WriteChromeTrace(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	o.tracer.Render(&text)
+	return [3][]byte{metrics.Bytes(), chrome.Bytes(), text.Bytes()}
+}
 
 // mustRun fails the test on a run error and returns the result.
 func mustRun(t *testing.T) func(*stats.Run, error) *stats.Run {
@@ -207,6 +290,11 @@ func TestObsProbePreservesGoldenCycles(t *testing.T) { runGolden(t, probeRow, ce
 func TestTelemetryPreservesGoldenCycles(t *testing.T) {
 	runGolden(t, tracerTelemetryRow, cellName)
 }
+
+// TestObserversOnResetMachine pins the golden matrix with all three
+// observers attached to a pool-Reset machine: same cycles, same stats and
+// byte-identical exports as a fresh instrumented build.
+func TestObserversOnResetMachine(t *testing.T) { runGolden(t, observedResetRow, pointName) }
 
 // TestRepeatedRunsIdentical runs the same spec twice in one process and
 // asserts the cycle counts agree: scheduling must not depend on process

@@ -21,8 +21,6 @@ import (
 	"repro/internal/priority"
 	"repro/internal/stamp"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // ThreadCounts are the five evaluated thread counts.
@@ -206,63 +204,44 @@ func (s Spec) MachineParams() coherence.Params {
 // against.
 func Execute(s Spec) (*stats.Run, error) { return ExecuteWith(s, ExecOptions{}) }
 
-// ExecOptions bundles the optional instrumentation of one execution. The
-// zero value runs bare.
-type ExecOptions struct {
-	// Tracer records simulation events (internal/trace).
-	Tracer *trace.Tracer
-	// Telemetry attaches the simulated-time observability layer; its Meta
-	// is stamped from the spec and it is ready for export after the run.
-	Telemetry *telemetry.Telemetry
-	// Probe attaches the host-side engine self-profiler (internal/obs).
-	// Leave nil rather than wrapping a nil concrete pointer: a typed nil
-	// would defeat the engine's nil guards.
-	Probe obs.EngineProbe
-}
+// ExecOptions are the optional observers of one execution (tracer,
+// telemetry, engine probe); the zero value runs bare. They attach through
+// cpu.Machine.Observe, which also labels a telemetry with the run's
+// system, thread count and workload.
+type ExecOptions = cpu.Observers
 
-// ExecuteWith runs one simulation with the given instrumentation.
+// ExecuteWith runs one simulation with the given observers attached.
 func ExecuteWith(s Spec, opts ExecOptions) (*stats.Run, error) {
 	return NewMachineFor(s, opts).Run()
 }
 
-// Config resolves the machine configuration a spec describes, with the
-// given instrumentation attached. A non-nil telemetry gets its Meta stamped
-// from the spec.
-func (s Spec) Config(opts ExecOptions) cpu.Config {
-	if tel := opts.Telemetry; tel != nil {
-		tel.Meta = telemetry.Meta{
-			System:   s.System.Name,
-			Threads:  s.Threads,
-			Workload: s.Workload.Name,
-		}
-	}
+// Config resolves the machine configuration a spec describes.
+func (s Spec) Config() cpu.Config {
 	return cpu.Config{
-		Machine:   s.MachineParams(),
-		HTM:       s.System.HTM,
-		Sync:      s.System.Sync,
-		Threads:   s.Threads,
-		Seed:      s.Seed,
-		Limit:     4_000_000_000,
-		Tracer:    opts.Tracer,
-		Telemetry: opts.Telemetry,
-		Probe:     opts.Probe,
+		Machine: s.MachineParams(),
+		HTM:     s.System.HTM,
+		Sync:    s.System.Sync,
+		Threads: s.Threads,
+		Seed:    s.Seed,
+		Limit:   4_000_000_000,
 	}
 }
 
-// NewMachineFor constructs the machine a spec describes, programmed and
-// ready to Run. The runner builds machines here once per shape and Resets
-// them for every later spec with the same poolKey.
+// NewMachineFor constructs the machine a spec describes, programmed, with
+// opts attached, and ready to Run. The runner builds machines here once per
+// shape and Resets them for every later spec with the same poolKey.
 func NewMachineFor(s Spec, opts ExecOptions) *cpu.Machine {
 	progs := stamp.Programs(s.Workload, s.Threads, s.Seed)
-	return cpu.NewMachine(s.Config(opts), s.System.Name, s.Workload.Name, progs)
+	m := cpu.NewMachine(s.Config(), s.System.Name, s.Workload.Name, progs)
+	m.Observe(opts)
+	return m
 }
 
 // Runner executes specs in parallel with memoization (CGL baselines are
 // shared across figures). It pools constructed machines by shape
 // (Spec.poolKey) and Resets them in place for each later spec of the same
 // shape instead of rebuilding (DESIGN.md §15); reset-then-run is bit-for-bit
-// identical to Execute. Instrumented executions (Profiler, custom exec)
-// always build fresh.
+// identical to Execute, with or without the Profiler's probe attached.
 type Runner struct {
 	Seed    uint64
 	Workers int
@@ -287,8 +266,7 @@ type Runner struct {
 	Profiler *obs.Profiler
 
 	// exec runs one spec; tests may replace it before first use. Defaults
-	// to the pooled path (a fresh build with the self-profiler probe when
-	// Profiler is set).
+	// to the pooled path.
 	exec func(Spec) (*stats.Run, error)
 
 	mu       sync.Mutex
@@ -367,16 +345,6 @@ func (r *Runner) execute(s Spec) (*stats.Run, error) {
 	if r.exec != nil {
 		return r.exec(s)
 	}
-	if r.Profiler != nil {
-		// Each run gets a private probe (the probe path does not lock);
-		// the sweep-level aggregate locks on merge. Machine.Reset
-		// refuses observer-attached machines, so the profiled path always
-		// builds fresh and never touches the pool.
-		p := obs.NewProfiler()
-		res, err := ExecuteWith(s, ExecOptions{Probe: p})
-		r.Profiler.Merge(p)
-		return res, err
-	}
 	// Satisfy the spec from the machine pool: take a machine of the right
 	// shape and Reset it for this spec's workload and seed, or build one if
 	// the pool has none. Machines return to the pool only after a clean run
@@ -390,7 +358,15 @@ func (r *Runner) execute(s Spec) (*stats.Run, error) {
 		progs := stamp.Programs(s.Workload, s.Threads, s.Seed)
 		m.Reset(s.Seed, s.System.Name, s.Workload.Name, progs)
 	}
+	// Each run gets a private probe (the probe path does not lock); the
+	// sweep-level aggregate locks on merge. The next Reset detaches it.
+	var p *obs.Profiler
+	if r.Profiler != nil {
+		p = obs.NewProfiler()
+		m.Observe(ExecOptions{Probe: p})
+	}
 	res, err := m.Run()
+	r.Profiler.Merge(p)
 	if err == nil {
 		r.pool.release(pk, m)
 	}

@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/cpu"
+	"repro/internal/obs"
 	"repro/internal/stamp"
 )
 
@@ -92,5 +95,76 @@ func TestMachinePoolLRU(t *testing.T) {
 	}
 	if p.acquire(fmt.Sprintf("k%d", poolCap+1)) == nil {
 		t.Fatal("newest entry missing after eviction")
+	}
+}
+
+// TestRunnerProfilerPooled runs one sweep whose specs share shapes on a
+// plain runner and on a profiled one. Profiling attaches a probe to pooled
+// machines, so the results must match and every executed event must reach
+// the sweep profile.
+func TestRunnerProfilerPooled(t *testing.T) {
+	var specs []Spec
+	for _, wl := range []stamp.Profile{tinyProfile(), stamp.Intruder(), stamp.Kmeans()} {
+		for _, sys := range []string{"Baseline", "LockillerTM"} {
+			specs = append(specs, Spec{System: mustSystem(sys), Workload: wl, Threads: 2, Cache: SmallCache()})
+		}
+	}
+	plain, profiled := NewRunner(1), NewRunner(1)
+	plain.Workers, profiled.Workers = 1, 1
+	profiled.Profiler = obs.NewProfiler()
+	for _, r := range []*Runner{plain, profiled} {
+		if err := r.RunAll(specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(profiled.pool.free); n != 2 {
+		t.Errorf("profiled runner pooled %d machines, want one per shape (2)", n)
+	}
+	var events uint64
+	for _, s := range specs {
+		want, got := mustRun(t)(plain.Get(s)), mustRun(t)(profiled.Get(s))
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: profiled result differs:\nplain:    %+v\nprofiled: %+v", s.Key(), want, got)
+		}
+		events += got.EventsExecuted
+	}
+	if got := profiled.Profiler.Events(); got != events {
+		t.Errorf("sweep profile holds %d events, the runs executed %d", got, events)
+	}
+}
+
+// TestResetDetachesObservers runs a machine under all three observers,
+// Resets it and runs another workload bare: the first run's tracer,
+// telemetry and probe must come out unchanged, and the reset machine must
+// equal a fresh bare build field for field.
+func TestResetDetachesObservers(t *testing.T) {
+	first := Spec{System: mustSystem("LockillerTM"), Workload: tinyProfile(),
+		Threads: 2, Cache: SmallCache(), Seed: 1}
+	second := first
+	second.Workload = stamp.Kmeans()
+	o := newObservers()
+	m := NewMachineFor(first, o.opts())
+	mustRun(t)(m.Run())
+	exports, traced, probed := o.exports(t), o.tracer.Total(), o.probe.Events()
+	if traced == 0 || probed == 0 || o.tel.Reg.Samples() == 0 {
+		t.Fatalf("observers recorded nothing: %d trace events, %d probe events, %d samples",
+			traced, probed, o.tel.Reg.Samples())
+	}
+
+	m.Reset(second.Seed, second.System.Name, second.Workload.Name,
+		stamp.Programs(second.Workload, second.Threads, second.Seed))
+	if diffs := cpu.ResetDiff(NewMachineFor(second, ExecOptions{}), m); len(diffs) > 0 {
+		t.Errorf("reset machine differs from a fresh bare build:\n%v", diffs)
+	}
+	mustRun(t)(m.Run())
+	if o.tracer.Total() != traced || o.probe.Events() != probed {
+		t.Errorf("bare run after Reset reached the first run's observers: trace events %d -> %d, probe events %d -> %d",
+			traced, o.tracer.Total(), probed, o.probe.Events())
+	}
+	after := o.exports(t)
+	for i, name := range []string{"metrics JSON", "Chrome trace", "text trace"} {
+		if !bytes.Equal(exports[i], after[i]) {
+			t.Errorf("%s changed during the bare run after Reset", name)
+		}
 	}
 }

@@ -12,8 +12,9 @@
 //     so no host state can flow back into model code.
 //   - obs is the only package allowed to read the wall clock. The
 //     lockillerlint `hostclock` analyzer enforces that `time.Now` (and its
-//     siblings) appear nowhere else, and that every EngineProbe callsite in
-//     the engine is nil-guarded, so the disabled path stays a pointer test.
+//     siblings) appear nowhere else, and `tracehook` that every
+//     EngineProbe callsite outside obs is nil-guarded, so the disabled path
+//     stays a pointer test.
 //
 // Host-derived values (wall times, MemStats deltas) are tagged `obs:"host"`
 // in the ledger schema and can be zeroed with Record.Redacted, leaving a

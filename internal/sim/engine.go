@@ -104,7 +104,7 @@ type Engine struct {
 
 	// probe, when non-nil, observes event dispatch on the host clock
 	// (internal/obs). Every callsite is nil-guarded (enforced by the
-	// hostclock lint rule), so the disabled cost is one pointer test per
+	// tracehook lint rule), so the disabled cost is one pointer test per
 	// event (DESIGN.md §14).
 	probe obs.EngineProbe
 

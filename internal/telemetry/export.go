@@ -23,7 +23,8 @@ type provExport struct {
 // metricsExport is the top-level metrics JSON object. Struct fields are
 // declared in alphabetical (= emitted) key order, and the map-valued
 // sections rely on encoding/json's sorted map-key rendering, so the whole
-// document satisfies the sorted-key export rule.
+// document satisfies the sorted-key export rule. Gauges is always empty;
+// the key stays so the schema is unchanged.
 type metricsExport struct {
 	Counters   map[string]uint64     `json:"counters"`
 	Cycles     []uint64              `json:"cycles"`
@@ -42,7 +43,7 @@ func (t *Telemetry) export() metricsExport {
 	out := metricsExport{
 		Counters:   make(map[string]uint64, len(r.counters)),
 		Cycles:     r.cycles,
-		Gauges:     make(map[string]float64, len(r.gauges)),
+		Gauges:     map[string]float64{},
 		Histograms: make(map[string]histExport, len(r.hists)),
 		Interval:   t.cfg.Interval,
 		Meta:       t.Meta,
@@ -60,9 +61,6 @@ func (t *Telemetry) export() metricsExport {
 	}
 	for _, c := range r.counters {
 		out.Counters[c.name] = c.fn()
-	}
-	for _, g := range r.gauges {
-		out.Gauges[g.name] = g.fn()
 	}
 	for _, h := range r.hists {
 		b := h.h.Buckets()

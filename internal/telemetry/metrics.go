@@ -6,29 +6,6 @@ import (
 	"sort"
 )
 
-// Counter is a monotonically increasing count. The simulator's event loop is
-// single-threaded, so updates are plain increments — no atomics, no
-// allocation.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is an instantaneous value.
-type Gauge struct{ v float64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
 // Histogram counts observations into power-of-two buckets: bucket i holds
 // values v with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i). Observing is
 // one increment — no allocation, no search.
@@ -105,17 +82,13 @@ type series struct {
 }
 
 // Registry holds the named instruments and sampled time-series of one run.
-// Registration happens at machine construction; the first sample freezes
+// Registration happens when the machine attaches it; the first sample freezes
 // the set and fixes the (sorted) column order.
 type Registry struct {
 	series   []*series
 	counters []struct {
 		name string
 		fn   func() uint64
-	}
-	gauges []struct {
-		name string
-		fn   func() float64
 	}
 	hists []struct {
 		name string
@@ -182,15 +155,6 @@ func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	}{name, fn})
 }
 
-// GaugeFunc exports fn's final value in the end-of-run totals.
-func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	r.claim(name)
-	r.gauges = append(r.gauges, struct {
-		name string
-		fn   func() float64
-	}{name, fn})
-}
-
 // NewHistogram registers and returns a named histogram.
 func (r *Registry) NewHistogram(name string) *Histogram {
 	r.claim(name)
@@ -210,7 +174,6 @@ func (r *Registry) freeze() {
 	r.frozen = true
 	sort.Slice(r.series, func(i, j int) bool { return r.series[i].name < r.series[j].name })
 	sort.Slice(r.counters, func(i, j int) bool { return r.counters[i].name < r.counters[j].name })
-	sort.Slice(r.gauges, func(i, j int) bool { return r.gauges[i].name < r.gauges[j].name })
 	sort.Slice(r.hists, func(i, j int) bool { return r.hists[i].name < r.hists[j].name })
 }
 

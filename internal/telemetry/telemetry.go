@@ -66,7 +66,7 @@ type Telemetry struct {
 	// Reg is the metrics registry; the machine registers its probes here
 	// before the run starts.
 	Reg *Registry
-	// Meta labels exports; set by the harness.
+	// Meta labels exports; cpu.Machine.Observe stamps it from the machine.
 	Meta Meta
 
 	// Built-in transaction instruments, fed by the Tx* hooks.

@@ -73,18 +73,7 @@ func TestEnabledCountingHooksZeroAlloc(t *testing.T) {
 
 // --- registry ------------------------------------------------------------
 
-func TestCounterGaugeHistogram(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-	var g Gauge
-	g.Set(2.5)
-	if g.Value() != 2.5 {
-		t.Fatalf("gauge = %v", g.Value())
-	}
+func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
 	for _, v := range []uint64{0, 1, 2, 3, 4, 1000} {
 		h.Observe(v)
