@@ -213,7 +213,7 @@ func BenchmarkAblationRejectPolicy(b *testing.B) {
 	for _, p := range []htm.RejectPolicy{htm.SelfAbort, htm.RetryLater, htm.WaitWakeup} {
 		p := p
 		b.Run(p.String(), func(b *testing.B) {
-			ablate(b, func(s *harness.SystemDef) { s.HTM.RejectPolicy = p }, 16)
+			ablate(b, func(s *harness.SystemDef) { s.HTM.Conflict = htm.Recovery{Policy: p} }, 16)
 		})
 	}
 }

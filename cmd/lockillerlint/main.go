@@ -18,8 +18,8 @@
 //	fusepath      — evL1Done scheduled outside L1.finishHit, breaking the
 //	                event-fusion fast path's single-completion-site invariant
 //
-// poolsafe's transitive sink summaries run over a shared whole-load call
-// graph (internal/analysis/callgraph.go).
+// poolsafe's transitive sink summaries are a fixpoint over every function
+// declaration of the load, computed once per run.
 //
 // Usage:
 //

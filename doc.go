@@ -6,7 +6,10 @@
 // 32-core tiled CMP (sim, mem, topology, noc, cache, coherence), the
 // best-effort HTM and the paper's three mechanisms (htm, priority,
 // coherence), an in-order core model (cpu), STAMP-like workloads (stamp),
-// the evaluation harness (harness, stats), and the public facade (core).
+// and the evaluation harness (harness, stats), whose Systems() is the one
+// definition of every Table II system. Programs use harness.SystemByName
+// with harness.Execute for STAMP workloads, or Spec.Config with
+// cpu.NewMachine for custom ones (see examples/).
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-vs-measured results. The benchmarks in

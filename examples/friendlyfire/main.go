@@ -13,9 +13,8 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/htm"
+	"repro/internal/harness"
 	"repro/internal/mem"
 )
 
@@ -45,15 +44,14 @@ func main() {
 		programs[th] = prog
 	}
 
-	fmt.Println("system        commit-rate  aborts  fallback-runs  cycles")
-	for _, cfg := range []core.Config{
-		core.Baseline(),
-		core.Recovery(htm.SelfAbort),
-		core.Recovery(htm.RetryLater),
-		core.Recovery(htm.WaitWakeup),
-	} {
-		cfg.Seed = 42
-		res, err := core.Run(cfg, programs)
+	fmt.Println("system            commit-rate  aborts  fallback-runs  cycles")
+	for _, name := range []string{"Baseline", "LockillerTM-RAI", "LockillerTM-RRI", "LockillerTM-RWI"} {
+		sys, err := harness.SystemByName(name)
+		if err != nil {
+			panic(err)
+		}
+		spec := harness.Spec{System: sys, Threads: threads, Cache: harness.TypicalCache(), Seed: 42}
+		res, err := cpu.NewMachine(spec.Config(), sys.Name, "friendlyfire", programs).Run()
 		if err != nil {
 			panic(err)
 		}
@@ -62,7 +60,7 @@ func main() {
 		for _, c := range res.Cores {
 			lockRuns += c.LockRuns
 		}
-		fmt.Printf("%-12s  %.3f        %-6d  %-13d  %d\n",
-			cfg.Name, res.CommitRate(), total, lockRuns, res.ExecCycles)
+		fmt.Printf("%-16s  %.3f        %-6d  %-13d  %d\n",
+			sys.Name, res.CommitRate(), total, lockRuns, res.ExecCycles)
 	}
 }

@@ -14,8 +14,8 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/stats"
 )
@@ -52,16 +52,20 @@ func main() {
 		programs[th] = prog
 	}
 
-	fmt.Println("system        cycles     commit  waitlock%  lock%  switchLock%  aborted%")
-	for _, cfg := range []core.Config{core.Baseline(), core.HTMLock(), core.LockillerTM()} {
-		cfg.Seed = 7
-		res, err := core.Run(cfg, programs)
+	fmt.Println("system            cycles     commit  waitlock%  lock%  switchLock%  aborted%")
+	for _, name := range []string{"Baseline", "LockillerTM-RWIL", "LockillerTM"} {
+		sys, err := harness.SystemByName(name)
+		if err != nil {
+			panic(err)
+		}
+		spec := harness.Spec{System: sys, Threads: threads, Cache: harness.TypicalCache(), Seed: 7}
+		res, err := cpu.NewMachine(spec.Config(), sys.Name, "giants", programs).Run()
 		if err != nil {
 			panic(err)
 		}
 		bd := res.Breakdown()
-		fmt.Printf("%-12s  %-9d  %.3f   %5.1f     %5.1f   %5.1f       %5.1f\n",
-			cfg.Name, res.ExecCycles, res.CommitRate(),
+		fmt.Printf("%-16s  %-9d  %.3f   %5.1f     %5.1f   %5.1f       %5.1f\n",
+			sys.Name, res.ExecCycles, res.CommitRate(),
 			100*bd[stats.CatWaitLock], 100*bd[stats.CatLock],
 			100*bd[stats.CatSwitchLock], 100*bd[stats.CatAborted])
 	}

@@ -1,15 +1,16 @@
 // Quickstart: build a tiny transactional workload with the public API and
 // compare coarse-grained locking, requester-win best-effort HTM, and the
-// full LockillerTM system on it.
+// full LockillerTM system on it. Exits 1 if any system loses an update.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"os"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/harness"
 	"repro/internal/mem"
 )
 
@@ -45,22 +46,32 @@ func main() {
 	}
 
 	var cglCycles uint64
-	for _, cfg := range []core.Config{core.CGL(), core.Baseline(), core.LockillerTM()} {
-		cfg.Seed = 1
-		m, res, err := core.RunMachine(cfg, programs)
+	atomicAll := true
+	for _, name := range []string{"CGL", "Baseline", "LockillerTM"} {
+		sys, err := harness.SystemByName(name)
 		if err != nil {
 			panic(err)
 		}
-		if cfg.Name == "CGL" {
+		spec := harness.Spec{System: sys, Threads: threads, Cache: harness.TypicalCache(), Seed: 1}
+		m := cpu.NewMachine(spec.Config(), sys.Name, "transfers", programs)
+		res, err := m.Run()
+		if err != nil {
+			panic(err)
+		}
+		if sys.Name == "CGL" {
 			cglCycles = res.ExecCycles
 		}
 		var tally uint64
 		for i := 0; i < accounts.N; i++ {
 			tally += m.CounterValue(accounts.Pick(i))
 		}
+		atomic := tally == uint64(2*threads*perThread)
+		atomicAll = atomicAll && atomic
 		fmt.Printf("%-12s  cycles=%-9d commit-rate=%.3f  speedup-vs-CGL=%.2fx  atomic=%v\n",
-			cfg.Name, res.ExecCycles, res.CommitRate(),
-			float64(cglCycles)/float64(res.ExecCycles),
-			tally == uint64(2*threads*perThread))
+			sys.Name, res.ExecCycles, res.CommitRate(),
+			float64(cglCycles)/float64(res.ExecCycles), atomic)
+	}
+	if !atomicAll {
+		os.Exit(1)
 	}
 }

@@ -21,27 +21,33 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/harness"
 	"repro/internal/htm"
 	"repro/internal/stamp"
 )
 
 func main() {
+	sys, err := harness.SystemByName("Baseline")
+	if err != nil {
+		panic(err)
+	}
 	run := func(wl stamp.Profile, threads int, threeLevel bool) {
-		cfg := core.Baseline()
-		cfg.Seed = 1
+		spec := harness.Spec{System: sys, Workload: wl, Threads: threads, Cache: harness.TypicalCache(), Seed: 1}
+		cfg := spec.Config()
+		label := sys.Name
 		if threeLevel {
-			cfg.Name = "Baseline-3L"
+			label += "-3L"
 			cfg.Machine.MidSize = 64 * 1024 // private 64KB middle cache
 			cfg.Machine.MidWays = 8
 		}
-		res, err := core.Run(cfg, stamp.Programs(wl, threads, 1))
+		res, err := cpu.NewMachine(cfg, label, wl.Name, stamp.Programs(wl, threads, 1)).Run()
 		if err != nil {
 			panic(err)
 		}
 		_, by := res.TotalAborts()
 		fmt.Printf("  %-12s cycles=%-9d commit=%.3f of-aborts=%d mid-hits=%d\n",
-			cfg.Name, res.ExecCycles, res.CommitRate(), by[htm.CauseOverflow],
+			label, res.ExecCycles, res.CommitRate(), by[htm.CauseOverflow],
 			res.Traffic.L1Misses-res.Traffic.MemFetches)
 	}
 

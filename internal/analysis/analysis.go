@@ -29,7 +29,7 @@ import (
 
 // An Analyzer is one static check: Run inspects a single package through
 // the Pass, which also exposes the whole load (Pass.Prog) for analyzers that
-// need cross-package facts such as the call graph.
+// need cross-package facts such as poolsafe's sink summaries.
 type Analyzer struct {
 	Name string // short kebab-free identifier, e.g. "detmap"
 	Doc  string // one-paragraph description of what it enforces
@@ -112,16 +112,6 @@ const (
 // which also marks the comment used for the stale-waiver audit.
 func (p *Pass) Waived(n ast.Node, directive string) bool {
 	return p.Prog.WaivedAt(n.Pos(), directive)
-}
-
-// FileOf returns the *ast.File of this pass containing n, or nil.
-func (p *Pass) FileOf(n ast.Node) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= n.Pos() && n.Pos() < f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }
 
 // EnclosingFunc returns the body of the innermost function declaration or

@@ -76,3 +76,16 @@ func storeAfterFree(s *System) {
 	s.free(m)
 	m.Line = 9 // want `use of m after it was freed`
 }
+
+// deepHelperThenUse loses ownership two helpers deep. retire is declared
+// before the release it forwards to, so one pass in declaration order
+// misses it; only the summary fixpoint finds the release.
+func deepHelperThenUse(s *System) uint64 {
+	m := s.alloc()
+	s.retire(m)
+	return m.Line // want `use of m after it was freed`
+}
+
+func (s *System) retire(m *Msg) { s.release(m) }
+
+func (s *System) release(m *Msg) { s.free(m) }

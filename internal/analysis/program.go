@@ -11,8 +11,8 @@ import (
 
 // A Program is the whole-load view shared by every analyzer in one run: all
 // loaded packages under one FileSet, a memoized Facts store so expensive
-// derived structures (the call graph, poolsafe's sink summaries) are built
-// once and reused across analyzers, and the global waiver index with
+// derived structures (poolsafe's sink summaries) are built once and reused
+// across analyzers, and the global waiver index with
 // per-comment used/unused tracking for the stale-waiver audit. Analyzers
 // reach it through Pass.Prog.
 type Program struct {
@@ -145,8 +145,8 @@ func (prog *Program) UnusedWaivers() []WaiverSite {
 }
 
 // Fact returns the memoized result of build for key, computing it on first
-// use. One analyzer's derived structures (the call graph) become reusable
-// by every other analyzer in the same run.
+// use. One analyzer's derived structures (poolsafe's sink summaries) become
+// reusable by every other analyzer in the same run.
 func (prog *Program) Fact(key string, build func(*Program) (any, error)) (any, error) {
 	if v, ok := prog.facts[key]; ok {
 		return v, nil

@@ -202,7 +202,7 @@ func TestConflictMatrixCauses(t *testing.T) {
 // TestPriorityMonotonicity is a property test over random priority pairs:
 // the owner survives if and only if it wins priority arbitration.
 func TestPriorityMonotonicity(t *testing.T) {
-	cfg := htm.Config{Recovery: true, RejectPolicy: htm.WaitWakeup, Priority: priority.InstsBased{}}.Defaults()
+	cfg := recoveryCfg(htm.WaitWakeup)
 	for i := 0; i < 24; i++ {
 		op := uint64(i * 37 % 100)
 		rp := uint64(i * 53 % 100)

@@ -11,11 +11,12 @@ import (
 
 func htmlockCfg(switching bool) htm.Config {
 	c := htm.Config{
-		Recovery:      true,
-		RejectPolicy:  htm.WaitWakeup,
-		Priority:      priority.InstsBased{},
-		HTMLock:       true,
-		SwitchingMode: switching,
+		Conflict: htm.Recovery{Policy: htm.WaitWakeup},
+		Priority: priority.InstsBased{},
+		HTMLock:  true,
+	}
+	if switching {
+		c.Overflow = htm.SwitchOverflow{}
 	}
 	return c.Defaults()
 }

@@ -10,9 +10,7 @@ import (
 
 // losaCfg mirrors the harness's LosaTM-SAFU construction.
 func losaCfg() htm.Config {
-	return htm.Config{
-		Losa: true, RejectPolicy: htm.WaitWakeup, Priority: priority.Progression{},
-	}.Defaults()
+	return htm.Config{Conflict: htm.Losa{}, Priority: priority.Progression{}}.Defaults()
 }
 
 func TestLosaUsesProgressionPriority(t *testing.T) {

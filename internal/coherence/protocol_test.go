@@ -36,8 +36,7 @@ func tsys(t *testing.T, hc htm.Config) (*sim.Engine, *System, []*testClient) {
 func baseCfg() htm.Config { return htm.Config{}.Defaults() }
 
 func recoveryCfg(p htm.RejectPolicy) htm.Config {
-	c := htm.Config{Recovery: true, RejectPolicy: p, Priority: priority.InstsBased{}}
-	return c.Defaults()
+	return htm.Config{Conflict: htm.Recovery{Policy: p}, Priority: priority.InstsBased{}}.Defaults()
 }
 
 // access performs a blocking access and returns the completion cycle.

@@ -115,9 +115,7 @@ func TestBackInvalidationAbortsTx(t *testing.T) {
 func TestNonTxParkedTimesOutAndRetries(t *testing.T) {
 	// A non-transactional requester rejected by a lock transaction retries
 	// on timeout even if the wake-up is lost.
-	cfg := htmlockCfg(false)
-	cfg.RejectTimeout = 500
-	e, sys, _ := tsys(t, cfg)
+	e, sys, _ := tsys(t, htmlockCfg(false))
 	enterTL(t, sys, 0)
 	access(t, e, sys, 0, 100, true)
 	drain(e)

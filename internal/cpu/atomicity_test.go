@@ -37,18 +37,19 @@ func allSystems() map[string]struct {
 	hc   htm.Config
 } {
 	ins := priority.InstsBased{}
+	rwi := htm.Recovery{Policy: htm.WaitWakeup}
 	return map[string]struct {
 		sync SyncSystem
 		hc   htm.Config
 	}{
 		"CGL":      {SysCGL, htm.Config{}.Defaults()},
 		"Baseline": {SysHTM, htm.Config{}.Defaults()},
-		"RAI":      {SysHTM, htm.Config{Recovery: true, RejectPolicy: htm.SelfAbort, Priority: ins}.Defaults()},
-		"RRI":      {SysHTM, htm.Config{Recovery: true, RejectPolicy: htm.RetryLater, Priority: ins}.Defaults()},
-		"RWI":      {SysHTM, htm.Config{Recovery: true, RejectPolicy: htm.WaitWakeup, Priority: ins}.Defaults()},
-		"RWIL":     {SysHTM, htm.Config{Recovery: true, RejectPolicy: htm.WaitWakeup, Priority: ins, HTMLock: true}.Defaults()},
-		"Full":     {SysHTM, htm.Config{Recovery: true, RejectPolicy: htm.WaitWakeup, Priority: ins, HTMLock: true, SwitchingMode: true}.Defaults()},
-		"Losa":     {SysHTM, htm.Config{Losa: true, RejectPolicy: htm.WaitWakeup, Priority: priority.Progression{}}.Defaults()},
+		"RAI":      {SysHTM, htm.Config{Conflict: htm.Recovery{Policy: htm.SelfAbort}, Priority: ins}.Defaults()},
+		"RRI":      {SysHTM, htm.Config{Conflict: htm.Recovery{Policy: htm.RetryLater}, Priority: ins}.Defaults()},
+		"RWI":      {SysHTM, htm.Config{Conflict: rwi, Priority: ins}.Defaults()},
+		"RWIL":     {SysHTM, htm.Config{Conflict: rwi, Priority: ins, HTMLock: true}.Defaults()},
+		"Full":     {SysHTM, htm.Config{Conflict: rwi, Overflow: htm.SwitchOverflow{}, Priority: ins, HTMLock: true}.Defaults()},
+		"Losa":     {SysHTM, htm.Config{Conflict: htm.Losa{}, Priority: priority.Progression{}}.Defaults()},
 	}
 }
 
@@ -125,11 +126,8 @@ func TestAtomicityUnderOverflowAndFaults(t *testing.T) {
 // budgets force constant fallbacks; 8 threads on 2 hot counters maximize
 // wake-then-read pressure.
 func TestAtomicityLockTxVisibility(t *testing.T) {
-	hc := htm.Config{
-		Recovery: true, RejectPolicy: htm.WaitWakeup,
-		Priority: priority.InstsBased{}, HTMLock: true, SwitchingMode: true,
-		MaxRetries: 1, // nearly everything falls back to TL
-	}.Defaults()
+	hc := lockillerCfg()
+	hc.MaxRetries = 1 // nearly everything falls back to TL
 	p := smallParams()
 	p.Cores, p.MeshW, p.MeshH = 16, 4, 4
 	counters := []mem.Line{1 << 21, 1<<21 + 1}

@@ -324,11 +324,11 @@ func (c *Core) runCGL(sec Section) {
 
 // startAttempt begins (or restarts) a speculative attempt of the section.
 func (c *Core) startAttempt(sec Section) {
-	if c.retries >= c.m.Cfg.HTM.MaxRetries {
+	if c.retries >= c.m.Sys.HTM.MaxRetries {
 		c.fallback(sec)
 		return
 	}
-	if !c.m.Cfg.HTM.HTMLock && c.m.Lock.Held() {
+	if !c.m.Sys.HTM.HTMLock && c.m.Lock.Held() {
 		// Listing 1's retry strategy: with the classic interface there is
 		// no point starting while the fallback lock is held — the
 		// subscription would abort us instantly. Spin until free.
@@ -350,7 +350,7 @@ func (c *Core) startAttempt(sec Section) {
 		ops := sec.Body(c.tx().Attempt)
 		c.runOps(ops, 0, tok, func() { c.finishAttempt(sec) })
 	}
-	if c.m.Cfg.HTM.HTMLock {
+	if c.m.Sys.HTM.HTMLock {
 		// HTMLock interface: no fallback-lock subscription (paper
 		// Listing 1's grey modification removes the lock read).
 		body()
@@ -435,7 +435,7 @@ func (c *Core) OnDoom(cause htm.AbortCause) {
 		// closer to the fallback path.
 		c.retries++
 	}
-	delay := c.m.Cfg.HTM.RollbackPenalty + c.backoff()
+	delay := rollbackPenalty + c.backoff()
 	c.engine().AfterEvent(delay, c, evRestart, c.token, nil)
 }
 
@@ -445,7 +445,7 @@ func (c *Core) backoff() uint64 {
 	if shift > 6 {
 		shift = 6
 	}
-	base := c.m.Cfg.HTM.AbortBackoffBase << uint(shift)
+	base := uint64(abortBackoffBase) << uint(shift)
 	return base/2 + c.rng.Uint64()%base
 }
 
@@ -457,7 +457,7 @@ func (c *Core) fallback(sec Section) {
 	}
 	c.st.StartSegment(stats.CatWaitLock, c.now())
 	c.acquire(c.m.Lock, func() {
-		if c.m.Cfg.HTM.HTMLock {
+		if c.m.Sys.HTM.HTMLock {
 			c.m.Sys.L1s[c.id].HLBegin(func() {
 				c.st.StartSegment(stats.CatLock, c.now())
 				c.tx().BeginAttempt(htm.TL, c.now())

@@ -31,8 +31,8 @@ func baselineHTM() htm.Config { return htm.Config{}.Defaults() }
 
 func lockillerCfg() htm.Config {
 	return htm.Config{
-		Recovery: true, RejectPolicy: htm.WaitWakeup,
-		Priority: priority.InstsBased{}, HTMLock: true, SwitchingMode: true,
+		Conflict: htm.Recovery{Policy: htm.WaitWakeup}, Overflow: htm.SwitchOverflow{},
+		Priority: priority.InstsBased{}, HTMLock: true,
 	}.Defaults()
 }
 
@@ -49,6 +49,29 @@ func counterProgram(nThreads, n int, shared mem.Line) []Program {
 		ps = append(ps, p)
 	}
 	return ps
+}
+
+// TestMachineReadsDefaultedHTM pins that the core model reads the HTM
+// config NewSystem defaulted and validated, not the raw cpu.Config copy: a
+// bare htm.Config runs exactly like its Defaults().
+func TestMachineReadsDefaultedHTM(t *testing.T) {
+	progs := counterProgram(4, 30, 4096)
+	bare := Config{Machine: smallParams(), HTM: htm.Config{}, Sync: SysHTM, Threads: 4, Seed: 3}
+	m := NewMachine(bare, "bare", "unit", progs)
+	if m.Sys.HTM.MaxRetries != baselineHTM().MaxRetries {
+		t.Fatalf("Sys.HTM.MaxRetries = %d, want the default %d", m.Sys.HTM.MaxRetries, baselineHTM().MaxRetries)
+	}
+	got, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defaulted := bare
+	defaulted.HTM = baselineHTM()
+	want := run(t, defaulted, progs)
+	if got.ExecCycles != want.ExecCycles || got.CommitRate() != want.CommitRate() {
+		t.Fatalf("bare config: %d cycles, commit %.3f; defaulted: %d cycles, commit %.3f",
+			got.ExecCycles, got.CommitRate(), want.ExecCycles, want.CommitRate())
+	}
 }
 
 func TestSingleThreadHTMCommitsEverything(t *testing.T) {
@@ -103,7 +126,7 @@ func TestRecoveryBeatsBaselineOnFriendlyFire(t *testing.T) {
 	base := run(t, Config{Machine: smallParams(), HTM: baselineHTM(), Sync: SysHTM, Threads: 4, Seed: 3}, progs)
 	rec := run(t, Config{
 		Machine: smallParams(), Sync: SysHTM, Threads: 4, Seed: 3,
-		HTM: htm.Config{Recovery: true, RejectPolicy: htm.WaitWakeup, Priority: priority.InstsBased{}}.Defaults(),
+		HTM: htm.Config{Conflict: htm.Recovery{Policy: htm.WaitWakeup}, Priority: priority.InstsBased{}}.Defaults(),
 	}, progs)
 	if rec.CommitRate() <= base.CommitRate() {
 		t.Fatalf("recovery commit rate %.3f should beat baseline %.3f",

@@ -84,6 +84,12 @@ const (
 	// spinInterval is the re-read period of the test-and-test-and-set lock
 	// spin loop.
 	spinInterval = 16
+	// abortBackoffBase scales the randomized exponential backoff inserted
+	// between an abort and the re-execution.
+	abortBackoffBase = 64
+	// rollbackPenalty is the pipeline-flush + register-restore cost
+	// charged on every abort.
+	rollbackPenalty = 40
 )
 
 // Observers are the optional recorders of one run. None of them changes

@@ -69,20 +69,17 @@ func randomConfig(rng *sim.RNG) (SyncSystem, htm.Config) {
 	hc := htm.Config{MaxRetries: 1 + rng.Intn(8)}
 	switch rng.Intn(4) {
 	case 1:
-		hc.Recovery = true
-		hc.RejectPolicy = htm.RejectPolicy(rng.Intn(3))
+		hc.Conflict = htm.Recovery{Policy: htm.RejectPolicy(rng.Intn(3))}
 		hc.Priority = priority.InstsBased{}
 	case 2:
-		hc.Recovery = true
-		hc.RejectPolicy = htm.WaitWakeup
+		hc.Conflict = htm.Recovery{Policy: htm.WaitWakeup}
 		hc.Priority = priority.InstsBased{}
 		hc.HTMLock = true
 	case 3:
-		hc.Recovery = true
-		hc.RejectPolicy = htm.RejectPolicy(rng.Intn(3))
+		hc.Conflict = htm.Recovery{Policy: htm.RejectPolicy(rng.Intn(3))}
+		hc.Overflow = htm.SwitchOverflow{}
 		hc.Priority = priority.Progression{}
 		hc.HTMLock = true
-		hc.SwitchingMode = true
 	}
 	return SysHTM, hc.Defaults()
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"repro/internal/plot"
-	"repro/internal/stats"
 )
 
 // CSVExporter is implemented by figures that can emit machine-readable
@@ -244,20 +243,4 @@ func (f *Fig13) RenderChart(w io.Writer) {
 		plot.Series(w, fmt.Sprintf("Fig. 13 [%s cache]: average speedup vs CGL", cc),
 			f.Systems, cols, data, "x")
 	}
-}
-
-// ExportRun writes one run's summary as CSV rows (used by -csv on
-// lockillersim-style outputs and by tests).
-func ExportRun(w io.Writer, r *stats.Run) error {
-	header := []string{"workload", "system", "threads", "cycles", "commit_rate"}
-	for c := stats.Category(0); c < stats.NumCategories; c++ {
-		header = append(header, "share_"+c.String())
-	}
-	bd := r.Breakdown()
-	row := []string{r.Workload, r.System, strconv.Itoa(r.Threads),
-		strconv.FormatUint(r.ExecCycles, 10), f2s(r.CommitRate())}
-	for c := stats.Category(0); c < stats.NumCategories; c++ {
-		row = append(row, f2s(bd[c]))
-	}
-	return writeCSV(w, header, [][]string{row})
 }

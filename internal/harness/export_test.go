@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/stamp"
-	"repro/internal/stats"
 )
 
 func parseCSV(t *testing.T, b []byte) [][]string {
@@ -95,18 +94,5 @@ func TestFigureCSVRoundTrips(t *testing.T) {
 	bf.RenderChart(&buf)
 	if !strings.Contains(buf.String(), "legend") {
 		t.Fatal("breakdown chart missing legend")
-	}
-}
-
-func TestExportRun(t *testing.T) {
-	run := stats.NewRun("Baseline", "tiny", 2)
-	run.ExecCycles = 1234
-	var buf bytes.Buffer
-	if err := ExportRun(&buf, run); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, buf.Bytes())
-	if len(rows) != 2 || rows[1][3] != "1234" {
-		t.Fatalf("rows = %v", rows)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/coherence"
 	"repro/internal/htm"
@@ -715,13 +714,4 @@ func RenderTable2(w io.Writer) {
 	for _, s := range Systems() {
 		fmt.Fprintf(w, "  %-18s %s\n", s.Name, s.Desc)
 	}
-}
-
-// SortedCauses returns the abort causes in plotting order (exported for
-// external renderers).
-func SortedCauses() []htm.AbortCause {
-	out := make([]htm.AbortCause, len(abortCauses))
-	copy(out, abortCauses)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

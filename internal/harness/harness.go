@@ -34,42 +34,34 @@ type SystemDef struct {
 	HTM  htm.Config
 }
 
-// Systems returns the full Table II matrix, in the paper's order.
+// Systems returns the full Table II matrix, in the paper's order. Each row
+// composes its HTM from policy values: a conflict policy (requester-win,
+// Lockiller recovery with one rejected-request policy, or LosaTM), an
+// overflow policy (abort, or switchingMode), a priority policy, and
+// HTMLock. This is the one definition of every evaluated system.
 func Systems() []SystemDef {
 	ins := priority.InstsBased{}
+	rwi := htm.Recovery{Policy: htm.WaitWakeup}
 	return []SystemDef{
 		{Name: "CGL", Desc: "Coarse-grained locking with the same granularity of transactions",
 			Sync: cpu.SysCGL, HTM: htm.Config{}.Defaults()},
 		{Name: "Baseline", Desc: "Best-Effort HTM with requester-win",
 			Sync: cpu.SysHTM, HTM: htm.Config{}.Defaults()},
 		{Name: "LosaTM-SAFU", Desc: "LosaTM without False Sharing and Capacity Overflow OPT",
-			Sync: cpu.SysHTM, HTM: htm.Config{
-				Losa: true, RejectPolicy: htm.WaitWakeup, Priority: priority.Progression{},
-			}.Defaults()},
+			Sync: cpu.SysHTM, HTM: htm.Config{Conflict: htm.Losa{}, Priority: priority.Progression{}}.Defaults()},
 		{Name: "LockillerTM-RAI", Desc: "Baseline + Recovery + SelfAbort + InstsBasedPriority",
-			Sync: cpu.SysHTM, HTM: htm.Config{
-				Recovery: true, RejectPolicy: htm.SelfAbort, Priority: ins,
-			}.Defaults()},
+			Sync: cpu.SysHTM, HTM: htm.Config{Conflict: htm.Recovery{Policy: htm.SelfAbort}, Priority: ins}.Defaults()},
 		{Name: "LockillerTM-RRI", Desc: "Baseline + Recovery + SelfRetryLater + InstsBasedPriority",
-			Sync: cpu.SysHTM, HTM: htm.Config{
-				Recovery: true, RejectPolicy: htm.RetryLater, Priority: ins,
-			}.Defaults()},
+			Sync: cpu.SysHTM, HTM: htm.Config{Conflict: htm.Recovery{Policy: htm.RetryLater}, Priority: ins}.Defaults()},
 		{Name: "LockillerTM-RWI", Desc: "Baseline + Recovery + WaitWakeup + InstsBasedPriority",
-			Sync: cpu.SysHTM, HTM: htm.Config{
-				Recovery: true, RejectPolicy: htm.WaitWakeup, Priority: ins,
-			}.Defaults()},
+			Sync: cpu.SysHTM, HTM: htm.Config{Conflict: rwi, Priority: ins}.Defaults()},
 		{Name: "LockillerTM-RWL", Desc: "Baseline + Recovery + WaitWakeup + HTMLock",
-			Sync: cpu.SysHTM, HTM: htm.Config{
-				Recovery: true, RejectPolicy: htm.WaitWakeup, HTMLock: true,
-			}.Defaults()},
+			Sync: cpu.SysHTM, HTM: htm.Config{Conflict: rwi, HTMLock: true}.Defaults()},
 		{Name: "LockillerTM-RWIL", Desc: "LockillerTM-RWI + HTMLock",
-			Sync: cpu.SysHTM, HTM: htm.Config{
-				Recovery: true, RejectPolicy: htm.WaitWakeup, Priority: ins, HTMLock: true,
-			}.Defaults()},
+			Sync: cpu.SysHTM, HTM: htm.Config{Conflict: rwi, Priority: ins, HTMLock: true}.Defaults()},
 		{Name: "LockillerTM", Desc: "LockillerTM-RWI + HTMLock + SwitchingMode",
 			Sync: cpu.SysHTM, HTM: htm.Config{
-				Recovery: true, RejectPolicy: htm.WaitWakeup, Priority: ins,
-				HTMLock: true, SwitchingMode: true,
+				Conflict: rwi, Overflow: htm.SwitchOverflow{}, Priority: ins, HTMLock: true,
 			}.Defaults()},
 	}
 }
@@ -104,17 +96,15 @@ type Spec struct {
 	Threads  int
 	Cache    CacheConfig
 	Seed     uint64
-	// Cores, Topo, MeshW/MeshH, and ClusterSize override the Table I
-	// machine shape (32 cores, 4x8 mesh, flat directory) for scaling runs
-	// (DESIGN.md §13). Zero values keep the defaults — and the memo keys
-	// they produced before these fields existed. Cores alone derives a
-	// near-square grid (GridFor); an explicit MeshW×MeshH wins. Topo picks
-	// mesh, torus, or cmesh (4 tiles per router); ClusterSize enables the
-	// two-level directory.
-	Cores        int
-	Topo         string
-	MeshW, MeshH int
-	ClusterSize  int
+	// Cores, Topo, and ClusterSize override the Table I machine shape (32
+	// cores, 4x8 mesh, flat directory) for scaling runs (DESIGN.md §13).
+	// Zero values keep the defaults — and the memo keys they produced
+	// before these fields existed. Cores derives a near-square grid
+	// (GridFor). Topo picks mesh, torus, or cmesh (4 tiles per router);
+	// ClusterSize enables the two-level directory.
+	Cores       int
+	Topo        string
+	ClusterSize int
 }
 
 func (s Spec) key() string {
@@ -132,9 +122,6 @@ func (s Spec) keySuffix() string {
 	}
 	if s.Topo != "" {
 		k += "|topo" + s.Topo
-	}
-	if s.MeshW > 0 || s.MeshH > 0 {
-		k += fmt.Sprintf("|grid%dx%d", s.MeshW, s.MeshH)
 	}
 	if s.ClusterSize > 0 {
 		k += fmt.Sprintf("|cl%d", s.ClusterSize)
@@ -182,19 +169,12 @@ func (s Spec) MachineParams() coherence.Params {
 	if s.ClusterSize > 0 {
 		p.ClusterSize = s.ClusterSize
 	}
-	conc := 1
-	if p.Topo == "cmesh" {
-		conc = 4
-	}
 	switch {
-	case s.MeshW > 0 && s.MeshH > 0:
-		p.MeshW, p.MeshH = s.MeshW, s.MeshH
-		conc = p.Cores / (p.MeshW * p.MeshH)
-	case s.Cores > 0 || p.Topo == "cmesh":
-		p.MeshW, p.MeshH = GridFor(p.Cores / conc)
-	}
-	if p.Topo == "cmesh" {
-		p.Conc = conc
+	case p.Topo == "cmesh": // 4 tiles per router
+		p.Conc = 4
+		p.MeshW, p.MeshH = GridFor(p.Cores / p.Conc)
+	case s.Cores > 0:
+		p.MeshW, p.MeshH = GridFor(p.Cores)
 	}
 	return p
 }

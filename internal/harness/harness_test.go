@@ -8,21 +8,43 @@ import (
 	"repro/internal/stamp"
 )
 
+// TestSystemsMatchTableII pins the Table II matrix: each row's name and
+// order, and how it is built — conflict policy, overflow policy, priority
+// policy ("" for none), and HTMLock.
 func TestSystemsMatchTableII(t *testing.T) {
-	want := []string{
-		"CGL", "Baseline", "LosaTM-SAFU",
-		"LockillerTM-RAI", "LockillerTM-RRI", "LockillerTM-RWI",
-		"LockillerTM-RWL", "LockillerTM-RWIL", "LockillerTM",
+	want := []struct {
+		name, conflict, overflow, priority string
+		htmlock                            bool
+	}{
+		{"CGL", "requester-win", "abort", "", false},
+		{"Baseline", "requester-win", "abort", "", false},
+		{"LosaTM-SAFU", "losa-safu", "abort", "progression", false},
+		{"LockillerTM-RAI", "recovery/self-abort", "abort", "insts-based", false},
+		{"LockillerTM-RRI", "recovery/retry-later", "abort", "insts-based", false},
+		{"LockillerTM-RWI", "recovery/wait-wakeup", "abort", "insts-based", false},
+		{"LockillerTM-RWL", "recovery/wait-wakeup", "abort", "", true},
+		{"LockillerTM-RWIL", "recovery/wait-wakeup", "abort", "insts-based", true},
+		{"LockillerTM", "recovery/wait-wakeup", "switching-mode", "insts-based", true},
 	}
 	got := Systems()
 	if len(got) != len(want) {
 		t.Fatalf("%d systems, want %d", len(got), len(want))
 	}
-	for i, n := range want {
-		if got[i].Name != n {
-			t.Fatalf("system %d = %s, want %s", i, got[i].Name, n)
+	for i, w := range want {
+		s := got[i]
+		if s.Name != w.name {
+			t.Fatalf("system %d = %s, want %s", i, s.Name, w.name)
 		}
-		got[i].HTM.Validate()
+		s.HTM.Validate()
+		prio := ""
+		if s.HTM.Priority != nil {
+			prio = s.HTM.Priority.Name()
+		}
+		if c, o := s.HTM.Conflict.Name(), s.HTM.Overflow.Name(); c != w.conflict || o != w.overflow ||
+			prio != w.priority || s.HTM.HTMLock != w.htmlock {
+			t.Errorf("%s = {%s, %s, %q, HTMLock=%v}, want {%s, %s, %q, HTMLock=%v}", s.Name,
+				c, o, prio, s.HTM.HTMLock, w.conflict, w.overflow, w.priority, w.htmlock)
+		}
 	}
 	if _, err := SystemByName("nope"); err == nil {
 		t.Fatal("unknown system must error")

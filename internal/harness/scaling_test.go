@@ -39,14 +39,10 @@ func TestSpecKeyScalingSuffixOnly(t *testing.T) {
 	if scaled == base {
 		t.Fatal("scaling overrides must be key-affecting")
 	}
-	s.MeshW, s.MeshH = 16, 16
-	if grid := s.key(); grid == scaled || !strings.HasPrefix(grid, base) {
-		t.Fatalf("explicit grid must be key-affecting and keep the base prefix: %q vs %q", grid, scaled)
-	}
 }
 
 // TestMachineParamsOverrides checks the spec-to-machine resolution:
-// derived grids, cmesh concentration, and explicit-grid precedence.
+// derived grids and cmesh concentration.
 func TestMachineParamsOverrides(t *testing.T) {
 	s := Spec{Cache: TypicalCache()}
 	if p := s.MachineParams(); p.Cores != 32 || p.MeshW != 4 || p.MeshH != 8 || p.Topo != "" {
@@ -60,11 +56,7 @@ func TestMachineParamsOverrides(t *testing.T) {
 	if p := s.MachineParams(); p.Conc != 4 || p.MeshW*p.MeshH*p.Conc != 256 {
 		t.Fatalf("cmesh params = %+v, want 4 tiles per router over 256 cores", p)
 	}
-	s.MeshW, s.MeshH = 8, 16
-	if p := s.MachineParams(); p.MeshW != 8 || p.MeshH != 16 || p.Conc != 2 {
-		t.Fatalf("explicit cmesh grid = %+v, want 8x16 with conc 2", p)
-	}
-	s.Topo, s.MeshW, s.MeshH = "torus", 0, 0
+	s.Topo = "torus"
 	s.ClusterSize = 16
 	p := s.MachineParams()
 	if p.Topo != "torus" || p.ClusterSize != 16 || p.Conc != 0 {

@@ -134,14 +134,18 @@ func (p RejectPolicy) String() string {
 	return fmt.Sprintf("RejectPolicy(%d)", uint8(p))
 }
 
-// Config enables/disables the three LockillerTM mechanisms and their
-// policies; each Table II system is one Config (see harness.Systems).
+// Config is the HTM half of one Table II system: the two policy seams the
+// coherence controllers consult (see policy.go), the priority policy, the
+// HTMLock mechanism, and the two sizes. Each Table II row is one Config
+// (see harness.Systems).
 type Config struct {
-	// Recovery enables the NACK/reject recovery mechanism. Without it the
-	// system is plain requester-win best-effort HTM.
-	Recovery bool
-	// RejectPolicy applies when Recovery is on.
-	RejectPolicy RejectPolicy
+	// Conflict arbitrates speculative conflicts and decides the fate of
+	// rejected requests: RequesterWins (plain best-effort HTM), Recovery
+	// with one of the three rejected-request policies, or Losa.
+	Conflict ConflictPolicy
+	// Overflow decides capacity-overflow handling: AbortOverflow, or
+	// SwitchOverflow (switchingMode, which requires HTMLock).
+	Overflow OverflowPolicy
 	// Priority is the transaction priority policy (nil means every
 	// transaction has priority zero, i.e. ties broken by core ID only).
 	Priority priority.Policy
@@ -149,46 +153,24 @@ type Config struct {
 	// TL lock transaction that coexists with HTM transactions, and HTM
 	// transactions do not subscribe to the fallback lock.
 	HTMLock bool
-	// SwitchingMode enables proactive switching to STL mode on capacity
-	// overflow. Requires HTMLock.
-	SwitchingMode bool
-	// Losa enables the LosaTM-SAFU conflict manager instead of the
-	// Lockiller recovery mechanism (mutually exclusive with Recovery).
-	Losa bool
 	// MaxRetries is the retry budget before a transaction takes the
 	// fallback path (Listing 1's TME_MAX_RETRIES).
 	MaxRetries int
-	// RejectTimeout bounds how long a parked request waits for a wake-up
-	// before retrying anyway (guards against lost wake-ups). Cycles.
-	RejectTimeout uint64
-	// RetryBackoff is the fixed pause of the RetryLater policy. Cycles.
-	RetryBackoff uint64
-	// AbortBackoffBase scales the randomized exponential backoff inserted
-	// between an abort and the re-execution. Cycles.
-	AbortBackoffBase uint64
-	// RollbackPenalty is the pipeline-flush + register-restore cost charged
-	// on every abort. Cycles.
-	RollbackPenalty uint64
 	// SignatureBits sizes the LLC overflow signatures (OfRdSig/OfWrSig).
 	SignatureBits int
-
-	// Conflict and Overflow are the composed policy objects the coherence
-	// controllers consult (see policy.go). Defaults() fills them from the
-	// flag fields above when nil, so each Table II row is a composition of
-	// policies; set them explicitly to run a custom composition.
-	Conflict ConflictPolicy
-	Overflow OverflowPolicy
 }
 
-// Validate panics on inconsistent configurations; it is called by the
-// harness when systems are constructed so mistakes fail fast.
+const (
+	// RejectTimeout bounds how long a parked request waits for a wake-up
+	// before retrying anyway (guards against lost wake-ups). Cycles.
+	RejectTimeout = 20_000
+	// RetryBackoff is the fixed pause of the RetryLater policy. Cycles.
+	RetryBackoff = 200
+)
+
+// Validate panics on inconsistent configurations; it is called when the
+// memory system is constructed so mistakes fail fast.
 func (c Config) Validate() {
-	if c.SwitchingMode && !c.HTMLock {
-		panic("htm: SwitchingMode requires HTMLock")
-	}
-	if c.Losa && c.Recovery {
-		panic("htm: Losa and Recovery are mutually exclusive")
-	}
 	if c.MaxRetries <= 0 {
 		panic("htm: MaxRetries must be positive")
 	}
@@ -196,57 +178,27 @@ func (c Config) Validate() {
 		panic("htm: HTMLock requires SignatureBits > 0")
 	}
 	if c.Conflict == nil || c.Overflow == nil {
-		panic("htm: Config used without Defaults (no conflict/overflow policy composed)")
+		panic("htm: Config used without Defaults (no conflict/overflow policy)")
 	}
 	if _, ok := c.Overflow.(SwitchOverflow); ok && !c.HTMLock {
 		panic("htm: SwitchOverflow requires HTMLock")
 	}
 }
 
-// Defaults fills zero-valued tuning knobs with sensible values and returns
-// the config.
+// Defaults fills what is unset: a nil Conflict with RequesterWins, a nil
+// Overflow with AbortOverflow, and the two sizes.
 func (c Config) Defaults() Config {
+	if c.Conflict == nil {
+		c.Conflict = RequesterWins{}
+	}
+	if c.Overflow == nil {
+		c.Overflow = AbortOverflow{}
+	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 5
-	}
-	if c.RejectTimeout == 0 {
-		c.RejectTimeout = 20_000
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 200
-	}
-	if c.AbortBackoffBase == 0 {
-		c.AbortBackoffBase = 64
-	}
-	if c.RollbackPenalty == 0 {
-		c.RollbackPenalty = 40
 	}
 	if c.SignatureBits == 0 {
 		c.SignatureBits = 2048
 	}
-	// Compose the policy objects from the legacy flags (after the numeric
-	// knobs above are final, since the policies capture them by value).
-	if c.Conflict == nil {
-		switch {
-		case c.Recovery:
-			c.Conflict = Recovery{Policy: c.RejectPolicy, Backoff: c.RetryBackoff, Timeout: c.RejectTimeout}
-		case c.Losa:
-			c.Conflict = Losa{Timeout: c.RejectTimeout}
-		default:
-			c.Conflict = RequesterWins{Timeout: c.RejectTimeout}
-		}
-	}
-	if c.Overflow == nil {
-		if c.SwitchingMode {
-			c.Overflow = SwitchOverflow{}
-		} else {
-			c.Overflow = AbortOverflow{}
-		}
-	}
 	return c
 }
-
-// ConflictArbitration reports whether the recovery-style conflict manager
-// is active (either Lockiller recovery or LosaTM); when false the system
-// resolves every conflict requester-win.
-func (c Config) ConflictArbitration() bool { return c.Recovery || c.Losa }

@@ -36,14 +36,15 @@ func TestAbortCauseStrings(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	ok := Config{Recovery: true, MaxRetries: 4, HTMLock: true, SignatureBits: 64}.Defaults()
+	ok := Config{Conflict: Recovery{Policy: WaitWakeup}, MaxRetries: 4, HTMLock: true, SignatureBits: 64}.Defaults()
 	ok.Validate()
 
+	rw, ab := RequesterWins{}, AbortOverflow{}
 	for _, bad := range []Config{
-		{SwitchingMode: true, MaxRetries: 4},        // switching without HTMLock
-		{Losa: true, Recovery: true, MaxRetries: 4}, // both managers
-		{Recovery: true},                            // no retries
-		{HTMLock: true, MaxRetries: 4},              // no signature bits
+		{Conflict: rw, Overflow: SwitchOverflow{}, MaxRetries: 4, SignatureBits: 64}, // switching without HTMLock
+		{Conflict: rw, Overflow: ab, SignatureBits: 64},                              // no retries
+		{Conflict: rw, Overflow: ab, HTMLock: true, MaxRetries: 4},                   // no signature bits
+		{MaxRetries: 4}, // no policies
 	} {
 		func() {
 			defer func() {
@@ -58,8 +59,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.Defaults()
-	if c.MaxRetries == 0 || c.RejectTimeout == 0 || c.RetryBackoff == 0 ||
-		c.AbortBackoffBase == 0 || c.RollbackPenalty == 0 || c.SignatureBits == 0 {
+	if c.MaxRetries == 0 || c.SignatureBits == 0 {
 		t.Fatalf("Defaults left zeros: %+v", c)
 	}
 	c2 := Config{MaxRetries: 3}.Defaults()

@@ -14,10 +14,9 @@ import "repro/internal/priority"
 //     overflows the L1 (abort, spill into the LLC signatures, or switch to
 //     STL mode) — the HTMLock and switchingMode mechanisms of §III-B/C.
 //
-// Each Table II SystemDef row is now a composition of one value of each
-// interface (plus the priority.Policy it already carried); Config.Defaults
-// performs the composition from the legacy flag fields so existing
-// configurations keep working unchanged.
+// Each Table II SystemDef row is a composition of one value of each
+// interface, plus a priority.Policy and the HTMLock switch; Config.Defaults
+// fills a nil policy with RequesterWins or AbortOverflow.
 //
 // The universal arbitration rules are NOT policy and stay in the coherence
 // controllers: an irrevocable lock transaction (TL/STL) always wins, and a
@@ -70,27 +69,23 @@ type ConflictPolicy interface {
 
 // RequesterWins is the no-arbitration baseline: a speculative owner never
 // rejects, so every conflict aborts the owner. Rejections can still reach a
-// requester (LLC signature hits under HTMLock); they park with a timeout.
-type RequesterWins struct {
-	// Timeout bounds how long a rejected request parks before retrying.
-	Timeout uint64
-}
+// requester (LLC signature hits under HTMLock); they park for RejectTimeout.
+type RequesterWins struct{}
 
 func (RequesterWins) Name() string                     { return "requester-win" }
 func (RequesterWins) OwnerWins(_, _ ConflictSide) bool { return false }
-func (p RequesterWins) Rejected(Mode) RejectedDecision { return RejectedDecision{Timeout: p.Timeout} }
+func (RequesterWins) Rejected(Mode) RejectedDecision   { return RejectedDecision{Timeout: RejectTimeout} }
 func (RequesterWins) RejectorCause(r Mode) AbortCause  { return CauseFor(r) }
 func (RequesterWins) ArbDelay() uint64                 { return 0 }
 func (RequesterWins) RecordsWake(mode Mode) bool       { return mode != HTM }
 
 // Recovery is the Lockiller recovery mechanism (§III-A): priority-arbitrated
 // rejection of toxic requests with one of the three rejected-request
-// policies. One value per -RAI/-RRI/-RWI Table II row.
+// policies. One value per -RAI/-RRI/-RWI Table II row. RetryLater pauses
+// RetryBackoff cycles; RejectTimeout guards WaitWakeup parks (and all
+// non-HTM parks) against lost wake-ups.
 type Recovery struct {
 	Policy RejectPolicy
-	// Backoff is the fixed pause of the RetryLater policy; Timeout guards
-	// WaitWakeup parks (and all non-HTM parks) against lost wake-ups.
-	Backoff, Timeout uint64
 }
 
 func (r Recovery) Name() string { return "recovery/" + r.Policy.String() }
@@ -105,16 +100,16 @@ func (r Recovery) Rejected(mode Mode) RejectedDecision {
 		case SelfAbort:
 			return RejectedDecision{Abort: true}
 		case RetryLater:
-			return RejectedDecision{Timeout: r.Backoff}
+			return RejectedDecision{Timeout: RetryBackoff}
 		case WaitWakeup:
-			return RejectedDecision{Timeout: r.Timeout}
+			return RejectedDecision{Timeout: RejectTimeout}
 		}
 	}
 	// Plain, mutex-mode, and lock-mode requesters always hold and retry:
 	// they have no transaction to abort. (A lock transaction is never
 	// rejected — it carries the maximum priority — but a signature race
 	// during its entry resolves here too.)
-	return RejectedDecision{Timeout: r.Timeout}
+	return RejectedDecision{Timeout: RejectTimeout}
 }
 
 func (Recovery) RejectorCause(r Mode) AbortCause { return CauseFor(r) }
@@ -130,9 +125,7 @@ func (r Recovery) RecordsWake(mode Mode) bool {
 // Losa is the LosaTM-SAFU conflict manager: wait-wakeup rejection under
 // progression-based priority, with the extra arbitration cycle its paper
 // charges the cache controller in exceptional cases.
-type Losa struct {
-	Timeout uint64
-}
+type Losa struct{}
 
 func (Losa) Name() string { return "losa-safu" }
 
@@ -140,10 +133,10 @@ func (Losa) OwnerWins(owner, req ConflictSide) bool {
 	return priority.Wins(owner.Prio, owner.Core, req.Prio, req.Core)
 }
 
-func (p Losa) Rejected(Mode) RejectedDecision { return RejectedDecision{Timeout: p.Timeout} }
-func (Losa) RejectorCause(r Mode) AbortCause  { return CauseFor(r) }
-func (Losa) ArbDelay() uint64                 { return 1 }
-func (Losa) RecordsWake(Mode) bool            { return true }
+func (Losa) Rejected(Mode) RejectedDecision  { return RejectedDecision{Timeout: RejectTimeout} }
+func (Losa) RejectorCause(r Mode) AbortCause { return CauseFor(r) }
+func (Losa) ArbDelay() uint64                { return 1 }
+func (Losa) RecordsWake(Mode) bool           { return true }
 
 // CauseFor maps the mode of a winning requester (or rejector) to the abort
 // cause recorded by the defeated transaction — the paper's Fig. 10

@@ -11,10 +11,10 @@ func TestOwnerWinsMatrix(t *testing.T) {
 	younger := ConflictSide{Mode: HTM, Prio: 10, Core: 2}
 
 	arbitrated := []ConflictPolicy{
-		Recovery{Policy: SelfAbort, Backoff: 200, Timeout: 20_000},
-		Recovery{Policy: RetryLater, Backoff: 200, Timeout: 20_000},
-		Recovery{Policy: WaitWakeup, Backoff: 200, Timeout: 20_000},
-		Losa{Timeout: 20_000},
+		Recovery{Policy: SelfAbort},
+		Recovery{Policy: RetryLater},
+		Recovery{Policy: WaitWakeup},
+		Losa{},
 	}
 	for _, p := range arbitrated {
 		if !p.OwnerWins(older, younger) {
@@ -31,7 +31,7 @@ func TestOwnerWinsMatrix(t *testing.T) {
 		}
 	}
 
-	rw := RequesterWins{Timeout: 20_000}
+	rw := RequesterWins{}
 	if rw.OwnerWins(older, younger) || rw.OwnerWins(younger, older) {
 		t.Error("requester-win: owner must never win, regardless of age")
 	}
@@ -40,7 +40,7 @@ func TestOwnerWinsMatrix(t *testing.T) {
 // TestRejectedMatrix covers all three RejectPolicy values for HTM
 // requesters, plus the non-HTM hold-and-retry behaviour every policy shares.
 func TestRejectedMatrix(t *testing.T) {
-	const backoff, timeout = 200, 20_000
+	const backoff, timeout = RetryBackoff, RejectTimeout
 	cases := []struct {
 		policy RejectPolicy
 		want   RejectedDecision
@@ -50,7 +50,7 @@ func TestRejectedMatrix(t *testing.T) {
 		{WaitWakeup, RejectedDecision{Timeout: timeout}},
 	}
 	for _, c := range cases {
-		r := Recovery{Policy: c.policy, Backoff: backoff, Timeout: timeout}
+		r := Recovery{Policy: c.policy}
 		if got := r.Rejected(HTM); got != c.want {
 			t.Errorf("recovery/%s Rejected(HTM) = %+v, want %+v", c.policy, got, c.want)
 		}
@@ -61,10 +61,10 @@ func TestRejectedMatrix(t *testing.T) {
 			}
 		}
 	}
-	if got := (RequesterWins{Timeout: timeout}).Rejected(HTM); got != (RejectedDecision{Timeout: timeout}) {
+	if got := (RequesterWins{}).Rejected(HTM); got != (RejectedDecision{Timeout: timeout}) {
 		t.Errorf("requester-win Rejected(HTM) = %+v", got)
 	}
-	if got := (Losa{Timeout: timeout}).Rejected(HTM); got != (RejectedDecision{Timeout: timeout}) {
+	if got := (Losa{}).Rejected(HTM); got != (RejectedDecision{Timeout: timeout}) {
 		t.Errorf("losa Rejected(HTM) = %+v", got)
 	}
 }
@@ -139,42 +139,16 @@ func TestOverflowMatrix(t *testing.T) {
 	}
 }
 
-// TestDefaultsComposition checks that each Table II flag combination
-// composes the expected policy objects.
+// TestDefaultsComposition checks that Defaults fills only what is unset:
+// a bare Config gets the requester-win, abort-on-overflow baseline, and an
+// explicit policy survives untouched.
 func TestDefaultsComposition(t *testing.T) {
-	cases := []struct {
-		name         string
-		cfg          Config
-		wantConflict string
-		wantOverflow string
-	}{
-		{"baseline", Config{}, "requester-win", "abort"},
-		{"recovery-RAI", Config{Recovery: true, RejectPolicy: SelfAbort}, "recovery/self-abort", "abort"},
-		{"recovery-RRI", Config{Recovery: true, RejectPolicy: RetryLater}, "recovery/retry-later", "abort"},
-		{"recovery-RWI", Config{Recovery: true, RejectPolicy: WaitWakeup}, "recovery/wait-wakeup", "abort"},
-		{"losa", Config{Losa: true}, "losa-safu", "abort"},
-		{"full", Config{Recovery: true, RejectPolicy: WaitWakeup, HTMLock: true, SwitchingMode: true},
-			"recovery/wait-wakeup", "switching-mode"},
+	got := Config{}.Defaults()
+	if got.Conflict != (RequesterWins{}) || got.Overflow != (AbortOverflow{}) {
+		t.Errorf("bare Config composed %+v / %+v, want requester-win / abort", got.Conflict, got.Overflow)
 	}
-	for _, c := range cases {
-		got := c.cfg.Defaults()
-		if got.Conflict.Name() != c.wantConflict {
-			t.Errorf("%s: Conflict = %s, want %s", c.name, got.Conflict.Name(), c.wantConflict)
-		}
-		if got.Overflow.Name() != c.wantOverflow {
-			t.Errorf("%s: Overflow = %s, want %s", c.name, got.Overflow.Name(), c.wantOverflow)
-		}
-		// The composed Recovery policy must capture the defaulted knobs.
-		if r, ok := got.Conflict.(Recovery); ok {
-			if r.Backoff != got.RetryBackoff || r.Timeout != got.RejectTimeout {
-				t.Errorf("%s: Recovery captured (%d,%d), config has (%d,%d)",
-					c.name, r.Backoff, r.Timeout, got.RetryBackoff, got.RejectTimeout)
-			}
-		}
-	}
-	// An explicit policy survives Defaults untouched.
-	pre := Config{Conflict: Losa{Timeout: 7}, Overflow: SwitchOverflow{}}.Defaults()
-	if pre.Conflict != (Losa{Timeout: 7}) || pre.Overflow != (SwitchOverflow{}) {
+	pre := Config{Conflict: Recovery{Policy: RetryLater}, Overflow: SwitchOverflow{}}.Defaults()
+	if pre.Conflict != (Recovery{Policy: RetryLater}) || pre.Overflow != (SwitchOverflow{}) {
 		t.Errorf("Defaults overwrote explicit policies: %+v / %+v", pre.Conflict, pre.Overflow)
 	}
 }

@@ -120,9 +120,6 @@ func New(cfg Config) *Telemetry {
 	return t
 }
 
-// Interval returns the configured sampling period.
-func (t *Telemetry) Interval() uint64 { return t.cfg.Interval }
-
 // Typed-event kind handled by Telemetry.OnEvent.
 const evSampleTick uint8 = 0
 
