@@ -1,13 +1,12 @@
 // Command lockillerlint is the multichecker for the repository's custom
 // static-analysis suite. It loads the named packages from source (stdlib-only
-// module, no external driver needed) and runs the eight lockiller passes:
+// module, no external driver needed) and runs the seven lockiller passes:
 //
 //	detmap        — order-dependent side effects in map-range loops of
 //	                deterministic packages
 //	nowallclock   — wall-clock, global rand, env reads, goroutines, channels
-//	                in deterministic packages
-//	hostclock     — wall-clock reads outside internal/obs anywhere in the
-//	                repo
+//	                in deterministic packages, and wall-clock reads outside
+//	                internal/obs anywhere in the repo
 //	poolsafe      — use-after-free / double-free of pooled protocol objects
 //	evtalloc      — closure-literal Engine.At/After scheduling on hot paths
 //	tabledispatch — raw switches over MsgType in the coherence package that
@@ -42,7 +41,6 @@ import (
 	"repro/internal/analysis/detmap"
 	"repro/internal/analysis/evtalloc"
 	"repro/internal/analysis/fusepath"
-	"repro/internal/analysis/hostclock"
 	"repro/internal/analysis/nowallclock"
 	"repro/internal/analysis/poolsafe"
 	"repro/internal/analysis/tabledispatch"
@@ -53,7 +51,6 @@ var all = []*analysis.Analyzer{
 	detmap.Analyzer,
 	evtalloc.Analyzer,
 	fusepath.Analyzer,
-	hostclock.Analyzer,
 	nowallclock.Analyzer,
 	poolsafe.Analyzer,
 	tabledispatch.Analyzer,

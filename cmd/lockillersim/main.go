@@ -23,6 +23,7 @@ import (
 	"repro/internal/stamp"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -97,13 +98,18 @@ func main() {
 		}
 		tracer = trace.New(*traceN, cats)
 	}
-	switch *topo {
-	case "", "mesh", "torus", "cmesh":
-	default:
-		fatal(fmt.Errorf("unknown -topo value %q (want mesh, torus, or cmesh)", *topo))
-	}
 	spec := harness.Spec{System: sys, Workload: wl, Threads: *threads, Cache: cache, Seed: *seed,
 		Cores: *cores, Topo: *topo, ClusterSize: *cluster}
+	var imported []cpu.Program
+	if *importPath != "" {
+		if imported, err = importPrograms(*importPath); err != nil {
+			fatal(err)
+		}
+		spec.Threads = len(imported)
+	}
+	if err := spec.Validate(); err != nil {
+		fatal(err)
+	}
 	if *exportPath != "" {
 		f, err := os.Create(*exportPath)
 		if err != nil {
@@ -150,7 +156,7 @@ func main() {
 	mem := obs.TakeMemSnapshot()
 	switch {
 	case *importPath != "" || *threeLevel:
-		run, err = runCustom(spec, opts, *importPath, *threeLevel)
+		run, err = runCustom(spec, opts, imported, *threeLevel)
 	default:
 		if disk != nil {
 			if cached, ok := disk.Load(spec.Key(), *seed); ok {
@@ -187,14 +193,15 @@ func main() {
 		fmt.Printf("cached    : %s (%s)\n", cacheSrc, *resultsDir)
 	}
 	fmt.Printf("system    : %s\nworkload  : %s\nthreads   : %d\ncache     : %s\n",
-		sys.Name, wl.Name, *threads, cache.Name)
+		sys.Name, wl.Name, spec.Threads, cache.Name)
 	if *cores > 0 || *topo != "" || *cluster > 0 {
 		p := spec.MachineParams()
 		kind := p.Topo
 		if kind == "" {
 			kind = "mesh"
 		}
-		fmt.Printf("machine   : %d cores, %s %dx%d", p.Cores, kind, p.MeshW, p.MeshH)
+		w, h, _, _ := topology.Grid(p.Topo, p.Cores) // validated above
+		fmt.Printf("machine   : %d cores, %s %dx%d", p.Cores, kind, w, h)
 		if p.ClusterSize > 0 {
 			fmt.Printf(", two-level directory (clusters of %d)", p.ClusterSize)
 		}
@@ -269,22 +276,23 @@ func writeFile(path string, write func(*os.File) error) error {
 	return f.Close()
 }
 
-// runCustom executes a spec with non-standard machine options (replayed
-// programs and/or the three-level protocol organization).
-func runCustom(spec harness.Spec, opts harness.ExecOptions, importPath string, threeLevel bool) (*stats.Run, error) {
-	progs := stamp.Programs(spec.Workload, spec.Threads, spec.Seed)
-	if importPath != "" {
-		f, err := os.Open(importPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		progs, err = cpu.ImportPrograms(f)
-		if err != nil {
-			return nil, err
-		}
+// importPrograms reads replayed thread programs from a JSON file.
+func importPrograms(path string) ([]cpu.Program, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	spec.Threads = len(progs)
+	defer f.Close()
+	return cpu.ImportPrograms(f)
+}
+
+// runCustom executes a spec with non-standard machine options: replayed
+// programs (non-nil progs, one per spec thread) and/or the three-level
+// protocol organization.
+func runCustom(spec harness.Spec, opts harness.ExecOptions, progs []cpu.Program, threeLevel bool) (*stats.Run, error) {
+	if progs == nil {
+		progs = stamp.Programs(spec.Workload, spec.Threads, spec.Seed)
+	}
 	cfg := spec.Config()
 	if threeLevel {
 		cfg.Machine.MidSize, cfg.Machine.MidWays = 64*1024, 8

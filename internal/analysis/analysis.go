@@ -91,7 +91,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 //	//lockiller:fusepath-ok — fusepath: a deliberate new evL1Done scheduling
 //	                        site; say why, and update the fusion equivalence
 //	                        reasoning in DESIGN.md §10
-//	//lockiller:hostclock-ok — hostclock: a wall-clock read in package main
+//	//lockiller:hostclock-ok — nowallclock: a wall-clock read in package main
 //	                        (CLI banners and the like); say why the value
 //	                        never reaches model state. Honored only in
 //	                        package main — libraries route host time

@@ -15,7 +15,7 @@ func csys(t *testing.T, hc htm.Config) (*sim.Engine, *System) {
 	t.Helper()
 	e := sim.NewEngine()
 	p := DefaultParams()
-	p.Cores, p.MeshW, p.MeshH = 8, 2, 4
+	p.Cores = 8
 	p.ClusterSize = 4
 	p.LLCSize = 1 << 20
 	sys := NewSystem(e, p, hc)
@@ -107,7 +107,7 @@ func TestClusteredMatchesFlatOutcome(t *testing.T) {
 	run := func(clusterSize int) []cache.State {
 		e := sim.NewEngine()
 		p := DefaultParams()
-		p.Cores, p.MeshW, p.MeshH = 8, 2, 4
+		p.Cores = 8
 		p.ClusterSize = clusterSize
 		p.LLCSize = 1 << 20
 		sys := NewSystem(e, p, baseCfg())

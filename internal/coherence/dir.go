@@ -24,10 +24,10 @@ const (
 // Fig. 3 describes (the directory leaves its transient state only after
 // the unblock message).
 type dirLine struct {
-	line    mem.Line // key, for the open-addressed dirTable
+	line    mem.Line // first: the directory table's key (keyOf)
 	state   dirState
 	owner   int
-	sharers SharerSet // which cores hold S copies (see sharerset.go)
+	sharers htm.CoreSet // which cores hold S copies
 
 	busy  bool
 	queue []*Msg
@@ -58,10 +58,14 @@ type Bank struct {
 	sys *System
 	id  int
 	arr *cache.Array
-	dir dirTable
+	dir lineTable[dirLine]
 
-	// pendFree recycles pending trackers (one is allocated per serviced
-	// request, which is hot enough to pool).
+	// dirFree recycles untracked dirLines, refilled a slab of dirSlabSize
+	// at a time, so steady-state directory churn — lines tracked, back-
+	// invalidated, re-tracked — allocates nothing. pendFree recycles
+	// pending trackers (one is allocated per serviced request, which is hot
+	// enough to pool).
+	dirFree  []*dirLine
 	pendFree []*pending
 
 	// collects holds this bank's open cluster-collector rounds (two-level
@@ -73,23 +77,29 @@ type Bank struct {
 	ClusterRounds                                       uint64
 }
 
+// dirTableCap is the initial directory slot count. The working set a bank
+// tracks is its share of the workload footprint; 256 slots cover 128 live
+// lines before the first (deterministic) doubling.
+const dirTableCap = 256
+
+const dirSlabSize = 64
+
 func newBank(sys *System, id int, sizeBytes, ways int, arena *cache.Arena) *Bank {
 	return &Bank{
 		sys: sys,
 		id:  id,
 		arr: cache.NewArrayIn(arena, sizeBytes, ways),
-		dir: newDirTable(dirTableCap),
+		dir: newLineTable[dirLine](dirTableCap),
 	}
 }
 
 // reset returns the bank to its just-constructed state in place (machine
 // reset between runs; see System.Reset for the contract). The LLC array
 // keeps its backing (generation reset), the directory table keeps its grown
-// capacity and recycles its live lines, and the pending free list stays
-// warm.
+// capacity and recycles its live lines, and the free lists stay warm.
 func (b *Bank) reset() {
 	b.arr.Reset()
-	b.dir.reset()
+	b.dir.reset(b.freeDirLine)
 	b.collects = b.collects[:0]
 	b.Requests, b.Rejections, b.Nacks, b.MemFetches, b.BackInvals = 0, 0, 0, 0, 0
 	b.ClusterRounds = 0
@@ -107,9 +117,35 @@ func (b *Bank) unframe(f mem.Line) mem.Line {
 	return mem.Line(uint64(f)*uint64(b.sys.Cores) + uint64(b.id))
 }
 
+// line returns the line's directory entry, tracking it (idle, from the free
+// list) if the directory is not yet.
 func (b *Bank) line(l mem.Line) *dirLine {
-	return b.dir.getOrCreate(l)
+	if d := b.dir.lookup(l); d != nil {
+		return d
+	}
+	if len(b.dirFree) == 0 {
+		slab := make([]dirLine, dirSlabSize)
+		for i := range slab {
+			b.dirFree = append(b.dirFree, &slab[i])
+		}
+	}
+	d := b.dirFree[len(b.dirFree)-1]
+	b.dirFree = b.dirFree[:len(b.dirFree)-1]
+	queue := d.queue[:0] // keep the queue's backing array across reuse
+	d.sharers.Clear()    // ditto the sharer set's extension words (>64 cores)
+	*d = dirLine{line: l, owner: -1, queue: queue, sharers: d.sharers}
+	b.dir.insert(d)
+	return d
 }
+
+// untrack deletes the line's directory entry, if any, recycling it.
+func (b *Bank) untrack(l mem.Line) {
+	if d := b.dir.remove(l); d != nil {
+		b.freeDirLine(d)
+	}
+}
+
+func (b *Bank) freeDirLine(d *dirLine) { b.dirFree = append(b.dirFree, d) }
 
 // newPending returns a zeroed pending tracker from the bank's free list.
 func (b *Bank) newPending() *pending {
@@ -249,7 +285,7 @@ func (b *Bank) serviceWithData(d *dirLine, m *Msg) {
 
 // fanoutInv invalidates every sharer but the requester (GetM over sharers);
 // the guard guarantees at least one target. Iteration is strictly ascending
-// by core id (SharerSet.Next), matching the old full 0..Cores scan's send
+// by core id (CoreSet.Next), matching the old full 0..Cores scan's send
 // order bit for bit.
 func (b *Bank) fanoutInv(d *dirLine, m *Msg) {
 	if b.sys.clustered() {
@@ -537,7 +573,7 @@ func (b *Bank) allocate(l mem.Line, cont func()) {
 func (b *Bank) backInvalidate(l mem.Line, cont func()) {
 	d := b.dir.lookup(l)
 	if d == nil || (d.state == dirI && !d.busy) {
-		b.dir.remove(l)
+		b.untrack(l)
 		cont()
 		return
 	}
@@ -549,14 +585,14 @@ func (b *Bank) backInvalidate(l mem.Line, cont func()) {
 		b.sys.Tracer.Emitf(b.id, trace.CatProto, l, "back-invalidation")
 	}
 	// Recall targets: the owner under dirEM, every sharer under dirS —
-	// sent in ascending core order either way (SharerSet.Next), matching
+	// sent in ascending core order either way (CoreSet.Next), matching
 	// the old full 0..Cores scan bit for bit.
 	n := d.sharerCount()
 	if d.state == dirEM {
 		n = 1
 	}
 	if n == 0 {
-		b.dir.remove(l)
+		b.untrack(l)
 		cont()
 		return
 	}
@@ -585,7 +621,7 @@ func (b *Bank) collectEvictAck(d *dirLine, m *Msg) {
 	cont := d.pend.evictCont
 	queue := d.queue
 	b.freePending(d.pend)
-	b.dir.remove(m.Line)
+	b.untrack(m.Line)
 	cont()
 	// Requests that queued behind the eviction restart from scratch; each
 	// queued message's ownership moves to its re-dispatch event.

@@ -73,7 +73,7 @@ func checkDirConsistency(t *testing.T, sys *System) {
 func fuzzSystem(t *testing.T, hc htm.Config, seed uint64, steps int) {
 	t.Helper()
 	p := DefaultParams()
-	p.Cores, p.MeshW, p.MeshH = 4, 2, 2
+	p.Cores = 4
 	p.LLCSize = 32 * 1024
 	p.LLCWays = 2 // tiny LLC: exercises back-invalidation too
 	fuzzSystemParams(t, p, hc, seed, steps)

@@ -30,7 +30,7 @@ const (
 // request per line. A rejected request is "held in the MSHR, marked
 // incomplete, and restored to the state before sending" (paper §III-A).
 type mshr struct {
-	line   mem.Line
+	line   mem.Line // first: the MSHR table's key (keyOf)
 	write  bool
 	txBits bool // set tx metadata on fill
 	epoch  uint64
@@ -44,6 +44,11 @@ type mshr struct {
 	parkSeq uint64 // invalidates stale park timeouts; monotonic across reuse
 	freed   bool   // on the free list; guards against double frees
 }
+
+// mshrTableCap is the initial MSHR slot count. 64 slots at the 1/2 max load
+// factor cover 32 concurrent MSHRs — far beyond what an in-order core with
+// one demand miss plus abort residue ever holds.
+const mshrTableCap = 64
 
 // L1 is a private L1 cache controller with best-effort HTM support and the
 // three LockillerTM mechanisms.
@@ -59,9 +64,9 @@ type L1 struct {
 	client Client
 	epoch  uint64 // bumped on every abort; stale callbacks are dropped
 
-	// mshrs is an open-addressed line→MSHR table (see mshrtable.go): flat,
-	// allocation-free in steady state, with O(1) live/parked counts.
-	mshrs mshrTable
+	// mshrs maps lines to live MSHRs (see linetable.go): flat and
+	// allocation-free in steady state, with an O(1) live count.
+	mshrs lineTable[mshr]
 	// mshrScratch is reused by sortedMshrs (deterministic iteration);
 	// mshrFree recycles resolved MSHRs (one is allocated per miss).
 	mshrScratch []*mshr
@@ -91,7 +96,7 @@ func newL1(sys *System, core int, arena *cache.Arena) *L1 {
 		core:  core,
 		arr:   cache.NewArrayIn(arena, sys.L1Size, sys.L1Ways),
 		Tx:    &htm.TxState{Core: core, Cfg: sys.HTM},
-		mshrs: newMshrTable(mshrTableCap),
+		mshrs: newLineTable[mshr](mshrTableCap),
 	}
 	if sys.MidSize > 0 {
 		l1.mid = cache.NewArrayIn(arena, sys.MidSize, sys.MidWays)
@@ -146,8 +151,16 @@ func (l1 *L1) Array() *cache.Array { return l1.arr }
 func (l1 *L1) MSHRCount() int { return l1.mshrs.live }
 
 // ParkedRequests returns the number of rejected requests currently held in
-// MSHRs awaiting a wake-up or timed retry (diagnostics). O(1).
-func (l1 *L1) ParkedRequests() int { return l1.mshrs.parked }
+// MSHRs awaiting a wake-up or timed retry (diagnostics).
+func (l1 *L1) ParkedRequests() int {
+	n := 0
+	for _, ms := range l1.mshrs.slots {
+		if ms != nil && ms.state == mshrParked {
+			n++
+		}
+	}
+	return n
+}
 
 // send routes a message from this L1 through the System's message pool.
 func (l1 *L1) send(v Msg) {
@@ -558,11 +571,10 @@ func (l1 *L1) applyDecision(m *Msg) {
 // the CPU and any waiters. A fill for a line in a stable state is a
 // declared protocol violation; dispatch panics with the recorded reason.
 func (l1 *L1) fill(m *Msg) {
-	ms := l1.mshrs.lookup(m.Line)
+	ms := l1.mshrs.remove(m.Line)
 	if ms == nil {
 		panic(fmt.Sprintf("coherence: L1 %d fill without MSHR for line %d", l1.core, m.Line))
 	}
-	l1.mshrs.remove(m.Line)
 	e := l1.arr.Lookup(m.Line)
 	if e == nil {
 		panic(fmt.Sprintf("coherence: L1 %d fill for uncached line %d", l1.core, m.Line))
@@ -659,7 +671,7 @@ func (l1 *L1) causeFromRejector(m *Msg) htm.AbortCause {
 // park holds a rejected request in the MSHR and schedules a retry after the
 // timeout; an earlier wake-up retries sooner.
 func (l1 *L1) park(ms *mshr, timeout uint64) {
-	l1.mshrs.setParked(ms)
+	ms.state = mshrParked
 	ms.parkSeq++
 	l1.sys.Engine.AfterEvent(timeout, l1, evL1ParkRetry,
 		l1.epoch<<32|ms.parkSeq&epochMask, ms)
@@ -707,7 +719,7 @@ func (l1 *L1) retry(ms *mshr) {
 		l1.resolveParked(ms)
 		return
 	}
-	l1.mshrs.setInFlight(ms)
+	ms.state = mshrInFlight
 	e := l1.arr.Lookup(ms.line)
 	if e != nil && e.State.Valid() {
 		if e.State == cache.Shared && ms.write {

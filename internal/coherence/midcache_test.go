@@ -14,7 +14,7 @@ import (
 func threeLevel(t *testing.T, hc htm.Config) *engineSys {
 	t.Helper()
 	p := DefaultParams()
-	p.Cores, p.MeshW, p.MeshH = 4, 2, 2
+	p.Cores = 4
 	p.LLCSize = 1 << 20
 	p.MidSize = 4 * 1024 // small middle cache: 64 lines
 	p.MidWays = 8
@@ -84,7 +84,7 @@ func TestMidCacheThreeLevelSlowerOnSharing(t *testing.T) {
 	// handover strictly slower — the reason the paper built two-level.
 	measure := func(mid bool) uint64 {
 		p := DefaultParams()
-		p.Cores, p.MeshW, p.MeshH = 4, 2, 2
+		p.Cores = 4
 		p.LLCSize = 1 << 20
 		if mid {
 			p.MidSize, p.MidWays = 4*1024, 8
@@ -206,7 +206,7 @@ func TestFuzzSWMRThreeLevel(t *testing.T) {
 
 func threeLevelParams() Params {
 	p := DefaultParams()
-	p.Cores, p.MeshW, p.MeshH = 4, 2, 2
+	p.Cores = 4
 	p.LLCSize = 32 * 1024
 	p.LLCWays = 2
 	p.MidSize = 4 * 1024

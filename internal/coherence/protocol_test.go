@@ -22,7 +22,7 @@ func tsys(t *testing.T, hc htm.Config) (*sim.Engine, *System, []*testClient) {
 	t.Helper()
 	e := sim.NewEngine()
 	p := DefaultParams()
-	p.Cores, p.MeshW, p.MeshH = 4, 2, 2
+	p.Cores = 4
 	p.LLCSize = 1 << 20
 	sys := NewSystem(e, p, hc)
 	clients := make([]*testClient, p.Cores)

@@ -52,7 +52,7 @@ func TestOwnerReRequestsAfterAbort(t *testing.T) {
 // LLC set can fill with lines that still have L1 copies.
 func tinyLLCParams() Params {
 	p := DefaultParams()
-	p.Cores, p.MeshW, p.MeshH = 4, 2, 2
+	p.Cores = 4
 	p.LLCSize = 32 * 1024 // 8KB/bank: 2-way => 64 sets
 	p.LLCWays = 2
 	return p
@@ -223,7 +223,7 @@ func TestTxWBRaceServesFreshData(t *testing.T) {
 
 func TestSmallCacheOverflowsUnderHTM(t *testing.T) {
 	p := DefaultParams()
-	p.Cores, p.MeshW, p.MeshH = 4, 2, 2
+	p.Cores = 4
 	p.L1Size = 8 * 1024 // the Fig. 13 small config
 	p.LLCSize = 1 << 20
 	e := newEngineSys(t, p, baseCfg())

@@ -18,12 +18,9 @@ import (
 type Params struct {
 	Cores int
 	// Topo selects the interconnect shape: "" or "mesh" (Table I), "torus"
-	// (wraparound X-Y), or "cmesh" (Conc tiles per router). MeshW×MeshH is
-	// the router grid; Cores must equal MeshW*MeshH (mesh, torus) or
-	// MeshW*MeshH*Conc (cmesh).
-	Topo         string
-	MeshW, MeshH int
-	Conc         int // tiles per router (cmesh only; 0 reads as 1)
+	// (wraparound X-Y), or "cmesh" (topology.CMeshConc tiles per router).
+	// The router grid is derived from Cores (topology.Grid).
+	Topo string
 	// ClusterSize, when >0 and < Cores, enables the two-level directory:
 	// invalidation fanout for a line is delegated to one collector bank per
 	// cluster of ClusterSize consecutive tiles (see cluster.go). Must
@@ -48,7 +45,7 @@ type Params struct {
 // 4-way L1s, 8MB 16-way shared LLC, 100-cycle memory.
 func DefaultParams() Params {
 	return Params{
-		Cores: 32, MeshW: 4, MeshH: 8,
+		Cores:  32,
 		L1Size: 32 * 1024, L1Ways: 4,
 		LLCSize: 8 * 1024 * 1024, LLCWays: 16,
 		L1Hit: 2, MidHit: 6, LLCHit: 12, DirLatency: 2, MemLatency: 100,
@@ -60,56 +57,28 @@ func DefaultParams() Params {
 // topologies, and two-level directory are all sized for it.
 const MaxCores = 1024
 
-// Validate panics on inconsistent parameters.
-func (p Params) Validate() {
+// Validate reports inconsistent parameters.
+func (p Params) Validate() error {
 	if p.Cores <= 0 || p.Cores > MaxCores {
-		panic(fmt.Sprintf("coherence: unsupported core count %d", p.Cores))
+		return fmt.Errorf("coherence: unsupported core count %d (want 1..%d)", p.Cores, MaxCores)
 	}
-	conc := p.Conc
-	if conc == 0 {
-		conc = 1
+	if _, _, _, err := topology.Grid(p.Topo, p.Cores); err != nil {
+		return err
 	}
-	if p.Topo != "cmesh" {
-		conc = 1
-	}
-	if p.MeshW*p.MeshH*conc != p.Cores {
-		panic(fmt.Sprintf("coherence: %s %dx%d (conc %d) does not match %d cores",
-			p.topoKind(), p.MeshW, p.MeshH, conc, p.Cores))
-	}
-	if p.LLCSize%(p.Cores) != 0 {
-		panic("coherence: LLC size must divide evenly across banks")
+	if p.LLCSize%p.Cores != 0 {
+		return fmt.Errorf("coherence: a %d-byte LLC does not split evenly across %d banks", p.LLCSize, p.Cores)
 	}
 	if p.ClusterSize > 0 {
 		if p.Cores%p.ClusterSize != 0 {
-			panic(fmt.Sprintf("coherence: cluster size %d does not divide %d cores",
-				p.ClusterSize, p.Cores))
+			return fmt.Errorf("coherence: cluster size %d does not divide %d cores",
+				p.ClusterSize, p.Cores)
 		}
 		if p.ClusterSize > 64 {
-			panic(fmt.Sprintf("coherence: cluster size %d exceeds the 64-core Mask width",
-				p.ClusterSize))
+			return fmt.Errorf("coherence: cluster size %d exceeds the 64-core Mask width",
+				p.ClusterSize)
 		}
 	}
-}
-
-// topoKind normalizes the Topo field ("" means the Table I mesh).
-func (p Params) topoKind() string {
-	if p.Topo == "" {
-		return "mesh"
-	}
-	return p.Topo
-}
-
-// topology builds the configured interconnect shape.
-func (p Params) topology() topology.Topology {
-	conc := p.Conc
-	if conc == 0 {
-		conc = 1
-	}
-	t, err := topology.New(p.topoKind(), p.MeshW, p.MeshH, conc)
-	if err != nil {
-		panic("coherence: " + err.Error())
-	}
-	return t
+	return nil
 }
 
 // System is the assembled memory subsystem: one L1 and one LLC bank per
@@ -150,14 +119,17 @@ type System struct {
 // NewSystem builds the memory subsystem for the given machine and HTM
 // configuration.
 func NewSystem(engine *sim.Engine, p Params, hc htm.Config) *System {
-	p.Validate()
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
+	topo, _ := topology.New(p.Topo, p.Cores) // Validate checked the shape
 	hc = hc.Defaults()
 	hc.Validate()
 	sys := &System{
 		Params:   p,
 		HTM:      hc,
 		Engine:   engine,
-		Net:      noc.New(engine, p.topology(), p.NoC),
+		Net:      noc.New(engine, topo, p.NoC),
 		LockLine: mem.Line(0),
 		fired:    newFiredCounters(),
 	}

@@ -129,7 +129,7 @@ func TestAtomicityLockTxVisibility(t *testing.T) {
 	hc := lockillerCfg()
 	hc.MaxRetries = 1 // nearly everything falls back to TL
 	p := smallParams()
-	p.Cores, p.MeshW, p.MeshH = 16, 4, 4
+	p.Cores = 16
 	counters := []mem.Line{1 << 21, 1<<21 + 1}
 	for seed := uint64(1); seed <= 4; seed++ {
 		cfg := Config{Machine: p, HTM: hc, Sync: SysHTM, Threads: 8, Seed: seed}

@@ -12,7 +12,7 @@ import (
 
 func smallParams() coherence.Params {
 	p := coherence.DefaultParams()
-	p.Cores, p.MeshW, p.MeshH = 4, 2, 2
+	p.Cores = 4
 	p.LLCSize = 1 << 20
 	return p
 }

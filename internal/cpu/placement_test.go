@@ -34,7 +34,7 @@ func TestPlacementChangesTiming(t *testing.T) {
 			Threads: 4, Seed: 5, Placement: pl}
 		// smallParams has 4 cores; use the default 32-core machine so the
 		// placements actually differ.
-		cfg.Machine.Cores, cfg.Machine.MeshW, cfg.Machine.MeshH = 32, 4, 8
+		cfg.Machine.Cores = 32
 		cfg.Machine.LLCSize = 8 << 20
 		r := run(t, cfg, progs)
 		return r.ExecCycles

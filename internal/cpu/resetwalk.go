@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"unsafe"
 
 	"repro/internal/cache"
@@ -20,15 +21,17 @@ import (
 // reachable from the machine. Three classes of state get special treatment,
 // each of which must be justified by a behavior-neutrality argument:
 //
-//   - warm pools (the protocol-message, MSHR, and pending-tracker free
-//     lists, and the directory's dirLine slabs) are skipped: entries are
-//     fully normalized when handed out, so pool population is invisible;
+//   - warm pools (the protocol-message, MSHR, pending-tracker and dirLine
+//     free lists) are skipped: entries are fully normalized when handed
+//     out, so pool population is invisible;
 //   - generation-reset cache arrays compare by shape plus Pristine(), not
 //     bytes: stale entries from a previous generation read as Invalid;
-//   - grown tables (directory, MSHR) compare by live population, not
+//   - grown line tables (directory, MSHR) compare by live population, not
 //     capacity: lookups are order-insensitive and growth is a deterministic
 //     function of the insertion history, so an empty grown table behaves
-//     exactly like an empty fresh one.
+//     exactly like an empty fresh one;
+//   - core sets must be empty on both sides; the length of their all-zero
+//     extension words is warm capacity.
 //
 // Functions and channels compare by nil-ness only (closure identity is
 // meaningless across machines); slices compare by length and elements, so
@@ -47,6 +50,7 @@ var resetWalkSkip = map[string]bool{
 	"coherence.L1.mshrFree":    true, // newMshr normalizes (parkSeq equality-only)
 	"coherence.L1.mshrScratch": true, // rebuilt from the table on every use
 	"coherence.Bank.pendFree":  true, // newPending zeroes on hand-out
+	"coherence.Bank.dirFree":   true, // Bank.line normalizes on hand-out
 	"htm.WakeSet.scratch":      true, // rebuilt from the bitmap on every drain
 }
 
@@ -167,7 +171,12 @@ func (w *resetWalker) walk(path string, a, b reflect.Value) {
 // structSpecial applies the type-level equivalence comparators (see
 // ResetDiff). It reports true when the type was fully handled.
 func (w *resetWalker) structSpecial(path string, a, b reflect.Value) bool {
-	switch a.Type().String() {
+	name := a.Type().String()
+	if strings.HasPrefix(name, "coherence.lineTable[") {
+		w.wantZeroField(path, a, b, "live")
+		return true
+	}
+	switch name {
 	case "cache.Array":
 		aa := (*cache.Array)(unsafe.Pointer(a.UnsafeAddr()))
 		bb := (*cache.Array)(unsafe.Pointer(b.UnsafeAddr()))
@@ -179,14 +188,7 @@ func (w *resetWalker) structSpecial(path string, a, b reflect.Value) bool {
 			w.report(path, "reset-side cache not pristine")
 		}
 		return true
-	case "coherence.dirTable":
-		w.wantZeroField(path, a, b, "live")
-		return true
-	case "coherence.mshrTable":
-		w.wantZeroField(path, a, b, "live")
-		w.wantZeroField(path, a, b, "parked")
-		return true
-	case "htm.WakeSet":
+	case "htm.CoreSet":
 		w.wantEmptyBitmap(path+" (fresh)", a)
 		w.wantEmptyBitmap(path+" (reset)", b)
 		return true
@@ -205,8 +207,8 @@ func (w *resetWalker) wantZeroField(path string, a, b reflect.Value, name string
 	}
 }
 
-// wantEmptyBitmap asserts a WakeSet-shaped struct (w0 uint64 + ext []uint64)
-// holds no bits; ext length is warm capacity and invisible when all-zero.
+// wantEmptyBitmap asserts a CoreSet (w0 uint64 + ext []uint64) holds no
+// bits; ext length is warm capacity and invisible when all-zero.
 func (w *resetWalker) wantEmptyBitmap(path string, v reflect.Value) {
 	if x := v.FieldByName("w0").Uint(); x != 0 {
 		w.report(path+".w0", "%#x, want 0", x)

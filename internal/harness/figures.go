@@ -9,6 +9,7 @@ import (
 	"repro/internal/htm"
 	"repro/internal/stamp"
 	"repro/internal/stats"
+	"repro/internal/topology"
 )
 
 // Figure is a regenerated table/figure from the paper's evaluation.
@@ -677,13 +678,10 @@ func RenderTable1Params(w io.Writer, p coherence.Params) {
 	if p.Topo != "" {
 		topo = p.Topo
 	}
-	topoRow := fmt.Sprintf("2-D %s (%dx%d), X-Y", topo, p.MeshW, p.MeshH)
+	gw, gh, conc, _ := topology.Grid(p.Topo, p.Cores) // p is a valid machine shape
+	topoRow := fmt.Sprintf("2-D %s (%dx%d), X-Y", topo, gw, gh)
 	if topo == "cmesh" {
-		conc := p.Conc
-		if conc == 0 {
-			conc = 1
-		}
-		topoRow = fmt.Sprintf("2-D cmesh (%dx%d routers, %d tiles each), X-Y", p.MeshW, p.MeshH, conc)
+		topoRow = fmt.Sprintf("2-D cmesh (%dx%d routers, %d tiles each), X-Y", gw, gh, conc)
 	}
 	coherenceRow := "MESI, directory-based (blocking, dir-mediated)"
 	if p.ClusterSize > 0 {

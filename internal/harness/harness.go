@@ -100,8 +100,9 @@ type Spec struct {
 	// cores, 4x8 mesh, flat directory) for scaling runs (DESIGN.md §13).
 	// Zero values keep the defaults — and the memo keys they produced
 	// before these fields existed. Cores derives a near-square grid
-	// (GridFor). Topo picks mesh, torus, or cmesh (4 tiles per router);
-	// ClusterSize enables the two-level directory.
+	// (topology.Grid). Topo picks mesh, torus, or cmesh
+	// (topology.CMeshConc tiles per router); ClusterSize enables the
+	// two-level directory.
 	Cores       int
 	Topo        string
 	ClusterSize int
@@ -141,17 +142,14 @@ func (s Spec) poolKey() string {
 	return fmt.Sprintf("%s|%d|%s", s.System.Name, s.Threads, s.Cache.Name) + s.keySuffix()
 }
 
-// GridFor returns the most-square W×H factorization of n tiles with W ≤ H,
-// matching Table I's 4x8 orientation at 32: 64→8x8, 128→8x16, 256→16x16,
-// 512→16x32, 1024→32x32.
-func GridFor(n int) (w, h int) {
-	w = 1
-	for d := 1; d*d <= n; d++ {
-		if n%d == 0 {
-			w = d
-		}
+// Validate reports a spec whose machine cannot be built: a thread count
+// outside 1..cores, or an inconsistent machine shape (coherence.Params).
+func (s Spec) Validate() error {
+	p := s.MachineParams()
+	if s.Threads < 1 || s.Threads > p.Cores {
+		return fmt.Errorf("harness: %d threads on %d cores (want 1..%d)", s.Threads, p.Cores, p.Cores)
 	}
-	return w, n / w
+	return p.Validate()
 }
 
 // MachineParams resolves the spec's machine shape: Table I defaults plus
@@ -168,13 +166,6 @@ func (s Spec) MachineParams() coherence.Params {
 	}
 	if s.ClusterSize > 0 {
 		p.ClusterSize = s.ClusterSize
-	}
-	switch {
-	case p.Topo == "cmesh": // 4 tiles per router
-		p.Conc = 4
-		p.MeshW, p.MeshH = GridFor(p.Cores / p.Conc)
-	case s.Cores > 0:
-		p.MeshW, p.MeshH = GridFor(p.Cores)
 	}
 	return p
 }

@@ -18,7 +18,9 @@ import (
 // is TestGoldenCycleCountsReuse; the nightly determinism job runs
 // both under -race. Each round runs two workloads of one shape back to back
 // on one pool (Workers=1), so the second result always comes from a reset
-// machine.
+// machine. Outside -short, three more rounds reset 128-core scaling machines
+// (mesh, cmesh and torus, two-level directory), which reach the core sets'
+// extension words and the cluster collectors.
 func TestReuseDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	systems := Systems()
@@ -35,27 +37,44 @@ func TestReuseDifferentialRandom(t *testing.T) {
 		seed := uint64(rng.Intn(1000) + 1)
 		t.Run(fmt.Sprintf("%s|%d|%s|%s->%s", shape.System.Name, shape.Threads,
 			shape.Cache.Name, wlA.Name, wlB.Name), func(t *testing.T) {
-			r := NewRunner(seed)
-			r.Workers = 1
-			specA, specB := shape, shape
-			specA.Workload, specB.Workload = wlA, wlB
-			if _, err := r.Get(specA); err != nil {
-				t.Fatal(err)
-			}
-			reused, err := r.Get(specB) // reset-then-run on specA's machine
-			if err != nil {
-				t.Fatal(err)
-			}
-			specB.Seed = seed
-			fresh, err := Execute(specB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fresh, reused) {
-				t.Errorf("reset-then-run diverged from fresh-build-then-run for %s:\nfresh : %+v\nreused: %+v",
-					specB.Key(), fresh, reused)
-			}
+			checkReuse(t, shape, wlA, wlB, seed)
 		})
+	}
+	if testing.Short() {
+		return
+	}
+	for _, topo := range []string{"", "cmesh", "torus"} {
+		shape := ScalingSpec(mustSystem("LockillerTM"), stamp.Profile{}, 128)
+		shape.Topo = topo
+		seed := uint64(rng.Intn(1000) + 1)
+		t.Run(fmt.Sprintf("%s|%d%s|kmeans->intruder", shape.System.Name, shape.Threads, shape.keySuffix()),
+			func(t *testing.T) { checkReuse(t, shape, stamp.Kmeans(), stamp.Intruder(), seed) })
+	}
+}
+
+// checkReuse runs wlA then wlB on one pooled machine of the given shape and
+// requires wlB's result to deep-equal a fresh build's.
+func checkReuse(t *testing.T, shape Spec, wlA, wlB stamp.Profile, seed uint64) {
+	t.Helper()
+	r := NewRunner(seed)
+	r.Workers = 1
+	specA, specB := shape, shape
+	specA.Workload, specB.Workload = wlA, wlB
+	if _, err := r.Get(specA); err != nil {
+		t.Fatal(err)
+	}
+	reused, err := r.Get(specB) // reset-then-run on specA's machine
+	if err != nil {
+		t.Fatal(err)
+	}
+	specB.Seed = seed
+	fresh, err := Execute(specB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, reused) {
+		t.Errorf("reset-then-run diverged from fresh-build-then-run for %s:\nfresh : %+v\nreused: %+v",
+			specB.Key(), fresh, reused)
 	}
 }
 

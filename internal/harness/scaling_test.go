@@ -5,21 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/coherence"
 	"repro/internal/stamp"
 )
-
-// TestGridFor pins the derived grids of the scaling sweep (DESIGN.md §13).
-func TestGridFor(t *testing.T) {
-	cases := []struct{ n, w, h int }{
-		{8, 2, 4}, {32, 4, 8}, {64, 8, 8}, {128, 8, 16},
-		{256, 16, 16}, {512, 16, 32}, {1024, 32, 32},
-	}
-	for _, c := range cases {
-		if w, h := GridFor(c.n); w != c.w || h != c.h {
-			t.Errorf("GridFor(%d) = %dx%d, want %dx%d", c.n, w, h, c.w, c.h)
-		}
-	}
-}
 
 // TestSpecKeyScalingSuffixOnly guards memo-key compatibility: a spec with
 // no scaling overrides must produce exactly the pre-scaling key (persisted
@@ -41,28 +29,57 @@ func TestSpecKeyScalingSuffixOnly(t *testing.T) {
 	}
 }
 
-// TestMachineParamsOverrides checks the spec-to-machine resolution:
-// derived grids and cmesh concentration.
+// TestMachineParamsOverrides checks the spec-to-machine resolution: the
+// Table I defaults plus the scaling overrides.
 func TestMachineParamsOverrides(t *testing.T) {
 	s := Spec{Cache: TypicalCache()}
-	if p := s.MachineParams(); p.Cores != 32 || p.MeshW != 4 || p.MeshH != 8 || p.Topo != "" {
+	if p := s.MachineParams(); p != coherence.DefaultParams() {
 		t.Fatalf("no-override params changed: %+v", p)
 	}
-	s.Cores = 256
-	if p := s.MachineParams(); p.MeshW != 16 || p.MeshH != 16 {
-		t.Fatalf("256-core grid = %dx%d, want 16x16", p.MeshW, p.MeshH)
-	}
-	s.Topo = "cmesh"
-	if p := s.MachineParams(); p.Conc != 4 || p.MeshW*p.MeshH*p.Conc != 256 {
-		t.Fatalf("cmesh params = %+v, want 4 tiles per router over 256 cores", p)
-	}
-	s.Topo = "torus"
-	s.ClusterSize = 16
+	s.Cores, s.Topo, s.ClusterSize = 256, "torus", 16
 	p := s.MachineParams()
-	if p.Topo != "torus" || p.ClusterSize != 16 || p.Conc != 0 {
+	if p.Cores != 256 || p.Topo != "torus" || p.ClusterSize != 16 {
 		t.Fatalf("torus params = %+v", p)
 	}
-	p.Validate()
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpecValidate rejects the machine shapes lockillersim used to die on
+// with a panic, named by the flags that produced them, and accepts the
+// shapes the CLIs and the scaling sweep build.
+func TestSpecValidate(t *testing.T) {
+	base := Spec{System: mustSystem("LockillerTM"), Workload: stamp.Intruder(), Threads: 2, Cache: TypicalCache()}
+	for _, c := range []struct {
+		name     string
+		mod      func(*Spec)
+		wantFail string // "" for a valid shape, else a substring of the error
+	}{
+		{"-threads 0", func(s *Spec) { s.Threads = 0 }, "0 threads on 32 cores"},
+		{"-threads 40", func(s *Spec) { s.Threads = 40 }, "40 threads on 32 cores"},
+		{"-cores 48", func(s *Spec) { s.Cores = 48 }, "does not split evenly across 48 banks"},
+		{"-cores 2000", func(s *Spec) { s.Cores = 2000 }, "unsupported core count 2000"},
+		{"-cores 30 -topo cmesh", func(s *Spec) { s.Cores, s.Topo = 30, "cmesh" }, "30 tiles"},
+		{"-cores 64 -cluster 7", func(s *Spec) { s.Cores, s.ClusterSize = 64, 7 }, "cluster size 7"},
+		{"-topo ring", func(s *Spec) { s.Topo = "ring" }, "unknown kind"},
+		{"defaults", func(s *Spec) {}, ""},
+		{"-threads 32", func(s *Spec) { s.Threads = 32 }, ""},
+		{"-topo torus -cluster 8", func(s *Spec) { s.Topo, s.ClusterSize = "torus", 8 }, ""},
+		{"-cores 64 -topo cmesh", func(s *Spec) { s.Cores, s.Topo = 64, "cmesh" }, ""},
+		{"-cores 128 -cluster 16", func(s *Spec) { s.Cores, s.ClusterSize = 128, 16 }, ""},
+		{"scaling 1024 cmesh", func(s *Spec) { *s = ScalingSpec(s.System, s.Workload, 1024); s.Topo = "cmesh" }, ""},
+	} {
+		s := base
+		c.mod(&s)
+		err := s.Validate()
+		switch {
+		case c.wantFail == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.wantFail != "" && (err == nil || !strings.Contains(err.Error(), c.wantFail)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.wantFail)
+		}
+	}
 }
 
 // TestScaling256Deterministic runs a 256-core, two-level-directory machine

@@ -1,4 +1,4 @@
-package coherence
+package htm
 
 import (
 	"math/rand"
@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// sparseSharers is a deliberately naive sparse model (sorted core list) the
-// dense word-based SharerSet is differentially tested against: both must
+// sparseCores is a deliberately naive sparse model (sorted core list) the
+// dense word-based CoreSet is differentially tested against: both must
 // agree on every operation over randomized add/drop/iterate sequences, and
-// SharerSet's iteration must be strictly ascending like the sorted model's.
-type sparseSharers map[int]bool
+// CoreSet's iteration must be strictly ascending like the sorted model's.
+type sparseCores map[int]bool
 
-func (s sparseSharers) ordered() []int {
+func (s sparseCores) ordered() []int {
 	out := make([]int, 0, len(s))
 	for c := range s {
 		out = append(out, c)
@@ -21,7 +21,7 @@ func (s sparseSharers) ordered() []int {
 	return out
 }
 
-func collect(s *SharerSet) []int {
+func collect(s *CoreSet) []int {
 	var out []int
 	for c, ok := s.Next(-1); ok; c, ok = s.Next(c) {
 		out = append(out, c)
@@ -29,11 +29,11 @@ func collect(s *SharerSet) []int {
 	return out
 }
 
-func TestSharerSetDifferential(t *testing.T) {
+func TestCoreSetDifferential(t *testing.T) {
 	for _, cores := range []int{32, 64, 65, 128, 1024} {
 		rng := rand.New(rand.NewSource(int64(cores))) // deterministic
-		var dense SharerSet
-		sparse := sparseSharers{}
+		var dense CoreSet
+		sparse := sparseCores{}
 		for op := 0; op < 4000; op++ {
 			c := rng.Intn(cores)
 			switch rng.Intn(4) {
@@ -56,10 +56,6 @@ func TestSharerSetDifferential(t *testing.T) {
 			if dense.Count() != len(sparse) {
 				t.Fatalf("cores=%d op=%d: Count = %d, sparse says %d",
 					cores, op, dense.Count(), len(sparse))
-			}
-			if dense.Empty() != (len(sparse) == 0) {
-				t.Fatalf("cores=%d op=%d: Empty = %v, sparse says %v",
-					cores, op, dense.Empty(), len(sparse) == 0)
 			}
 			// Full iteration agreement + strictly ascending order.
 			got := collect(&dense)
@@ -92,10 +88,10 @@ func TestSharerSetDifferential(t *testing.T) {
 	}
 }
 
-func TestSharerSetSingleWordStaysInline(t *testing.T) {
+func TestCoreSetSingleWordStaysInline(t *testing.T) {
 	// Cores below 64 must never allocate extension words: the paper's
 	// 32-core machine keeps the exact old raw-uint64 representation.
-	var s SharerSet
+	var s CoreSet
 	for c := 0; c < 64; c++ {
 		s.Add(c)
 	}
@@ -111,12 +107,12 @@ func TestSharerSetSingleWordStaysInline(t *testing.T) {
 	}
 }
 
-func TestSharerSetClearKeepsBacking(t *testing.T) {
-	var s SharerSet
+func TestCoreSetClearKeepsBacking(t *testing.T) {
+	var s CoreSet
 	s.Add(900)
 	ext := &s.ext[0]
 	s.Clear()
-	if !s.Empty() {
+	if s.Count() != 0 {
 		t.Fatal("Clear must empty the set")
 	}
 	s.Add(900)

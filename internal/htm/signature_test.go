@@ -82,7 +82,7 @@ func TestSignatureQuickMembership(t *testing.T) {
 
 func TestWakeSetDrain(t *testing.T) {
 	var w WakeSet
-	if !w.Empty() {
+	if w.Count() != 0 {
 		t.Fatal("zero value should be empty")
 	}
 	w.Add(3)
@@ -96,7 +96,7 @@ func TestWakeSetDrain(t *testing.T) {
 	if len(got) != 2 || got[0] != 3 || got[1] != 31 {
 		t.Fatalf("Drain = %v", got)
 	}
-	if !w.Empty() {
+	if w.Count() != 0 {
 		t.Fatal("Drain must clear")
 	}
 }
@@ -130,7 +130,7 @@ func TestWakeSetBeyond64(t *testing.T) {
 			t.Fatalf("Drain = %v, want %v (ascending)", got, want)
 		}
 	}
-	if !w.Empty() {
+	if w.Count() != 0 {
 		t.Fatal("Drain must clear extension words")
 	}
 	// Re-adds during a drain are kept for the next drain, not woken twice.

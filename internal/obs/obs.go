@@ -11,8 +11,8 @@
 //     import it for the EngineProbe interface, but obs never imports them,
 //     so no host state can flow back into model code.
 //   - obs is the only package allowed to read the wall clock. The
-//     lockillerlint `hostclock` analyzer enforces that `time.Now` (and its
-//     siblings) appear nowhere else, and `tracehook` that every
+//     lockillerlint `nowallclock` analyzer enforces that `time.Now` (and
+//     its siblings) appear nowhere else, and `tracehook` that every
 //     EngineProbe callsite outside obs is nil-guarded, so the disabled path
 //     stays a pointer test.
 //
@@ -28,7 +28,7 @@ import (
 
 // Timer measures host wall time from a fixed start. It wraps the monotonic
 // clock reading so callers outside this package never touch time.Now
-// directly (the hostclock lint rule).
+// directly (the nowallclock lint rule).
 type Timer struct {
 	start time.Time
 }

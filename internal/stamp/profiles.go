@@ -144,9 +144,3 @@ func ByName(name string) (Profile, error) {
 	}
 	return Profile{}, fmt.Errorf("stamp: unknown workload %q", name)
 }
-
-// HighContention lists the workloads the paper calls high-contention, used
-// when reporting the extreme-scenario maxima of Fig. 13.
-func HighContention() []string {
-	return []string{"intruder", "kmeans+", "vacation+", "labyrinth", "yada"}
-}

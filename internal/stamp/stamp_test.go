@@ -27,11 +27,6 @@ func TestWorkloadRegistry(t *testing.T) {
 	if _, err := ByName("bayes"); err == nil {
 		t.Fatal("bayes is excluded by the paper and must not resolve")
 	}
-	for _, h := range HighContention() {
-		if !names[h] {
-			t.Fatalf("high-contention workload %s not registered", h)
-		}
-	}
 }
 
 func TestProgramsDeterministic(t *testing.T) {

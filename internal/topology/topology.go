@@ -45,18 +45,53 @@ type Topology interface {
 // demand (the NoC applies the same bound to its link-index tables).
 const RouteTableTiles = 256
 
-// New builds a topology by name. w and h are the router grid; conc is the
-// tiles-per-router concentration (cmesh only; ignored elsewhere).
-func New(kind string, w, h, conc int) (Topology, error) {
+// CMeshConc is the concentrated mesh's tiles per router.
+const CMeshConc = 4
+
+// Grid derives the router grid a kind of topology lays over tiles: the
+// most-square W×H factorization with W ≤ H of the routers — one per tile on
+// a mesh or torus, one per CMeshConc tiles on a cmesh. That matches Table
+// I's 4x8 mesh at 32 tiles and gives 64→8x8, 128→8x16, 256→16x16,
+// 512→16x32 and 1024→32x32. conc is the tiles per router.
+func Grid(kind string, tiles int) (w, h, conc int, err error) {
+	conc = 1
 	switch kind {
-	case "", "mesh":
-		return NewMesh(w, h), nil
+	case "", "mesh", "torus":
+	case "cmesh":
+		conc = CMeshConc
+	default:
+		return 0, 0, 0, fmt.Errorf("topology: unknown kind %q (want mesh, torus, or cmesh)", kind)
+	}
+	if tiles <= 0 {
+		return 0, 0, 0, fmt.Errorf("topology: invalid tile count %d", tiles)
+	}
+	if tiles%conc != 0 {
+		return 0, 0, 0, fmt.Errorf("topology: %d tiles do not fill cmesh routers of %d tiles", tiles, conc)
+	}
+	routers := tiles / conc
+	w = 1
+	for d := 1; d*d <= routers; d++ {
+		if routers%d == 0 {
+			w = d
+		}
+	}
+	return w, routers / w, conc, nil
+}
+
+// New builds a topology of the given kind ("" is the Table I mesh) over
+// tiles, on the router grid Grid derives.
+func New(kind string, tiles int) (Topology, error) {
+	w, h, conc, err := Grid(kind, tiles)
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
 	case "torus":
 		return NewTorus(w, h), nil
 	case "cmesh":
 		return NewCMesh(w, h, conc), nil
 	}
-	return nil, fmt.Errorf("topology: unknown kind %q (want mesh, torus, or cmesh)", kind)
+	return NewMesh(w, h), nil
 }
 
 // --- Mesh ------------------------------------------------------------------

@@ -92,16 +92,44 @@ func TestNewFactory(t *testing.T) {
 		kind string
 		want string
 	}{{"", "mesh"}, {"mesh", "mesh"}, {"torus", "torus"}, {"cmesh", "cmesh"}} {
-		topo, err := New(tc.kind, 4, 4, 2)
+		topo, err := New(tc.kind, 32)
 		if err != nil {
 			t.Fatalf("New(%q): %v", tc.kind, err)
 		}
-		if topo.Name() != tc.want {
-			t.Fatalf("New(%q).Name() = %q, want %q", tc.kind, topo.Name(), tc.want)
+		if topo.Name() != tc.want || topo.Tiles() != 32 {
+			t.Fatalf("New(%q) = %s with %d tiles, want %s with 32", tc.kind, topo.Name(), topo.Tiles(), tc.want)
 		}
 	}
-	if _, err := New("hypercube", 4, 4, 1); err == nil {
+	if _, err := New("hypercube", 32); err == nil {
 		t.Fatal("expected error for unknown topology kind")
+	}
+}
+
+// TestGrid pins the derived router grids of the scaling sweep (DESIGN.md
+// §13) and the shapes no grid fits.
+func TestGrid(t *testing.T) {
+	cases := []struct {
+		kind          string
+		n, w, h, conc int
+	}{
+		{"", 8, 2, 4, 1}, {"mesh", 32, 4, 8, 1}, {"", 64, 8, 8, 1}, {"torus", 128, 8, 16, 1},
+		{"", 256, 16, 16, 1}, {"", 512, 16, 32, 1}, {"", 1024, 32, 32, 1},
+		{"cmesh", 32, 2, 4, CMeshConc}, {"cmesh", 256, 8, 8, CMeshConc},
+	}
+	for _, c := range cases {
+		w, h, conc, err := Grid(c.kind, c.n)
+		if err != nil || w != c.w || h != c.h || conc != c.conc {
+			t.Errorf("Grid(%q, %d) = %dx%d conc %d (%v), want %dx%d conc %d",
+				c.kind, c.n, w, h, conc, err, c.w, c.h, c.conc)
+		}
+	}
+	for _, bad := range []struct {
+		kind string
+		n    int
+	}{{"", 0}, {"torus", -4}, {"cmesh", 30}, {"ring", 32}} {
+		if _, _, _, err := Grid(bad.kind, bad.n); err == nil {
+			t.Errorf("Grid(%q, %d) succeeded, want an error", bad.kind, bad.n)
+		}
 	}
 }
 
