@@ -76,8 +76,8 @@ telemetry-smoke:
 
 # Host-side observability check: a small same-seed sweep run twice must
 # produce byte-identical redacted run ledgers, the ledger JSONL must pass
-# the schema validator, and -obs must print the engine self-profile.
-# Offline; runs in the nightly CI.
+# the schema validator, and lockillersim -selfprofile must print the engine
+# self-profile. Offline; runs in CI's test job.
 obs-smoke:
 	sh scripts/obs_smoke.sh
 

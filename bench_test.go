@@ -339,12 +339,24 @@ func BenchmarkEngineEvents(b *testing.B) {
 	}
 }
 
+// nopHandler discards delivered events, so BenchmarkNoCSend measures only
+// the send path.
+type nopHandler struct{}
+
+func (nopHandler) OnEvent(uint8, uint64, any) {}
+
+// BenchmarkNoCSend measures SendEvent, the path every protocol message
+// takes, on Table I's 4x8 mesh.
 func BenchmarkNoCSend(b *testing.B) {
 	e := sim.NewEngine()
-	net := noc.New(e, topology.NewMesh(4, 8), noc.DefaultConfig())
+	topo, err := topology.New("", 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := noc.New(e, topo, noc.DefaultConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Send(i%32, (i*7)%32, noc.DataFlits, func() {})
+		net.SendEvent(i%32, (i*7)%32, noc.DataFlits, nopHandler{}, 0, 0, nil)
 		if i%1024 == 0 {
 			for e.Step() {
 			}

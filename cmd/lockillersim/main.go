@@ -5,7 +5,7 @@
 // Usage:
 //
 //	lockillersim -system LockillerTM -workload intruder -threads 8 [-cache small] [-seed 1]
-//	lockillersim -obs                # profile the event engine and print the report
+//	lockillersim -selfprofile        # profile the event engine and print the report
 //	lockillersim -ledger run.jsonl   # write this run's ledger record (JSONL)
 //	lockillersim -results out/cache  # check/fill the content-addressed result cache
 //	lockillersim -list
@@ -49,7 +49,7 @@ func main() {
 	topo := flag.String("topo", "", "interconnect topology: mesh, torus, or cmesh (default: Table I's mesh)")
 	cluster := flag.Int("cluster", 0, "two-level directory cluster size (0 = flat directory)")
 	resultsDir := flag.String("results", "", "content-addressed result cache directory shared with lockillerbench (checked before running, stored after; ignored for instrumented or custom runs)")
-	obsFlag := flag.Bool("obs", false, "profile the event engine (host-side) and print the self-profile report")
+	selfProfile := flag.Bool("selfprofile", false, "profile the event engine (host-side) and print the self-profile report")
 	ledgerPath := flag.String("ledger", "", "write this run's ledger record to the file as JSONL")
 	obsRedact := flag.Bool("obs-redact", false, "zero host-derived ledger fields (wall, allocator) for byte-stable diffing")
 	flag.Parse()
@@ -135,7 +135,7 @@ func main() {
 	}
 	var prof *obs.Profiler
 	opts := harness.ExecOptions{Tracer: tracer, Telemetry: tel}
-	if *obsFlag {
+	if *selfProfile {
 		prof = obs.NewProfiler()
 		opts.Probe = prof // never wrap a nil *Profiler in the interface
 	}

@@ -1,12 +1,13 @@
-package cpu
+package cpu_test
 
 import (
-	"fmt"
+	"bytes"
 	"testing"
 
-	"repro/internal/htm"
+	"repro/internal/coherence"
+	"repro/internal/cpu"
+	"repro/internal/harness"
 	"repro/internal/mem"
-	"repro/internal/priority"
 )
 
 // The atomicity battery: every synchronization system must make N threads'
@@ -14,17 +15,26 @@ import (
 // reading the same value and both committing — would make the final count
 // come up short, exposing any isolation hole in the protocol (missed
 // conflict detection, a reject that let a stale read survive, a speculative
-// write leaking before commit).
+// write leaking before commit). It is an external test package so it can
+// range over harness.Systems(), the one definition of Table II.
 
-func atomicityPrograms(threads, incs int, counters []mem.Line) []Program {
-	progs := make([]Program, threads)
+// smallParams is a 4-core machine with a 1 MiB LLC.
+func smallParams() coherence.Params {
+	p := coherence.DefaultParams()
+	p.Cores = 4
+	p.LLCSize = 1 << 20
+	return p
+}
+
+func atomicityPrograms(threads, incs int, counters []mem.Line) []cpu.Program {
+	progs := make([]cpu.Program, threads)
 	for th := 0; th < threads; th++ {
-		var p Program
+		var p cpu.Program
 		for i := 0; i < incs; i++ {
 			c := counters[(th+i)%len(counters)]
 			p = append(p,
-				AtomicStatic([]Op{Compute(3), RMW(c), Compute(2)}),
-				Plain([]Op{Compute(10)}),
+				cpu.AtomicStatic([]cpu.Op{cpu.Compute(3), cpu.RMW(c), cpu.Compute(2)}),
+				cpu.Plain([]cpu.Op{cpu.Compute(10)}),
 			)
 		}
 		progs[th] = p
@@ -32,36 +42,25 @@ func atomicityPrograms(threads, incs int, counters []mem.Line) []Program {
 	return progs
 }
 
-func allSystems() map[string]struct {
-	sync SyncSystem
-	hc   htm.Config
-} {
-	ins := priority.InstsBased{}
-	rwi := htm.Recovery{Policy: htm.WaitWakeup}
-	return map[string]struct {
-		sync SyncSystem
-		hc   htm.Config
-	}{
-		"CGL":      {SysCGL, htm.Config{}.Defaults()},
-		"Baseline": {SysHTM, htm.Config{}.Defaults()},
-		"RAI":      {SysHTM, htm.Config{Conflict: htm.Recovery{Policy: htm.SelfAbort}, Priority: ins}.Defaults()},
-		"RRI":      {SysHTM, htm.Config{Conflict: htm.Recovery{Policy: htm.RetryLater}, Priority: ins}.Defaults()},
-		"RWI":      {SysHTM, htm.Config{Conflict: rwi, Priority: ins}.Defaults()},
-		"RWIL":     {SysHTM, htm.Config{Conflict: rwi, Priority: ins, HTMLock: true}.Defaults()},
-		"Full":     {SysHTM, htm.Config{Conflict: rwi, Overflow: htm.SwitchOverflow{}, Priority: ins, HTMLock: true}.Defaults()},
-		"Losa":     {SysHTM, htm.Config{Conflict: htm.Losa{}, Priority: priority.Progression{}}.Defaults()},
+// system returns a Table II row by name.
+func system(t *testing.T, name string) harness.SystemDef {
+	t.Helper()
+	s, err := harness.SystemByName(name)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return s
 }
 
 func TestAtomicityAllSystems(t *testing.T) {
 	const threads, incs = 4, 60
 	counters := []mem.Line{1 << 21, 1<<21 + 1} // two hot counters
-	for name, sc := range allSystems() {
-		name, sc := name, sc
-		t.Run(name, func(t *testing.T) {
+	for _, sys := range harness.Systems() {
+		sys := sys
+		t.Run(sys.Name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				cfg := Config{Machine: smallParams(), HTM: sc.hc, Sync: sc.sync, Threads: threads, Seed: seed}
-				m := NewMachine(cfg, name, "atomicity", atomicityPrograms(threads, incs, counters))
+				cfg := cpu.Config{Machine: smallParams(), HTM: sys.HTM, Sync: sys.Sync, Threads: threads, Seed: seed}
+				m := cpu.NewMachine(cfg, sys.Name, "atomicity", atomicityPrograms(threads, incs, counters))
 				if _, err := m.Run(); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -85,29 +84,29 @@ func TestAtomicityUnderOverflowAndFaults(t *testing.T) {
 	const threads = 4
 	counter := mem.Line(1 << 21)
 	sets := 32 * 1024 / 64 / 4
-	progs := make([]Program, threads)
+	progs := make([]cpu.Program, threads)
 	for th := 0; th < threads; th++ {
-		var p Program
+		var p cpu.Program
 		for i := 0; i < 12; i++ {
-			ops := []Op{RMW(counter)}
+			ops := []cpu.Op{cpu.RMW(counter)}
 			if i%3 == 0 {
 				// Overflow the L1 set mid-transaction.
 				for j := 0; j < 5; j++ {
-					ops = append(ops, Write(mem.Line(1<<22+th*4096+j*sets)))
+					ops = append(ops, cpu.Write(mem.Line(1<<22+th*4096+j*sets)))
 				}
 			}
 			if i%4 == 1 {
-				ops = append(ops, Fault())
+				ops = append(ops, cpu.Fault())
 			}
-			p = append(p, AtomicStatic(ops), Plain([]Op{Compute(20)}))
+			p = append(p, cpu.AtomicStatic(ops), cpu.Plain([]cpu.Op{cpu.Compute(20)}))
 		}
 		progs[th] = p
 	}
-	for _, name := range []string{"Baseline", "Full"} {
-		sc := allSystems()[name]
-		t.Run(name, func(t *testing.T) {
-			cfg := Config{Machine: smallParams(), HTM: sc.hc, Sync: sc.sync, Threads: threads, Seed: 5}
-			m := NewMachine(cfg, name, "stress", progs)
+	for _, sys := range harness.Systems() {
+		sys := sys
+		t.Run(sys.Name, func(t *testing.T) {
+			cfg := cpu.Config{Machine: smallParams(), HTM: sys.HTM, Sync: sys.Sync, Threads: threads, Seed: 5}
+			m := cpu.NewMachine(cfg, sys.Name, "stress", progs)
 			if _, err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -126,14 +125,15 @@ func TestAtomicityUnderOverflowAndFaults(t *testing.T) {
 // budgets force constant fallbacks; 8 threads on 2 hot counters maximize
 // wake-then-read pressure.
 func TestAtomicityLockTxVisibility(t *testing.T) {
-	hc := lockillerCfg()
+	sys := system(t, "LockillerTM")
+	hc := sys.HTM
 	hc.MaxRetries = 1 // nearly everything falls back to TL
 	p := smallParams()
 	p.Cores = 16
 	counters := []mem.Line{1 << 21, 1<<21 + 1}
 	for seed := uint64(1); seed <= 4; seed++ {
-		cfg := Config{Machine: p, HTM: hc, Sync: SysHTM, Threads: 8, Seed: seed}
-		m := NewMachine(cfg, "tl-vis", "atomicity", atomicityPrograms(8, 40, counters))
+		cfg := cpu.Config{Machine: p, HTM: hc, Sync: sys.Sync, Threads: 8, Seed: seed}
+		m := cpu.NewMachine(cfg, "tl-vis", "atomicity", atomicityPrograms(8, 40, counters))
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -155,12 +155,13 @@ func TestAtomicityLockTxVisibility(t *testing.T) {
 	}
 }
 
-// TestRMWSerializesObservably: a single thread incrementing one counter
+// TestRMWReadYourOwnWrite: a single thread incrementing one counter
 // yields exact counts too (read-your-own-write within a transaction).
 func TestRMWReadYourOwnWrite(t *testing.T) {
-	prog := Program{AtomicStatic([]Op{RMW(1 << 21), RMW(1 << 21), RMW(1 << 21)})}
-	cfg := Config{Machine: smallParams(), HTM: baselineHTM(), Sync: SysHTM, Threads: 1, Seed: 1}
-	m := NewMachine(cfg, "t", "ryow", []Program{prog})
+	sys := system(t, "Baseline")
+	prog := cpu.Program{cpu.AtomicStatic([]cpu.Op{cpu.RMW(1 << 21), cpu.RMW(1 << 21), cpu.RMW(1 << 21)})}
+	cfg := cpu.Config{Machine: smallParams(), HTM: sys.HTM, Sync: sys.Sync, Threads: 1, Seed: 1}
+	m := cpu.NewMachine(cfg, "t", "ryow", []cpu.Program{prog})
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,18 +173,17 @@ func TestRMWReadYourOwnWrite(t *testing.T) {
 func TestRMWTraceRoundTrip(t *testing.T) {
 	// RMW ops survive export/replay.
 	progs := atomicityPrograms(2, 5, []mem.Line{1 << 21})
-	var buf bufT
-	if err := ExportPrograms(&buf, progs, 2); err != nil {
+	var buf bytes.Buffer
+	if err := cpu.ExportPrograms(&buf, progs, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ImportPrograms(&buf)
+	got, err := cpu.ImportPrograms(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := got[0][0].Body(1)
 	found := false
-	for _, op := range ops {
-		if op.Kind == OpRMW {
+	for _, op := range got[0][0].Body(1) {
+		if op.Kind == cpu.OpRMW {
 			found = true
 		}
 	}
@@ -191,18 +191,3 @@ func TestRMWTraceRoundTrip(t *testing.T) {
 		t.Fatal("RMW lost in serialization")
 	}
 }
-
-// bufT is a minimal in-memory read/writer for the round-trip test.
-type bufT struct{ b []byte }
-
-func (t *bufT) Write(p []byte) (int, error) { t.b = append(t.b, p...); return len(p), nil }
-func (t *bufT) Read(p []byte) (int, error) {
-	if len(t.b) == 0 {
-		return 0, errEOF
-	}
-	n := copy(p, t.b)
-	t.b = t.b[n:]
-	return n, nil
-}
-
-var errEOF = fmt.Errorf("EOF")

@@ -108,3 +108,36 @@ func TestImportErrors(t *testing.T) {
 		t.Fatal("unknown op kind must error")
 	}
 }
+
+// FuzzImportPrograms: ImportPrograms never panics, and every atomic section
+// it returns yields a body for attempt 0, attempt 1 and any attempt beyond
+// the last one recorded (the last recorded body repeats).
+func FuzzImportPrograms(f *testing.F) {
+	var buf bytes.Buffer
+	if err := ExportPrograms(&buf, []Program{sampleProgram()}, 2); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"version":1,"programs":[[{"kind":"atomic","attempts":[null,[{"k":"m","l":3}]]}]]}`))
+	f.Add([]byte(`{"version":1,"programs":[[{"kind":"atomic"}],[{"kind":"plain","ops":[{"k":"x"}]}]]}`))
+	f.Add([]byte(`{"version":2,"programs":[]}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		progs, err := ImportPrograms(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, prog := range progs {
+			for _, sec := range prog {
+				if !sec.Atomic {
+					continue
+				}
+				first := sec.Body(1)
+				if len(sec.Body(0)) != len(first) {
+					t.Fatalf("attempt 0 body has %d ops, attempt 1 has %d", len(sec.Body(0)), len(first))
+				}
+				sec.Body(1 << 30)
+			}
+		}
+	})
+}

@@ -58,8 +58,8 @@ func (d *DiskCache) path(key string, seed uint64) string {
 }
 
 // Load returns the stored result for (key, seed), or ok=false on any kind
-// of miss — absent file, undecodable content, or an envelope that does not
-// match the address.
+// of miss — absent file, undecodable content, an envelope that does not
+// match the address, or a run that is not well formed.
 func (d *DiskCache) Load(key string, seed uint64) (*stats.Run, bool) {
 	b, err := os.ReadFile(d.path(key, seed))
 	if err != nil {
@@ -69,10 +69,25 @@ func (d *DiskCache) Load(key string, seed uint64) (*stats.Run, bool) {
 	if err := json.Unmarshal(b, &e); err != nil {
 		return nil, false
 	}
-	if e.Schema != diskCacheSchema || e.Seed != seed || e.Key != key || e.Run == nil {
+	if e.Schema != diskCacheSchema || e.Seed != seed || e.Key != key || !wellFormed(e.Run) {
 		return nil, false
 	}
 	return e.Run, true
+}
+
+// wellFormed reports whether a decoded run has what every reader of a
+// stats.Run assumes: at least one thread and exactly one non-nil core
+// record per thread.
+func wellFormed(r *stats.Run) bool {
+	if r == nil || r.Threads < 1 || len(r.Cores) != r.Threads {
+		return false
+	}
+	for _, c := range r.Cores {
+		if c == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // Store writes one result. The write goes through a temp file and a rename

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -16,7 +18,8 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := &stats.Run{System: "Baseline", Workload: "intruder", ExecCycles: 12345, EventsExecuted: 99}
+	run := stats.NewRun("Baseline", "intruder", 2)
+	run.ExecCycles, run.EventsExecuted = 12345, 99
 	if err := d.Store("k1", 7, run); err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +66,58 @@ func TestDiskCacheRejectsCorruptEntries(t *testing.T) {
 	if _, ok := d.Load("k", 1); ok {
 		t.Fatal("undecodable entry was served")
 	}
+	// Envelopes that match but carry a run no reader can use: a nil core
+	// record (a nil-pointer panic in Sections) and a run with no cores.
+	for _, run := range []string{`{"Threads":1,"Cores":[null]}`, `{"Threads":0,"Cores":[]}`, `{"Threads":2,"Cores":[{}]}`} {
+		entry := `{"schema":1,"seed":1,"key":"k","run":` + run + `}`
+		if err := os.WriteFile(path, []byte(entry), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := d.Load("k", 1); ok {
+			t.Fatalf("malformed run %s was served", run)
+		}
+	}
+}
+
+// FuzzDiskCacheLoad: Load never panics on arbitrary file contents, and any
+// run it serves has Threads >= 1 and exactly Threads non-nil core records,
+// so the run renders.
+func FuzzDiskCacheLoad(f *testing.F) {
+	good, err := json.Marshal(diskEntry{Schema: diskCacheSchema, Seed: 1, Key: "k", Run: stats.NewRun("Baseline", "intruder", 2)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add([]byte(`{"schema":1,"seed":1,"key":"k","run":{"Threads":1,"Cores":[null]}}`))
+	f.Add([]byte(`{"schema":1,"seed":1,"key":"k","run":{"Threads":0,"Cores":[]}}`))
+	f.Add([]byte(`{"schema":1,"seed":1,"key":"k","run":{"Threads":1,"Cores":[{"Sink":{}}]}}`))
+	f.Add([]byte("not json"))
+	d, err := OpenDiskCache(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(d.path("k", 1), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		run, ok := d.Load("k", 1)
+		if !ok {
+			return
+		}
+		if run.Threads < 1 || len(run.Cores) != run.Threads {
+			t.Fatalf("served a run with %d threads and %d cores", run.Threads, len(run.Cores))
+		}
+		for i, c := range run.Cores {
+			if c == nil {
+				t.Fatalf("served a run with a nil core %d", i)
+			}
+		}
+		_ = run.String()
+		run.Breakdown()
+		run.Sections()
+		run.Traffic.Render(io.Discard)
+		stats.RenderTransitionProfile(io.Discard, run.Transitions)
+	})
 }
 
 // TestRunnerDiskCache wires a DiskCache into two runners in sequence: the
@@ -82,7 +137,9 @@ func TestRunnerDiskCache(t *testing.T) {
 	var execs atomic.Int64 // bumped from both sweep workers
 	r1.exec = func(s Spec) (*stats.Run, error) {
 		execs.Add(1)
-		return &stats.Run{ExecCycles: uint64(s.Threads)}, nil
+		run := stats.NewRun(s.System.Name, s.Workload.Name, s.Threads)
+		run.ExecCycles = uint64(s.Threads)
+		return run, nil
 	}
 	if err := r1.RunAll(specs); err != nil {
 		t.Fatal(err)

@@ -257,16 +257,14 @@ type call struct {
 }
 
 // runAccount describes how one get was satisfied: the host wall time and
-// allocator delta of the execution (zero for cache hits), which cache
-// answered ("" for fresh executions, "memo" or "disk" otherwise), and
-// whether the caller joined another caller's in-flight run. Allocator
-// deltas are process-global readings, so under concurrent sweep workers
-// the attribution to one spec is approximate by design.
+// allocator delta of the execution (zero for cache hits) and which cache
+// answered ("" for fresh executions, "memo" or "disk" otherwise).
+// Allocator deltas are process-global readings, so under concurrent sweep
+// workers the attribution to one spec is approximate by design.
 type runAccount struct {
 	Wall     time.Duration
 	Mem      obs.MemDelta
 	CacheSrc string
-	Shared   bool
 }
 
 // hit reports whether any cache satisfied the get.
@@ -312,15 +310,23 @@ func (r *Runner) stamp(s Spec) Spec {
 	return s
 }
 
-func (r *Runner) execute(s Spec) (*stats.Run, error) {
+// execute runs one valid spec. A panic anywhere in it — build, reset or
+// run — becomes the spec's error, so one bad spec fails alone instead of
+// taking the sweep's process down.
+func (r *Runner) execute(s Spec) (res *stats.Run, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("panic: %v", p)
+		}
+	}()
 	if r.exec != nil {
 		return r.exec(s)
 	}
 	// Satisfy the spec from the machine pool: take a machine of the right
 	// shape and Reset it for this spec's workload and seed, or build one if
 	// the pool has none. Machines return to the pool only after a clean run
-	// — an errored machine's state is suspect, so it is dropped for the
-	// garbage collector.
+	// — an errored or panicked machine's state is suspect, so it is dropped
+	// for the garbage collector.
 	pk := s.poolKey()
 	m := r.pool.acquire(pk)
 	if m == nil {
@@ -336,7 +342,7 @@ func (r *Runner) execute(s Spec) (*stats.Run, error) {
 		p = obs.NewProfiler()
 		m.Observe(ExecOptions{Probe: p})
 	}
-	res, err := m.Run()
+	res, err = m.Run()
 	r.Profiler.Merge(p)
 	if err == nil {
 		r.pool.release(pk, m)
@@ -357,6 +363,8 @@ func (r *Runner) Get(s Spec) (*stats.Run, error) {
 // path every per-spec wall figure (Log line, ledger record, progress
 // event) now comes from. The leader also appends the ledger record, so an
 // execution is recorded exactly once no matter how many callers share it.
+// A spec that fails Validate gets that error without executing; like every
+// failed key, it is never memoized or disk-cached.
 func (r *Runner) get(s Spec) (*stats.Run, runAccount, error) {
 	s = r.stamp(s)
 	k := s.key()
@@ -368,7 +376,7 @@ func (r *Runner) get(s Spec) (*stats.Run, runAccount, error) {
 	if c, ok := r.inflight[k]; ok {
 		r.mu.Unlock()
 		<-c.done
-		return c.res, runAccount{Wall: c.wall, Shared: true}, c.err
+		return c.res, runAccount{Wall: c.wall}, c.err
 	}
 	c := &call{done: make(chan struct{})}
 	if r.inflight == nil {
@@ -378,14 +386,14 @@ func (r *Runner) get(s Spec) (*stats.Run, runAccount, error) {
 	r.mu.Unlock()
 
 	var res *stats.Run
-	var err error
 	var acct runAccount
-	if r.Disk != nil {
+	err := s.Validate()
+	if err == nil && r.Disk != nil {
 		if run, ok := r.Disk.Load(k, s.Seed); ok {
 			res, acct = run, runAccount{CacheSrc: "disk"}
 		}
 	}
-	if res == nil {
+	if err == nil && res == nil {
 		timer := obs.StartTimer()
 		mem := obs.TakeMemSnapshot()
 		res, err = r.execute(s)

@@ -1,12 +1,15 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -111,6 +114,73 @@ func TestRunAllAggregatesErrors(t *testing.T) {
 	// The successful spec must still be retrievable.
 	if _, err := r.Get(specs[0]); err != nil {
 		t.Fatalf("successful spec lost: %v", err)
+	}
+}
+
+// TestRunAllIsolatesBadSpecs: a spec whose machine cannot be built and a
+// spec whose execution panics each fail alone under their own key, without
+// taking the sweep down. Neither is memoized or disk-cached, the valid
+// spec's result stays retrievable, and all three get ledger records.
+func TestRunAllIsolatesBadSpecs(t *testing.T) {
+	r := NewRunner(1)
+	r.Workers = 2
+	r.Ledger = &obs.Ledger{}
+	disk, err := OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Disk = disk
+	var execs atomic.Int64
+	r.exec = func(s Spec) (*stats.Run, error) {
+		execs.Add(1)
+		if s.Threads == 4 {
+			panic("exec exploded")
+		}
+		return &stats.Run{Threads: s.Threads, ExecCycles: 1}, nil
+	}
+	good := Spec{System: mustSystem("Baseline"), Workload: tinyProfile(), Threads: 2, Cache: TypicalCache()}
+	unbuildable := good
+	unbuildable.Cores = 48 // the 8 MiB LLC does not split across 48 banks
+	panicky := good
+	panicky.Threads = 4
+
+	err = r.RunAll([]Spec{good, unbuildable, panicky})
+	if err == nil {
+		t.Fatal("RunAll hid both failures")
+	}
+	for _, want := range []string{
+		unbuildable.keyWithSeed(r.Seed), "does not split evenly",
+		panicky.keyWithSeed(r.Seed), "panic: exec exploded",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("joined error %q does not mention %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), good.keyWithSeed(r.Seed)+":") {
+		t.Errorf("joined error %q names the valid spec", err)
+	}
+	var buf bytes.Buffer
+	if _, err := r.Ledger.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := obs.ValidateLedger(bytes.NewReader(buf.Bytes())); err != nil || n != 3 {
+		t.Fatalf("ledger validation: n=%d err=%v\n%s", n, err, buf.Bytes())
+	}
+	if got := bytes.Count(buf.Bytes(), []byte(`"error":`)); got != 2 {
+		t.Errorf("ledger has %d error records, want 2\n%s", got, buf.Bytes())
+	}
+	if n := execs.Load(); n != 2 {
+		t.Errorf("exec ran %d times, want 2 (the unbuildable spec must not execute)", n)
+	}
+	if _, err := r.Get(good); err != nil || execs.Load() != 2 {
+		t.Fatalf("valid result not memoized: err=%v, %d execs", err, execs.Load())
+	}
+	if _, err := r.Get(panicky); err == nil || execs.Load() != 3 {
+		t.Fatalf("panicked spec was memoized: err=%v, %d execs", err, execs.Load())
+	}
+	ents, err := os.ReadDir(disk.Dir())
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("disk cache holds %d entries (%v), want only the valid spec's", len(ents), err)
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package noc models the on-chip interconnect of the tiled CMP. The shape
-// is pluggable (topology.Topology): the paper's Table I machine is a 4x8
-// mesh with X-Y routing, and the scaled machines (DESIGN.md §13) run the
-// same model over larger meshes, tori, and concentrated meshes up to 1024
-// tiles. Flits are 16 bytes over 1-cycle links at 1 flit/cycle (Table I).
+// Package noc models the on-chip interconnect of the tiled CMP over a
+// topology.Topology router grid: the paper's Table I machine is a 4x8 mesh
+// with X-Y routing, and the scaled machines (DESIGN.md §13) run the same
+// model over larger meshes, tori, and concentrated meshes up to 1024 tiles.
+// Flits are 16 bytes over 1-cycle links at 1 flit/cycle (Table I).
 //
 // Rather than simulating router microarchitecture cycle by cycle, the model
 // reserves each directed link along a message's path in order: a message
@@ -42,10 +42,13 @@ func DefaultConfig() Config {
 	return Config{LinkLatency: 1, RouterDelay: 1, LocalLatency: 1}
 }
 
+// RouteTableTiles bounds the route table: a T-tile machine stores T^2
+// routes, so bigger machines route on demand instead.
+const RouteTableTiles = 256
+
 // Network delivers messages between tiles of a topology.
 type Network struct {
 	engine *sim.Engine
-	topo   topology.Topology
 	cfg    Config
 
 	// busyUntil[from*tiles+to] is the cycle at which the directed link
@@ -60,13 +63,14 @@ type Network struct {
 	tiles     int
 
 	// routes[src*tiles+dst] lists the flat busyUntil indices of the links
-	// along the route, precomputed so the arrival loop walks a dense int32
+	// along the route, built once so the arrival loop walks a dense int32
 	// slice instead of re-deriving link identities per message. Machines
-	// beyond topology.RouteTableTiles skip the tiles² table and route on
-	// demand into scratch instead.
-	routes        [][]int32
-	scratch       []topology.Link
-	scratchIdxBuf []int32
+	// beyond RouteTableTiles skip the tiles² table and convert each route
+	// on demand into scratchIdx instead.
+	routes     [][]int32
+	topo       topology.Topology
+	scratch    []topology.Link
+	scratchIdx []int32
 
 	// Tracer, when non-nil, records CatNoC events: link enqueue,
 	// serialization stalls, and scheduled delivery.
@@ -78,7 +82,10 @@ type Network struct {
 	QueueWait uint64
 }
 
-// New creates a network over the given topology.
+// New creates a network over the given topology. Its route table is the
+// only one in the simulator: every route is converted once from
+// topology.AppendRoute through one reused link buffer into a single backing
+// array sized by the routes' total Hops.
 func New(engine *sim.Engine, topo topology.Topology, cfg Config) *Network {
 	t := topo.Tiles()
 	n := &Network{
@@ -88,10 +95,9 @@ func New(engine *sim.Engine, topo topology.Topology, cfg Config) *Network {
 		busyUntil: make([]uint64, t*t),
 		tiles:     t,
 	}
-	if t > topology.RouteTableTiles {
+	if t > RouteTableTiles {
 		return n // on-demand routing via scratch
 	}
-	routes := make([][]int32, t*t)
 	total := 0
 	for src := 0; src < t; src++ {
 		for dst := 0; dst < t; dst++ {
@@ -99,16 +105,12 @@ func New(engine *sim.Engine, topo topology.Topology, cfg Config) *Network {
 		}
 	}
 	backing := make([]int32, 0, total) // one allocation backs every route
-	for src := 0; src < t; src++ {
-		for dst := 0; dst < t; dst++ {
-			start := len(backing)
-			for _, l := range topo.Route(src, dst) {
-				backing = append(backing, int32(l.From*t+l.To))
-			}
-			routes[src*t+dst] = backing[start:len(backing):len(backing)]
-		}
+	n.routes = make([][]int32, t*t)
+	for i := range n.routes {
+		start := len(backing)
+		backing = n.appendRoute(backing, i/t, i%t)
+		n.routes[i] = backing[start:len(backing):len(backing)]
 	}
-	n.routes = routes
 	return n
 }
 
@@ -116,29 +118,23 @@ func New(engine *sim.Engine, topo topology.Topology, cfg Config) *Network {
 func (n *Network) Topo() topology.Topology { return n.topo }
 
 // Reset returns the network to its just-constructed state in place: all
-// link reservations released and stats zeroed. The precomputed route table
-// and the on-demand scratch buffers are construction artifacts of the
-// (immutable) topology and survive; the simulated clock restarts at zero
-// after a machine reset, so stale busyUntil times must not.
+// link reservations released and stats zeroed. The route table and the
+// on-demand scratch buffers are construction artifacts of the (immutable)
+// topology and survive; the simulated clock restarts at zero after a
+// machine reset, so stale busyUntil times must not.
 func (n *Network) Reset() {
 	for i := range n.busyUntil {
 		n.busyUntil[i] = 0
 	}
 	n.scratch = n.scratch[:0]
-	n.scratchIdxBuf = n.scratchIdxBuf[:0]
+	n.scratchIdx = n.scratchIdx[:0]
 	n.Messages, n.FlitHops, n.QueueWait = 0, 0, 0
 }
 
-// Send schedules deliver to run when a message of the given flit count
-// arrives at dst, reserving link bandwidth along the route.
-func (n *Network) Send(src, dst int, flits int, deliver func()) {
-	n.engine.At(n.arrival(src, dst, flits), deliver)
-}
-
-// SendEvent is the allocation-free variant of Send: instead of a delivery
-// closure it schedules a typed engine event (h.OnEvent(kind, a, p)) at the
-// arrival cycle. Hot protocol paths use it to deliver pooled messages
-// without a per-hop closure allocation.
+// SendEvent schedules a typed engine event (h.OnEvent(kind, a, p)) at the
+// cycle a message of the given flit count from src arrives at dst,
+// reserving link bandwidth along the route. Protocol paths deliver pooled
+// messages through it without a per-hop closure allocation.
 func (n *Network) SendEvent(src, dst, flits int, h sim.Handler, kind uint8, a uint64, p any) {
 	n.engine.AtEvent(n.arrival(src, dst, flits), h, kind, a, p)
 }
@@ -155,10 +151,8 @@ func (n *Network) arrival(src, dst, flits int) uint64 {
 	if n.routes != nil {
 		route = n.routes[src*n.tiles+dst]
 	} else {
-		// On-demand routing for machines beyond the precompute bound; the
-		// scratch link buffer is reused across messages.
-		n.scratch = n.topo.AppendRoute(n.scratch[:0], src, dst)
-		route = n.scratchIdx(n.scratch)
+		n.scratchIdx = n.appendRoute(n.scratchIdx[:0], src, dst)
+		route = n.scratchIdx
 	}
 	if len(route) == 0 {
 		// Distinct tiles on the same router (concentrated mesh): the local
@@ -195,17 +189,15 @@ func (n *Network) arrival(src, dst, flits int) uint64 {
 	return t
 }
 
-// scratchIdx converts scratch links to flat busyUntil indices in place —
-// an int32 slice aliasing a separate reused buffer.
-func (n *Network) scratchIdx(links []topology.Link) []int32 {
-	if cap(n.scratchIdxBuf) < len(links) {
-		n.scratchIdxBuf = make([]int32, len(links), 2*len(links))
+// appendRoute appends the flat busyUntil indices of the links from src to
+// dst to buf, routing through the reused scratch link buffer: the one
+// conversion behind both the route table and on-demand routing.
+func (n *Network) appendRoute(buf []int32, src, dst int) []int32 {
+	n.scratch = n.topo.AppendRoute(n.scratch[:0], src, dst)
+	for _, l := range n.scratch {
+		buf = append(buf, int32(l.From*n.tiles+l.To))
 	}
-	idx := n.scratchIdxBuf[:len(links)]
-	for i, l := range links {
-		idx[i] = int32(l.From*n.tiles + l.To)
-	}
-	return idx
+	return buf
 }
 
 func maxU64(a, b uint64) uint64 {

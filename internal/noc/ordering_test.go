@@ -1,38 +1,28 @@
 package noc
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-	"repro/internal/topology"
-)
+import "testing"
 
 // TestPerPathFIFO: messages between the same source and destination must
 // arrive in send order — the protocol's lazy NACK reconciliation depends
 // on it (a TxWB must land before a later NACK from the same L1).
 func TestPerPathFIFO(t *testing.T) {
-	e := sim.NewEngine()
-	n := New(e, topology.NewMesh(4, 8), DefaultConfig())
-	var order []int
+	e, n, d := newNet(t, DefaultConfig())
 	// Interleave data and control messages; control is smaller but must
 	// not overtake on the same path.
 	for i := 0; i < 20; i++ {
-		i := i
 		flits := DataFlits
 		if i%3 == 0 {
 			flits = ControlFlits
 		}
-		n.Send(0, 31, flits, func() { order = append(order, i) })
+		d.send(n, 0, 31, flits, uint64(i))
 	}
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
+	runEngine(t, e)
+	if len(d.ids) != 20 {
+		t.Fatalf("delivered %d", len(d.ids))
 	}
-	if len(order) != 20 {
-		t.Fatalf("delivered %d", len(order))
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("reordered delivery: %v", order)
+	for i, v := range d.ids {
+		if v != uint64(i) {
+			t.Fatalf("reordered delivery: %v", d.ids)
 		}
 	}
 }
@@ -40,22 +30,17 @@ func TestPerPathFIFO(t *testing.T) {
 // TestCrossTrafficDelaysSharedLink: two flows sharing one link interfere;
 // a third flow on disjoint links does not.
 func TestCrossTrafficDelaysSharedLink(t *testing.T) {
-	mesh := topology.NewMesh(4, 8)
 	solo := func(extra bool) uint64 {
-		e := sim.NewEngine()
-		n := New(e, mesh, DefaultConfig())
-		var at uint64
+		e, n, d := newNet(t, DefaultConfig())
 		if extra {
 			// A flow 0 -> 3 shares the 0->1 link with our 0 -> 1 probe.
 			for i := 0; i < 8; i++ {
-				n.Send(0, 3, DataFlits, func() {})
+				d.send(n, 0, 3, DataFlits, uint64(i+1))
 			}
 		}
-		n.Send(0, 1, DataFlits, func() { at = e.Now() })
-		if err := e.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		return at
+		d.send(n, 0, 1, DataFlits, 0)
+		runEngine(t, e)
+		return d.cycle(0)
 	}
 	base := solo(false)
 	loaded := solo(true)

@@ -216,3 +216,22 @@ func TestMemSnapshotDelta(t *testing.T) {
 }
 
 var sink []byte
+
+// FuzzValidateLedger: ValidateLedger never panics, whatever the bytes.
+func FuzzValidateLedger(f *testing.F) {
+	l := &Ledger{}
+	l.Append(Record{Key: "a|b|2", Seed: 1, ExecCycles: 10})
+	l.Append(Record{Key: "a|b|4", Seed: 1, Error: "boom"})
+	var buf bytes.Buffer
+	if _, err := l.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"schema":3,"key":"k","extra":1}`))
+	f.Add([]byte(`{"key":"k","schema":3}` + "\n" + `[1,2]`))
+	f.Add([]byte("\n\n{"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Any verdict is fine; the property is that there is one.
+		_, _ = ValidateLedger(bytes.NewReader(data))
+	})
+}

@@ -6,32 +6,36 @@ import (
 	"testing/quick"
 )
 
+// mesh48 is Table I's 4x8 mesh.
+var mesh48 = Topology{W: 4, H: 8, Conc: 1}
+
 func TestXYRoundTrip(t *testing.T) {
-	m := NewMesh(4, 8)
-	for tile := 0; tile < m.Tiles(); tile++ {
-		x, y := m.XY(tile)
-		if m.Tile(x, y) != tile {
-			t.Fatalf("tile %d round-trips to %d", tile, m.Tile(x, y))
+	for _, topo := range []Topology{mesh48, {W: 3, H: 2, Conc: 4}} {
+		for tile := 0; tile < topo.Tiles(); tile++ {
+			x, y := topo.xy(tile)
+			if got, want := topo.tile(x, y), tile-tile%topo.Conc; got != want {
+				t.Fatalf("%+v: tile %d round-trips to %d, want its router's first tile %d", topo, tile, got, want)
+			}
 		}
 	}
 }
 
 func TestRouteLengthEqualsHops(t *testing.T) {
-	m := NewMesh(4, 8)
+	m := mesh48
 	if err := quick.Check(func(a, b uint8) bool {
 		src := int(a) % m.Tiles()
 		dst := int(b) % m.Tiles()
-		return len(m.Route(src, dst)) == m.Hops(src, dst)
+		return len(m.AppendRoute(nil, src, dst)) == m.Hops(src, dst)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRouteContiguousAdjacent(t *testing.T) {
-	m := NewMesh(4, 8)
+	m := mesh48
 	for src := 0; src < m.Tiles(); src++ {
 		for dst := 0; dst < m.Tiles(); dst++ {
-			r := m.Route(src, dst)
+			r := m.AppendRoute(nil, src, dst)
 			cur := src
 			for _, l := range r {
 				if l.From != cur {
@@ -50,12 +54,12 @@ func TestRouteContiguousAdjacent(t *testing.T) {
 }
 
 func TestRouteXBeforeY(t *testing.T) {
-	m := NewMesh(4, 8)
-	r := m.Route(m.Tile(0, 0), m.Tile(3, 2))
+	m := mesh48
+	r := m.AppendRoute(nil, m.tile(0, 0), m.tile(3, 2))
 	// First 3 links must move in X, the rest in Y.
 	for i, l := range r {
-		fx, fy := m.XY(l.From)
-		tx, ty := m.XY(l.To)
+		fx, fy := m.xy(l.From)
+		tx, ty := m.xy(l.To)
 		if i < 3 {
 			if fy != ty || fx == tx {
 				t.Fatalf("link %d should be an X move: %v", i, l)
@@ -69,8 +73,8 @@ func TestRouteXBeforeY(t *testing.T) {
 }
 
 func TestRouteSelf(t *testing.T) {
-	m := NewMesh(4, 8)
-	if len(m.Route(5, 5)) != 0 {
+	m := mesh48
+	if len(m.AppendRoute(nil, 5, 5)) != 0 {
 		t.Fatal("self route should be empty")
 	}
 	if m.Hops(5, 5) != 0 {
@@ -78,26 +82,20 @@ func TestRouteSelf(t *testing.T) {
 	}
 }
 
-func TestNewMeshPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for 0x4 mesh")
-		}
-	}()
-	NewMesh(0, 4)
-}
-
 func TestNewFactory(t *testing.T) {
 	for _, tc := range []struct {
 		kind string
-		want string
-	}{{"", "mesh"}, {"mesh", "mesh"}, {"torus", "torus"}, {"cmesh", "cmesh"}} {
+		want Topology
+	}{
+		{"", mesh48}, {"mesh", mesh48}, {"torus", Topology{W: 4, H: 8, Conc: 1, Wrap: true}},
+		{"cmesh", Topology{W: 2, H: 4, Conc: CMeshConc}},
+	} {
 		topo, err := New(tc.kind, 32)
 		if err != nil {
 			t.Fatalf("New(%q): %v", tc.kind, err)
 		}
-		if topo.Name() != tc.want || topo.Tiles() != 32 {
-			t.Fatalf("New(%q) = %s with %d tiles, want %s with 32", tc.kind, topo.Name(), topo.Tiles(), tc.want)
+		if topo != tc.want || topo.Tiles() != 32 {
+			t.Fatalf("New(%q) = %+v with %d tiles, want %+v with 32", tc.kind, topo, topo.Tiles(), tc.want)
 		}
 	}
 	if _, err := New("hypercube", 32); err == nil {
@@ -135,48 +133,50 @@ func TestGrid(t *testing.T) {
 
 // checkRoute validates the universal route properties on any shape: the
 // route is contiguous from src's router region to dst's, every link spans
-// exactly one hop, Hops(src,dst) == len(Route(src,dst)), AppendRoute agrees
-// with Route, and hops are symmetric.
+// exactly one hop, Hops(src,dst) == len(AppendRoute(nil, src, dst)), a
+// non-empty buf is extended rather than overwritten, and hops are
+// symmetric.
 func checkRoute(t *testing.T, topo Topology, src, dst int) {
 	t.Helper()
-	r := topo.Route(src, dst)
+	r := topo.AppendRoute(nil, src, dst)
 	if len(r) != topo.Hops(src, dst) {
-		t.Fatalf("%s %d->%d: len(Route)=%d != Hops=%d", topo.Name(), src, dst, len(r), topo.Hops(src, dst))
+		t.Fatalf("%+v %d->%d: len(AppendRoute)=%d != Hops=%d", topo, src, dst, len(r), topo.Hops(src, dst))
 	}
 	if topo.Hops(src, dst) != topo.Hops(dst, src) {
-		t.Fatalf("%s: Hops(%d,%d)=%d asymmetric with Hops(%d,%d)=%d",
-			topo.Name(), src, dst, topo.Hops(src, dst), dst, src, topo.Hops(dst, src))
+		t.Fatalf("%+v: Hops(%d,%d)=%d asymmetric with Hops(%d,%d)=%d",
+			topo, src, dst, topo.Hops(src, dst), dst, src, topo.Hops(dst, src))
 	}
-	ar := topo.AppendRoute(nil, src, dst)
-	if len(ar) != len(r) {
-		t.Fatalf("%s %d->%d: AppendRoute/Route disagree: %v vs %v", topo.Name(), src, dst, ar, r)
+	prefix := Link{From: -1, To: -1}
+	ar := topo.AppendRoute([]Link{prefix}, src, dst)
+	if len(ar) != len(r)+1 || ar[0] != prefix {
+		t.Fatalf("%+v %d->%d: AppendRoute onto a prefix gave %v, want %v after it", topo, src, dst, ar, r)
 	}
 	for i := range r {
-		if r[i] != ar[i] {
-			t.Fatalf("%s %d->%d: AppendRoute/Route disagree at %d: %v vs %v", topo.Name(), src, dst, i, ar[i], r[i])
+		if r[i] != ar[i+1] {
+			t.Fatalf("%+v %d->%d: AppendRoute onto a prefix disagrees at %d: %v vs %v", topo, src, dst, i, ar[i+1], r[i])
 		}
 	}
 	if len(r) == 0 {
 		if topo.Hops(src, dst) != 0 {
-			t.Fatalf("%s %d->%d: empty route but %d hops", topo.Name(), src, dst, topo.Hops(src, dst))
+			t.Fatalf("%+v %d->%d: empty route but %d hops", topo, src, dst, topo.Hops(src, dst))
 		}
 		return
 	}
 	// Contiguity over link endpoints; each link must be a single hop.
 	for i, l := range r {
 		if i > 0 && r[i-1].To != l.From {
-			t.Fatalf("%s %d->%d: route not contiguous at %d: %v", topo.Name(), src, dst, i, r)
+			t.Fatalf("%+v %d->%d: route not contiguous at %d: %v", topo, src, dst, i, r)
 		}
 		if topo.Hops(l.From, l.To) != 1 {
-			t.Fatalf("%s %d->%d: link %v spans %d hops", topo.Name(), src, dst, l, topo.Hops(l.From, l.To))
+			t.Fatalf("%+v %d->%d: link %v spans %d hops", topo, src, dst, l, topo.Hops(l.From, l.To))
 		}
 	}
 	// Endpoints: first link leaves src's zero-hop region, last enters dst's.
 	if topo.Hops(src, r[0].From) != 0 {
-		t.Fatalf("%s %d->%d: route starts at %d, not at src's router", topo.Name(), src, dst, r[0].From)
+		t.Fatalf("%+v %d->%d: route starts at %d, not at src's router", topo, src, dst, r[0].From)
 	}
 	if topo.Hops(dst, r[len(r)-1].To) != 0 {
-		t.Fatalf("%s %d->%d: route ends at %d, not at dst's router", topo.Name(), src, dst, r[len(r)-1].To)
+		t.Fatalf("%+v %d->%d: route ends at %d, not at dst's router", topo, src, dst, r[len(r)-1].To)
 	}
 }
 
@@ -204,7 +204,9 @@ func TestRandomizedShapes(t *testing.T) {
 		w := 1 + rng.Intn(32)
 		h := 1 + rng.Intn(32)
 		conc := 1 + rng.Intn(4)
-		for _, topo := range []Topology{NewMesh(w, h), NewTorus(w, h), NewCMesh(w, h, conc)} {
+		for _, topo := range []Topology{
+			{W: w, H: h, Conc: 1}, {W: w, H: h, Conc: 1, Wrap: true}, {W: w, H: h, Conc: conc},
+		} {
 			checkAllRoutes(t, topo, rng)
 		}
 	}
@@ -214,7 +216,7 @@ func TestMeshMinimality(t *testing.T) {
 	// X-Y routing on a mesh is minimal: Hops is exactly the Manhattan
 	// distance, checked against a BFS oracle over the adjacency relation.
 	for _, dims := range [][2]int{{4, 8}, {8, 8}, {16, 16}, {1, 7}, {5, 1}} {
-		m := NewMesh(dims[0], dims[1])
+		m := Topology{W: dims[0], H: dims[1], Conc: 1}
 		bfs := bfsDistances(m, 0)
 		for dst := 0; dst < m.Tiles(); dst++ {
 			if m.Hops(0, dst) != bfs[dst] {
@@ -227,7 +229,7 @@ func TestMeshMinimality(t *testing.T) {
 
 func TestTorusMinimality(t *testing.T) {
 	for _, dims := range [][2]int{{4, 8}, {8, 8}, {5, 5}, {2, 6}, {1, 8}} {
-		tr := NewTorus(dims[0], dims[1])
+		tr := Topology{W: dims[0], H: dims[1], Conc: 1, Wrap: true}
 		bfs := bfsDistances(tr, 0)
 		for dst := 0; dst < tr.Tiles(); dst++ {
 			if tr.Hops(0, dst) != bfs[dst] {
@@ -262,21 +264,21 @@ func bfsDistances(topo Topology, src int) []int {
 }
 
 func TestTorusWraparound(t *testing.T) {
-	tr := NewTorus(8, 4)
+	tr := Topology{W: 8, H: 4, Conc: 1, Wrap: true}
 	// Opposite edge columns are one hop apart through the wraparound link.
-	if got := tr.Hops(tr.Tile(0, 0), tr.Tile(7, 0)); got != 1 {
+	if got := tr.Hops(tr.tile(0, 0), tr.tile(7, 0)); got != 1 {
 		t.Fatalf("torus x-wraparound: Hops=%d, want 1", got)
 	}
-	if got := tr.Hops(tr.Tile(0, 0), tr.Tile(0, 3)); got != 1 {
+	if got := tr.Hops(tr.tile(0, 0), tr.tile(0, 3)); got != 1 {
 		t.Fatalf("torus y-wraparound: Hops=%d, want 1", got)
 	}
-	r := tr.Route(tr.Tile(0, 0), tr.Tile(7, 0))
-	if len(r) != 1 || r[0] != (Link{From: tr.Tile(0, 0), To: tr.Tile(7, 0)}) {
+	r := tr.AppendRoute(nil, tr.tile(0, 0), tr.tile(7, 0))
+	if len(r) != 1 || r[0] != (Link{From: tr.tile(0, 0), To: tr.tile(7, 0)}) {
 		t.Fatalf("torus wraparound route: %v", r)
 	}
 	// Torus halves the worst-case distance relative to a mesh of the same
 	// dimensions.
-	m := NewMesh(8, 4)
+	m := Topology{W: 8, H: 4, Conc: 1}
 	if tr.Hops(0, tr.Tiles()-1) >= m.Hops(0, m.Tiles()-1) {
 		t.Fatalf("torus corner distance %d not shorter than mesh %d",
 			tr.Hops(0, tr.Tiles()-1), m.Hops(0, m.Tiles()-1))
@@ -287,18 +289,18 @@ func TestTorusDatelineTieBreak(t *testing.T) {
 	// On an even ring the halfway distance has two equally short ways
 	// around; the dateline rule resolves it toward increasing coordinate,
 	// so the first link must step from x to x+1.
-	tr := NewTorus(8, 1)
-	r := tr.Route(tr.Tile(1, 0), tr.Tile(5, 0)) // distance 4 both ways
+	tr := Topology{W: 8, H: 1, Conc: 1, Wrap: true}
+	r := tr.AppendRoute(nil, tr.tile(1, 0), tr.tile(5, 0)) // distance 4 both ways
 	if len(r) != 4 {
 		t.Fatalf("halfway route length %d, want 4", len(r))
 	}
-	if r[0] != (Link{From: tr.Tile(1, 0), To: tr.Tile(2, 0)}) {
+	if r[0] != (Link{From: tr.tile(1, 0), To: tr.tile(2, 0)}) {
 		t.Fatalf("dateline tie must resolve toward +x: %v", r[0])
 	}
 }
 
 func TestCMeshSameRouter(t *testing.T) {
-	c := NewCMesh(4, 4, 4) // 64 tiles, 16 routers
+	c := Topology{W: 4, H: 4, Conc: 4} // 64 tiles, 16 routers
 	if c.Tiles() != 64 {
 		t.Fatalf("cmesh tiles = %d, want 64", c.Tiles())
 	}
@@ -308,7 +310,7 @@ func TestCMeshSameRouter(t *testing.T) {
 			if c.Hops(a, b) != 0 {
 				t.Fatalf("same-router tiles %d,%d: Hops=%d", a, b, c.Hops(a, b))
 			}
-			if len(c.Route(a, b)) != 0 {
+			if len(c.AppendRoute(nil, a, b)) != 0 {
 				t.Fatalf("same-router tiles %d,%d: non-empty route", a, b)
 			}
 		}
@@ -324,53 +326,21 @@ func TestNumLinksMatchesEnumeration(t *testing.T) {
 	// NumLinks must equal the number of distinct directed links that appear
 	// across all routes of the shape.
 	for _, topo := range []Topology{
-		NewMesh(4, 8), NewMesh(1, 6), NewTorus(4, 4), NewTorus(2, 5),
-		NewTorus(1, 4), NewCMesh(3, 3, 2), NewCMesh(4, 2, 4),
+		mesh48, {W: 1, H: 6, Conc: 1}, {W: 4, H: 4, Conc: 1, Wrap: true}, {W: 2, H: 5, Conc: 1, Wrap: true},
+		{W: 1, H: 4, Conc: 1, Wrap: true}, {W: 3, H: 3, Conc: 2}, {W: 4, H: 2, Conc: 4},
 	} {
 		seen := map[Link]bool{}
 		n := topo.Tiles()
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				for _, l := range topo.Route(src, dst) {
+				for _, l := range topo.AppendRoute(nil, src, dst) {
 					seen[l] = true
 				}
 			}
 		}
 		if len(seen) != topo.NumLinks() {
-			t.Fatalf("%s: NumLinks=%d but routes use %d distinct links",
-				topo.Name(), topo.NumLinks(), len(seen))
-		}
-	}
-}
-
-func TestOnDemandRoutingMatchesPrecomputed(t *testing.T) {
-	// A shape beyond the precomputation bound routes on demand; its routes
-	// must match a precomputed shape's wherever both are defined. 32x32 is
-	// beyond the bound, 16x16 within it: compare the 16x16 sub-grid routes
-	// whose X-Y paths stay inside it.
-	big := NewMesh(32, 32)
-	if big.routes != nil {
-		t.Fatal("32x32 mesh should not precompute routes")
-	}
-	small := NewMesh(16, 16)
-	if small.routes == nil {
-		t.Fatal("16x16 mesh should precompute routes")
-	}
-	for _, pair := range [][2][2]int{
-		{{0, 0}, {15, 15}}, {{3, 7}, {12, 2}}, {{15, 0}, {0, 15}},
-	} {
-		s, d := pair[0], pair[1]
-		rs := small.Route(small.Tile(s[0], s[1]), small.Tile(d[0], d[1]))
-		rb := big.Route(big.Tile(s[0], s[1]), big.Tile(d[0], d[1]))
-		if len(rs) != len(rb) {
-			t.Fatalf("route length mismatch: %d vs %d", len(rs), len(rb))
-		}
-		for i := range rs {
-			fx, fy := small.XY(rs[i].From)
-			tx, ty := small.XY(rs[i].To)
-			if rb[i].From != big.Tile(fx, fy) || rb[i].To != big.Tile(tx, ty) {
-				t.Fatalf("route step %d differs between precomputed and on-demand", i)
-			}
+			t.Fatalf("%+v: NumLinks=%d but routes use %d distinct links",
+				topo, topo.NumLinks(), len(seen))
 		}
 	}
 }

@@ -9,10 +9,10 @@
 #      set and seed);
 #   2. the ledger JSONL passes the schema validator (telemetryck -ledger:
 #      schema version, sorted keys per record, records sorted by key);
-#   3. a single -obs -ledger simulation prints the engine self-profile and
-#      its one-record ledger validates too.
+#   3. a single -selfprofile -ledger simulation prints the engine
+#      self-profile and its one-record ledger validates too.
 #
-# Fully offline; `make obs-smoke` and the nightly CI job run this.
+# Fully offline; `make obs-smoke` and CI's test job run this.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,9 +36,9 @@ go run ./cmd/telemetryck -ledger "$TMP/l1.jsonl"
 
 echo "obs-smoke: single run with self-profiler..." >&2
 go run ./cmd/lockillersim -system LockillerTM -workload kmeans -threads 4 -seed 1 \
-    -obs -ledger "$TMP/single.jsonl" >"$TMP/out.txt"
+    -selfprofile -ledger "$TMP/single.jsonl" >"$TMP/out.txt"
 grep -q 'engine self-profile' "$TMP/out.txt" || {
-    echo "obs-smoke: FAIL: -obs printed no self-profile report" >&2
+    echo "obs-smoke: FAIL: -selfprofile printed no self-profile report" >&2
     exit 1
 }
 go run ./cmd/telemetryck -ledger "$TMP/single.jsonl"
