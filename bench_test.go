@@ -583,6 +583,35 @@ func BenchmarkMachineReset(b *testing.B) {
 	}
 }
 
+// BenchmarkSpinWaitRun is the rung that spins: Baseline on intruder at 32
+// threads, as Reset+Run on one machine. Baseline keeps the classic HTM
+// interface, so a core that finds the fallback lock held re-reads it every
+// 16 cycles before xbegin (Listing 1's retry strategy); the bench/ loops run
+// LockillerTM, which never spins. allocs/op is that path's steady-state
+// allocation, and events/op must not move when it changes.
+func BenchmarkSpinWaitRun(b *testing.B) {
+	sys, _ := harness.SystemByName("Baseline")
+	spec := harness.Spec{System: sys, Workload: stamp.Intruder(), Threads: 32,
+		Cache: harness.TypicalCache(), Seed: 1}
+	progs := stamp.Programs(spec.Workload, spec.Threads, spec.Seed)
+	m := harness.NewMachineFor(spec, harness.ExecOptions{})
+	if _, err := m.Run(); err != nil { // warm: every timed run is a Reset+Run
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		m.Reset(spec.Seed, sys.Name, spec.Workload.Name, progs)
+		res, err := m.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += res.EventsExecuted
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
 // BenchmarkSweepThroughput runs a small multi-workload sweep through one
 // Runner per iteration — the end-to-end form of the construction-vs-reset
 // trade: every spec after the first of each shape runs on a reset machine

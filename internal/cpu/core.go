@@ -25,6 +25,10 @@ type Core struct {
 	// token invalidates in-flight compute continuations across aborts
 	// (L1-side callbacks are epoch-guarded by the L1 itself).
 	token uint64
+	// attemptTok is the token the current speculative attempt began with;
+	// the attempt's body runs under it, so a body whose lock-subscription
+	// read completes after an abort finds its continuations stale.
+	attemptTok uint64
 	// staged holds this attempt's speculative functional counter updates,
 	// applied when the section completes and discarded on abort.
 	staged map[memLine]uint64
@@ -41,6 +45,10 @@ type Core struct {
 	// contFn is the prebound memory-access completion (accessDone), built
 	// once so the per-op Access call allocates no closure.
 	contFn func()
+	// The section and attempt continuations, prebound the same way: the
+	// state they need lives in the core (secIdx, attemptTok), so neither
+	// the lock spin nor an attempt allocates per iteration.
+	spinFn, subscribeFn, finishFn, plainFn func()
 
 	// fusedRuns counts event-fusion fast-path runs (maximal inline op
 	// chains); collected into stats.Run.FusedRuns after the run.
@@ -52,6 +60,7 @@ type Core struct {
 const (
 	evResume  uint8 = iota // continue runOps from c.resume
 	evRestart              // restart the current section's attempt
+	evSpin                 // re-read the fallback lock (Listing 1's spin)
 )
 
 // ProbeClass implements sim.ProbeClasser for self-profiler reports.
@@ -68,6 +77,8 @@ func (c *Core) OnEvent(kind uint8, a uint64, _ any) {
 		c.runOps(r.ops, r.i, a, r.done)
 	case evRestart:
 		c.startAttempt(c.prog[c.secIdx])
+	case evSpin:
+		c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, false, c.spinFn)
 	}
 }
 
@@ -76,6 +87,10 @@ type memLine = mem.Line
 func newCore(m *Machine, id int, prog Program, st *stats.Core, rng *sim.RNG) *Core {
 	c := &Core{m: m, id: id, prog: prog, st: st, rng: rng}
 	c.contFn = c.accessDone
+	c.spinFn = c.spinCheck
+	c.subscribeFn = c.subscribed
+	c.finishFn = c.finishAttempt
+	c.plainFn = c.plainDone
 	m.Sys.L1s[id].SetClient(c)
 	return c
 }
@@ -83,7 +98,7 @@ func newCore(m *Machine, id int, prog Program, st *stats.Core, rng *sim.RNG) *Co
 // reset rebinds the core to a new run (machine reset between runs): a new
 // program, a fresh stats sink, and a fresh per-core RNG stream. The staged-
 // counter map keeps its buckets (cleared in place, exactly as commits do);
-// the machine pointer, tile id, and prebound completion survive.
+// the machine pointer, tile id, and prebound continuations survive.
 func (c *Core) reset(prog Program, st *stats.Core, rng *sim.RNG) {
 	c.prog = prog
 	c.st = st
@@ -91,6 +106,7 @@ func (c *Core) reset(prog Program, st *stats.Core, rng *sim.RNG) {
 	c.secIdx = 0
 	c.retries = 0
 	c.token = 0
+	c.attemptTok = 0
 	clear(c.staged)
 	c.resume.ops, c.resume.i, c.resume.tok, c.resume.done = nil, 0, 0, nil
 	c.fusedRuns = 0
@@ -128,13 +144,15 @@ func (c *Core) nextSection() {
 		}
 	default:
 		c.st.StartSegment(stats.CatNonTx, c.now())
-		c.runOps(sec.Ops, 0, c.token, func() {
-			// A non-transactional RMW becomes visible at completion (it
-			// has no commit point to defer to).
-			c.applyStaged()
-			c.advance()
-		})
+		c.runOps(sec.Ops, 0, c.token, c.plainFn)
 	}
+}
+
+// plainDone completes a non-atomic section. A non-transactional RMW becomes
+// visible at completion (it has no commit point to defer to).
+func (c *Core) plainDone() {
+	c.applyStaged()
+	c.advance()
 }
 
 func (c *Core) advance() {
@@ -145,9 +163,10 @@ func (c *Core) advance() {
 // runOps executes ops[i:] sequentially, honoring the current mode's
 // semantics, then calls done. tok guards continuations against aborts.
 //
-// Compute and fault delays resume through a typed engine event (the state
-// lives in c.resume), so the hot instruction-advance path allocates
-// nothing; only memory ops build a completion closure.
+// Compute and fault delays resume through a typed engine event and loads
+// and stores complete through the prebound accessDone (the state lives in
+// c.resume), so the hot instruction-advance path allocates nothing; only
+// the RMW test op builds completion closures.
 func (c *Core) runOps(ops []Op, i int, tok uint64, done func()) {
 	if tok != c.token {
 		return
@@ -183,6 +202,7 @@ func (c *Core) runOps(ops []Op, i int, tok uint64, done func()) {
 	case OpRMW:
 		// Functional atomic increment: load, stage new value, store. The
 		// staged value becomes visible only when the section commits.
+		//lockiller:alloc-ok RMW is a test and trace-replay op; no generated workload emits it
 		c.m.Sys.L1s[c.id].Access(op.Line, false, func() {
 			if tok != c.token {
 				return
@@ -192,6 +212,7 @@ func (c *Core) runOps(ops []Op, i int, tok uint64, done func()) {
 			if !ok {
 				v = c.m.counters[op.Line]
 			}
+			//lockiller:alloc-ok RMW is a test and trace-replay op; no generated workload emits it
 			c.m.Sys.L1s[c.id].Access(op.Line, true, func() {
 				if tok != c.token {
 					return
@@ -333,7 +354,7 @@ func (c *Core) startAttempt(sec Section) {
 		// no point starting while the fallback lock is held — the
 		// subscription would abort us instantly. Spin until free.
 		c.st.StartSegment(stats.CatWaitLock, c.now())
-		c.spinWhileHeld(func() { c.startAttempt(sec) })
+		c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, false, c.spinFn)
 		return
 	}
 	c.st.StartSegment(stats.CatHTM, c.now())
@@ -345,31 +366,48 @@ func (c *Core) startAttempt(sec Section) {
 	if t := c.m.Sys.Telemetry; t != nil {
 		t.TxBegin(c.id, c.secIdx, c.tx().Attempt)
 	}
-	tok := c.token
-	body := func() {
-		ops := sec.Body(c.tx().Attempt)
-		c.runOps(ops, 0, tok, func() { c.finishAttempt(sec) })
-	}
+	c.attemptTok = c.token
 	if c.m.Sys.HTM.HTMLock {
 		// HTMLock interface: no fallback-lock subscription (paper
 		// Listing 1's grey modification removes the lock read).
-		body()
+		c.runBody()
 		return
 	}
 	// Classic interface: read the fallback lock into the read set; abort
 	// immediately if it is held.
-	c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, false, func() {
-		if c.m.Lock.Held() {
-			c.m.Sys.L1s[c.id].AbortLocal(htm.CauseMutex)
-			return
-		}
-		body()
-	})
+	c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, false, c.subscribeFn)
+}
+
+// spinCheck completes one spin-wait read of the fallback lock: re-read
+// spinInterval cycles later while it is held, else start the attempt. The
+// spin runs between attempts, outside any transaction, so no abort can bump
+// c.token under it and the re-arm event carries the live token.
+func (c *Core) spinCheck() {
+	if c.m.Lock.Held() {
+		c.engine().AfterEvent(spinInterval, c, evSpin, c.token, nil)
+		return
+	}
+	c.startAttempt(c.prog[c.secIdx])
+}
+
+// subscribed completes the classic interface's fallback-lock read.
+func (c *Core) subscribed() {
+	if c.m.Lock.Held() {
+		c.m.Sys.L1s[c.id].AbortLocal(htm.CauseMutex)
+		return
+	}
+	c.runBody()
+}
+
+// runBody runs the current section's body for this attempt.
+func (c *Core) runBody() {
+	ops := c.prog[c.secIdx].Body(c.tx().Attempt)
+	c.runOps(ops, 0, c.attemptTok, c.finishFn)
 }
 
 // finishAttempt commits the attempt in whatever mode it ended in: HTM
 // commit, or HTMLock-mode completion after a successful switch (STL).
-func (c *Core) finishAttempt(sec Section) {
+func (c *Core) finishAttempt() {
 	switch c.tx().Mode {
 	case htm.HTM:
 		// The functional commit must coincide with the protection drop:
@@ -509,6 +547,7 @@ func (c *Core) acquire(lk *SpinLock, done func()) {
 	if tr := c.m.Sys.Tracer; tr.Enabled(trace.CatLock) {
 		tr.Emitf(c.id, trace.CatLock, lk.Line, "lock acquire (held=%v waiters=%d)", lk.Held(), lk.Waiters())
 	}
+	//lockiller:alloc-ok once per lock section, not per iteration
 	c.m.Sys.L1s[c.id].Access(lk.Line, true, func() {
 		granted := func() {
 			// Ownership handed over: take the lock line (transfer traffic).
@@ -525,25 +564,11 @@ func (c *Core) release(lk *SpinLock, done func()) {
 	if tr := c.m.Sys.Tracer; tr.Enabled(trace.CatLock) {
 		tr.Emitf(c.id, trace.CatLock, lk.Line, "lock release (waiters=%d)", lk.Waiters())
 	}
+	//lockiller:alloc-ok once per lock section, not per iteration
 	c.m.Sys.L1s[c.id].Access(lk.Line, true, func() {
 		if next := lk.release(c.id); next != nil {
 			c.engine().After(1, next)
 		}
 		done()
 	})
-}
-
-// spinWhileHeld re-reads the lock line until it is observed free.
-func (c *Core) spinWhileHeld(done func()) {
-	var spin func()
-	spin = func() {
-		c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, false, func() {
-			if c.m.Lock.Held() {
-				c.engine().After(spinInterval, spin)
-				return
-			}
-			done()
-		})
-	}
-	spin()
 }

@@ -10,6 +10,7 @@ package stamp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/mem"
@@ -130,31 +131,39 @@ func (p Profile) atomicSection(rng *sim.RNG, hot, warm, priv mem.Region) cpu.Sec
 		ops := p.txBody(rng.Split(0), faulty, hot, warm, priv)
 		return cpu.AtomicStatic(ops)
 	}
-	return cpu.AtomicDynamic(func(attempt int) []cpu.Op {
+	return cpu.AtomicDynamic(p.regenerated(rng, faulty, hot, warm, priv))
+}
+
+// regenerated returns the body generator of a Regenerate section. It is
+// built here, not in atomicSection, so only Regenerate sections move a copy
+// of the profile to the heap.
+func (p Profile) regenerated(rng *sim.RNG, faulty bool, hot, warm, priv mem.Region) func(int) []cpu.Op {
+	return func(attempt int) []cpu.Op {
 		r := rng.Split(uint64(attempt))
 		f := faulty && r.Bool(0.85)
 		return p.txBody(r, f, hot, warm, priv)
-	})
+	}
 }
 
-// txBody draws a transaction's operation stream.
+// txBody draws a transaction's operation stream. The slice is allocated at
+// its final size: every access is followed by one compute op when
+// ComputePerOp is set, plus room for one fault; labyrinth's path grows it
+// once, when its length is drawn.
 func (p Profile) txBody(rng *sim.RNG, faulty bool, hot, warm, priv mem.Region) []cpu.Op {
 	nR := rng.Geometric(float64(p.TxReads))
 	nW := 0
 	if p.TxWrites > 0 {
 		nW = rng.Geometric(float64(p.TxWrites))
 	}
-	ops := make([]cpu.Op, 0, nR+nW+4)
-	appendCompute := func() {
-		if p.ComputePerOp > 0 {
-			ops = append(ops, cpu.Compute(p.ComputePerOp))
-		}
+	per := 1 // ops per access
+	if p.ComputePerOp > 0 {
+		per = 2
 	}
+	ops := make([]cpu.Op, 0, (nR+nW)*per+1)
 	// Reads first (lookup phase), then the update phase, matching the
 	// read-validate-update structure of the STAMP applications.
 	for i := 0; i < nR; i++ {
-		ops = append(ops, cpu.Read(p.readTarget(rng, hot, warm, priv)))
-		appendCompute()
+		ops = appendAccess(ops, cpu.Read(p.readTarget(rng, hot, warm, priv)), p.ComputePerOp)
 	}
 	faultAt := -1
 	if faulty {
@@ -164,17 +173,25 @@ func (p Profile) txBody(rng *sim.RNG, faulty bool, hot, warm, priv mem.Region) [
 		// Contiguous routing path through the hot grid.
 		start := rng.Intn(hot.N)
 		n := p.PathLength/2 + rng.Intn(p.PathLength)
+		ops = slices.Grow(ops, (n+nW)*per+1)
 		for i := 0; i < n; i++ {
-			ops = append(ops, cpu.Write(hot.Pick(start+i)))
-			appendCompute()
+			ops = appendAccess(ops, cpu.Write(hot.Pick(start+i)), p.ComputePerOp)
 		}
 	}
 	for i := 0; i < nW; i++ {
 		if i == faultAt {
 			ops = append(ops, cpu.Fault())
 		}
-		ops = append(ops, cpu.Write(p.writeTarget(rng, hot, priv)))
-		appendCompute()
+		ops = appendAccess(ops, cpu.Write(p.writeTarget(rng, hot, priv)), p.ComputePerOp)
+	}
+	return ops
+}
+
+// appendAccess appends a memory op and the compute that follows it.
+func appendAccess(ops []cpu.Op, op cpu.Op, compute uint64) []cpu.Op {
+	ops = append(ops, op)
+	if compute > 0 {
+		ops = append(ops, cpu.Compute(compute))
 	}
 	return ops
 }

@@ -121,6 +121,34 @@ func TestStaticBodyStableAcrossAttempts(t *testing.T) {
 	}
 }
 
+// TestBodiesSizedExactly pins that Programs allocates each body once at its
+// final size: the only spare slot allowed is the one reserved for a fault.
+// Labyrinth is skipped; its path length is drawn mid-body and grows the
+// slice once.
+func TestBodiesSizedExactly(t *testing.T) {
+	for _, p := range Workloads() {
+		if p.PathLength > 0 {
+			continue
+		}
+		for th, prog := range Programs(p, 8, 1) {
+			for s, sec := range prog {
+				var bodies [][]cpu.Op
+				switch {
+				case sec.Atomic:
+					bodies = [][]cpu.Op{sec.Body(1), sec.Body(2)}
+				case !sec.Barrier:
+					bodies = [][]cpu.Op{sec.Ops}
+				}
+				for _, ops := range bodies {
+					if spare := cap(ops) - len(ops); spare > 1 {
+						t.Fatalf("%s thread %d section %d: len %d cap %d", p.Name, th, s, len(ops), cap(ops))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRegeneratedBodyVariesAcrossAttempts(t *testing.T) {
 	progs := Programs(Labyrinth(), 2, 5)
 	varied := false
