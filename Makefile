@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build vet lint staticcheck vulncheck test test-race test-short bench telemetry-smoke obs-smoke figures eval clean
+.PHONY: all build vet lint staticcheck vulncheck test test-race test-short bench telemetry-smoke obs-smoke surface figures eval clean
 
 all: vet lint build test
 
@@ -80,6 +80,12 @@ telemetry-smoke:
 # self-profile. Offline; runs in CI's test job.
 obs-smoke:
 	sh scripts/obs_smoke.sh
+
+# Print the two size counts every change reports (ROADMAP item 7): non-test
+# Go lines outside bench/ and testdata/, and the CLIs' flag count. Report
+# only; CI's test job prints them.
+surface:
+	sh scripts/surface.sh
 
 # Regenerate the paper's figures (quick scope).
 figures:

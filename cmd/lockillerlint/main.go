@@ -11,9 +11,9 @@
 //	evtalloc      — closure-literal Engine.At/After scheduling on hot paths
 //	tabledispatch — raw switches over MsgType in the coherence package that
 //	                bypass the protocol transition tables
-//	tracehook     — unguarded Tracer.Emit/Emitf or Telemetry hook calls on
-//	                hot paths that pay argument evaluation when disabled, and
-//	                unguarded obs.EngineProbe callsites outside internal/obs
+//	tracehook     — trace.Observer and obs.EngineProbe calls outside an if
+//	                that compares the handle against nil (every package but
+//	                the interface's own)
 //	fusepath      — evL1Done scheduled outside L1.finishHit, breaking the
 //	                event-fusion fast path's single-completion-site invariant
 //

@@ -88,11 +88,7 @@ func main() {
 
 	var tracer *trace.Tracer
 	if *traceCats != "" {
-		sel := *traceCats
-		if sel == "all" {
-			sel = ""
-		}
-		cats, err := trace.ParseCategories(sel)
+		cats, err := trace.ParseCategories(*traceCats)
 		if err != nil {
 			fatal(err)
 		}

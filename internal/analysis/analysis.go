@@ -86,8 +86,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 //	//lockiller:rawdispatch — tabledispatch: the switch is stateless routing,
 //	                        not a protocol decision; say why and name the
 //	                        test that cross-checks it against the tables
-//	//lockiller:trace-ok  — tracehook: the unguarded observability call is on
-//	                        a cold path; say why in the trailing text
 //	//lockiller:fusepath-ok — fusepath: a deliberate new evL1Done scheduling
 //	                        site; say why, and update the fusion equivalence
 //	                        reasoning in DESIGN.md §10
@@ -101,7 +99,6 @@ const (
 	DirectiveAllocOK     = "lockiller:alloc-ok"
 	DirectivePoolOK      = "lockiller:pool-ok"
 	DirectiveRawDispatch = "lockiller:rawdispatch"
-	DirectiveTraceOK     = "lockiller:trace-ok"
 	DirectiveFusePathOK  = "lockiller:fusepath-ok"
 	DirectiveHostClockOK = "lockiller:hostclock-ok"
 )

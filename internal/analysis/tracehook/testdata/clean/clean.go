@@ -1,59 +1,56 @@
-// Package coherence is a tracehook fixture: every observability call below
-// is guarded (or waived) and must NOT be flagged.
+// Package coherence is a tracehook fixture: every observer call below is
+// guarded and must NOT be flagged.
 package coherence
 
-// Tracer stands in for trace.Tracer.
-type Tracer struct{}
-
-func (t *Tracer) Enabled(cat uint8) bool { return t != nil }
-func (t *Tracer) Emit(core int, cat uint8, line uint64, what string) {
-}
-func (t *Tracer) Emitf(core int, cat uint8, line uint64, format string, args ...any) {
+// Event and Observer stand in for trace.Event and trace.Observer.
+type Event struct {
+	Kind uint8
+	Core int
+	Line uint64
 }
 
-// Telemetry stands in for telemetry.Telemetry.
-type Telemetry struct{}
+type Observer interface{ Event(Event) }
 
-func (t *Telemetry) Conflict(winner, loser int, line uint64, read, write, aborted bool) {}
-func (t *Telemetry) TxAbort(core, section, attempt int, start uint64, cause uint8)      {}
+type sys struct{ obs Observer }
 
 type l1 struct {
-	tracer *Tracer
-	tel    *Telemetry
-	core   int
+	sys  *sys
+	obs  Observer
+	core int
 }
 
-// enabledGuard is the Tracer idiom: the branch pays one predicate, the
-// arguments are only evaluated when tracing is on.
-func (l *l1) enabledGuard(line uint64, wait uint64) {
-	if l.tracer.Enabled(0) {
-		l.tracer.Emitf(l.core, 0, line, "wait=%d", wait)
-	}
-}
-
-// initGuard rebinds the handle in the if init, the common real-tree shape.
+// initGuard rebinds the handle in the if init, the shape every model site
+// uses.
 func (l *l1) initGuard(line uint64) {
-	if tr := l.tracer; tr.Enabled(0) {
-		tr.Emit(l.core, 0, line, "hit")
+	if o := l.sys.obs; o != nil {
+		o.Event(Event{Kind: 1, Core: l.core, Line: line})
 	}
 }
 
-// nilGuard is the Telemetry idiom.
-func (l *l1) nilGuard(winner int, line uint64) {
-	if t := l.tel; t != nil {
-		t.Conflict(winner, l.core, line, true, false, true)
+// fieldGuard compares the selector itself.
+func (l *l1) fieldGuard() {
+	if l.obs != nil {
+		l.obs.Event(Event{Kind: 2, Core: l.core})
 	}
 }
 
-// compoundGuard may combine the nil check with other predicates.
-func (l *l1) compoundGuard(line uint64, cause uint8) {
-	if l.tel != nil && cause != 0 {
-		l.tel.TxAbort(l.core, 0, 1, line, cause)
+// compoundGuard may combine the nil check with other predicates in a &&
+// chain, on either side.
+func (l *l1) compoundGuard(start, now uint64) {
+	if o := l.obs; now > start && o != nil {
+		o.Event(Event{Kind: 3, Core: l.core})
+	}
+	if o := l.obs; nil != o && now > start {
+		o.Event(Event{Kind: 3, Core: l.core})
 	}
 }
 
-// waivedColdPath documents why the unguarded call is acceptable.
-func (l *l1) waivedColdPath(line uint64) {
-	//lockiller:trace-ok runs once at machine teardown, not per event
-	l.tracer.Emit(l.core, 0, line, "teardown")
+// nestedGuard: a guard further out in the same function still covers the
+// call.
+func (l *l1) nestedGuard(lines []uint64) {
+	if o := l.obs; o != nil {
+		for _, line := range lines {
+			o.Event(Event{Kind: 4, Core: l.core, Line: line})
+		}
+	}
 }

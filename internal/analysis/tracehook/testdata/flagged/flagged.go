@@ -1,57 +1,60 @@
-// Package coherence is a tracehook fixture: unguarded observability calls in
-// a hot package must be flagged. Tracer/Telemetry stand in for the real
-// internal/trace and internal/telemetry types (fixtures are self-contained).
-package coherence
+// Package stats is a tracehook fixture: unguarded observer calls must be
+// flagged in any package, including one the rule once skipped as off the
+// hot path. Event and Observer stand in for trace.Event and trace.Observer
+// (fixtures are self-contained).
+package stats
 
-// Tracer stands in for trace.Tracer.
-type Tracer struct{}
-
-func (t *Tracer) Enabled(cat uint8) bool { return t != nil }
-func (t *Tracer) Emit(core int, cat uint8, line uint64, what string) {
-}
-func (t *Tracer) Emitf(core int, cat uint8, line uint64, format string, args ...any) {
+type Event struct {
+	Kind       uint8
+	Core       int
+	Start, End uint64
 }
 
-// Telemetry stands in for telemetry.Telemetry.
-type Telemetry struct{}
+type Observer interface{ Event(Event) }
 
-func (t *Telemetry) Conflict(winner, loser int, line uint64, read, write, aborted bool) {}
-func (t *Telemetry) TxBegin(core, section, attempt int)                                 {}
-
-type l1 struct {
-	tracer *Tracer
-	tel    *Telemetry
-	core   int
+type core struct {
+	id    int
+	sink  Observer
+	other *core
 }
 
-// bareEmit pays Emitf's vararg boxing on every call even when tracing is off.
-func (l *l1) bareEmit(line uint64, wait uint64) {
-	l.tracer.Emitf(l.core, 0, line, "wait=%d", wait) // want `unguarded Tracer\.Emitf call in hot package "coherence"`
+// bare builds the event and calls through a possibly nil interface.
+func (c *core) bare(start, now uint64) {
+	c.sink.Event(Event{Kind: 1, Core: c.id, Start: start, End: now}) // want `unguarded Observer\.Event call`
 }
 
-// bareEmitNoF is just as bad without formatting.
-func (l *l1) bareEmitNoF(line uint64) {
-	l.tracer.Emit(l.core, 0, line, "hit") // want `unguarded Tracer\.Emit call in hot package "coherence"`
+// unrelatedGuard checks something else: still flagged, twice.
+func (c *core) unrelatedGuard(start, now uint64) {
+	if now > start {
+		c.sink.Event(Event{Kind: 1, Core: c.id}) // want `unguarded Observer\.Event call`
+	}
+	if c.other != nil {
+		c.sink.Event(Event{Kind: 1, Core: c.id}) // want `compares c\.sink against nil`
+	}
 }
 
-// bareConflict evaluates all six arguments with telemetry disabled.
-func (l *l1) bareConflict(winner int, line uint64) {
-	l.tel.Conflict(winner, l.core, line, true, false, true) // want `unguarded Telemetry\.Conflict call in hot package "coherence"`
+// orGuard: a || chain does not imply the handle is set.
+func (c *core) orGuard(now uint64) {
+	if o := c.sink; o != nil || now > 0 {
+		o.Event(Event{Kind: 1, Core: c.id}) // want `unguarded Observer\.Event call`
+	}
 }
 
-// wrongGuard checks something unrelated: still flagged.
-func (l *l1) wrongGuard(line uint64) {
-	if l.core > 0 {
-		l.tel.TxBegin(l.core, 0, 1) // want `unguarded Telemetry\.TxBegin call in hot package "coherence"`
+// elseBranch runs exactly when the handle is nil.
+func (c *core) elseBranch() {
+	if o := c.sink; o == nil {
+		return
+	} else {
+		o.Event(Event{Kind: 1, Core: c.id}) // want `unguarded Observer\.Event call`
 	}
 }
 
 // closureEscapesGuard: the guard is outside the func literal, so the call
 // runs unguarded whenever the closure fires later.
-func (l *l1) closureEscapesGuard(line uint64, defer_ func(func())) {
-	if l.tracer.Enabled(0) {
+func (c *core) closureEscapesGuard(defer_ func(func())) {
+	if c.sink != nil {
 		defer_(func() {
-			l.tracer.Emit(l.core, 0, line, "late") // want `unguarded Tracer\.Emit call in hot package "coherence"`
+			c.sink.Event(Event{Kind: 1, Core: c.id}) // want `unguarded Observer\.Event call`
 		})
 	}
 }

@@ -1,6 +1,5 @@
-// Package sim is a tracehook fixture for the EngineProbe rule, which holds
-// in every package except obs — sim is not a hot package, yet its probe
-// calls must be nil-guarded.
+// Package sim is a tracehook fixture for the EngineProbe half of the rule,
+// which holds in every package except obs.
 package sim
 
 // EngineProbe mirrors obs.EngineProbe for the fixture.
@@ -9,18 +8,10 @@ type EngineProbe interface {
 	EventEnd(class string, kind uint8)
 }
 
-// Tracer stands in for trace.Tracer: its calls are checked only in hot
-// packages.
-type Tracer struct{}
-
-func (t *Tracer) Enabled(cat uint8) bool { return t != nil }
-func (t *Tracer) Emit(core int, cat uint8, line uint64, what string) {
-}
-
 type engine struct {
-	now    uint64
-	probe  EngineProbe
-	tracer *Tracer
+	now   uint64
+	probe EngineProbe
+	ready bool
 }
 
 // step is the sanctioned idiom: every probe call behind a nil comparison.
@@ -45,12 +36,11 @@ func (e *engine) bare() {
 	e.probe.EventBegin() // want `unguarded EngineProbe\.EventBegin call`
 	e.now++
 	e.probe.EventEnd("core", 1) // want `unguarded EngineProbe\.EventEnd call`
-	e.tracer.Emit(0, 0, 0, "cold")
 }
 
-// enabledGuard: an Enabled check guards a Tracer, never a probe.
-func (e *engine) enabledGuard() {
-	if e.tracer.Enabled(0) {
+// unrelatedGuard: only a nil comparison of the probe guards it.
+func (e *engine) unrelatedGuard() {
+	if e.ready {
 		e.probe.EventBegin() // want `unguarded EngineProbe\.EventBegin call`
 	}
 }

@@ -1,29 +1,17 @@
-// Package tracehook flags unguarded observability calls on the simulator's
-// hot path. Tracer.Emit/Emitf and the Telemetry hook methods are all
-// nil-receiver-safe, but an unguarded call still pays full argument
-// evaluation — fmt varargs boxing, Now() reads, set-membership lookups — on
-// every event even when observability is disabled. The sanctioned idiom
-// hides the whole call behind a branch:
+// Package tracehook checks the one guard rule of the two observer
+// interfaces, trace.Observer (the model-event stream) and obs.EngineProbe
+// (the engine self-profiler): every call through either must sit in the
+// body of an if whose condition compares that handle against nil, alone or
+// in a && chain:
 //
-//	if tr := cfg.Tracer; tr.Enabled(trace.CatNoC) {
-//		tr.Emitf(core, trace.CatNoC, line, "enqueue wait=%d", wait)
-//	}
-//	if t := sys.Telemetry; t != nil {
-//		t.Conflict(winner, loser, line, read, write, aborted)
+//	if o := l1.sys.Obs; o != nil {
+//		o.Event(trace.Event{Kind: trace.KindCommit, Core: l1.core})
 //	}
 //
-// so the disabled path costs one branch and zero argument evaluation. The
-// analyzer flags any Tracer.Emit/Emitf or Telemetry hook call in a hot
-// package that is not lexically inside an if whose condition checks
-// Enabled(...) or compares the handle against nil. Cold paths that
-// deliberately call unguarded are waived with //lockiller:trace-ok plus a
-// justification.
-//
-// The same guard rule covers obs.EngineProbe method calls in every package
-// except obs itself: the probe is nil in every unprofiled run, and the guard
-// is what makes the disabled cost one pointer test instead of an interface
-// dispatch per event. An EngineProbe is an interface with no Enabled method,
-// so only a nil comparison guards it, and the rule has no waiver.
+// Both handles are nil in an unobserved run, where a call would panic and
+// the guard keeps the cost to one pointer test. A guard outside a func
+// literal does not cover the calls inside it. The rule holds in every
+// package but the interface's own, and it has no waiver.
 package tracehook
 
 import (
@@ -37,22 +25,14 @@ import (
 // Analyzer is the tracehook pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "tracehook",
-	Doc:  "flags unguarded Tracer.Emit/Emitf or Telemetry hook calls in hot packages, and unguarded EngineProbe calls outside obs; wrap in an Enabled()/nil guard",
+	Doc:  "flags trace.Observer and obs.EngineProbe calls outside an if that compares the handle against nil",
 	Run:  run,
 }
 
-// tracerMethods are the Tracer recording entry points.
-var tracerMethods = map[string]bool{"Emit": true, "Emitf": true}
-
-// telemetryMethods are the Telemetry hot-path hooks.
-var telemetryMethods = map[string]bool{
-	"Segment": true, "TxBegin": true, "TxCommit": true,
-	"TxAbort": true, "Conflict": true,
-}
+// home names the package that defines each guarded interface.
+var home = map[string]string{"Observer": "trace", "EngineProbe": "obs"}
 
 func run(pass *analysis.Pass) error {
-	hot := analysis.IsHotPkg(pass.Pkg)
-	probes := pass.Pkg.Name() != "obs" // obs implements the probe
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -63,45 +43,28 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			name := sel.Sel.Name
-			var recv string
-			switch {
-			case probes && isNamed(pass, sel.X, "EngineProbe"):
-				if !guarded(pass, call, false) {
-					pass.Reportf(call.Pos(),
-						"unguarded EngineProbe.%s call: the probe is nil in unprofiled runs; wrap the call in an if that compares the probe against nil",
-						name)
-				}
-				return true
-			case hot && tracerMethods[name] && isNamed(pass, sel.X, "Tracer"):
-				recv = "Tracer"
-			case hot && telemetryMethods[name] && isNamed(pass, sel.X, "Telemetry"):
-				recv = "Telemetry"
-			default:
-				return true
-			}
-			if guarded(pass, call, true) || pass.Waived(call, analysis.DirectiveTraceOK) {
+			iface := typeName(pass, sel.X)
+			pkg, guardedIface := home[iface]
+			if !guardedIface || pass.Pkg.Name() == pkg || guarded(pass, call, types.ExprString(sel.X)) {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"unguarded %s.%s call in hot package %q evaluates its arguments even when observability is off; wrap in an Enabled()/nil-check if, or waive a cold path with //%s",
-				recv, name, pass.Pkg.Name(), analysis.DirectiveTraceOK)
+				"unguarded %s.%s call: the handle is nil in an unobserved run; wrap the call in an if that compares %s against nil",
+				iface, sel.Sel.Name, types.ExprString(sel.X))
 			return true
 		})
 	}
 	return nil
 }
 
-// guarded reports whether the call sits in the body of an if whose condition
-// performs a nil comparison or, when enabledOK, checks Enabled(...). The
-// search stops at the enclosing function boundary: a guard outside a func
-// literal does not cover calls that run when the literal is later invoked.
-func guarded(pass *analysis.Pass, call *ast.CallExpr, enabledOK bool) bool {
+// guarded reports whether the call sits in the body of an if whose
+// condition implies handle != nil, within the call's own function.
+func guarded(pass *analysis.Pass, call *ast.CallExpr, handle string) bool {
 	var prev ast.Node = call
 	for cur := pass.ParentOf(call); cur != nil; cur = pass.ParentOf(cur) {
 		switch p := cur.(type) {
 		case *ast.IfStmt:
-			if prev == p.Body && condGuards(p.Cond, enabledOK) {
+			if prev == p.Body && implies(p.Cond, handle) {
 				return true
 			}
 		case *ast.FuncDecl, *ast.FuncLit:
@@ -112,26 +75,19 @@ func guarded(pass *analysis.Pass, call *ast.CallExpr, enabledOK bool) bool {
 	return false
 }
 
-// condGuards reports whether cond contains a comparison against nil or, when
-// enabledOK, an Enabled(...) call.
-func condGuards(cond ast.Expr, enabledOK bool) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		switch e := n.(type) {
-		case *ast.CallExpr:
-			if s, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && enabledOK && s.Sel.Name == "Enabled" {
-				found = true
-			}
-		case *ast.BinaryExpr:
-			if e.Op == token.NEQ || e.Op == token.EQL {
-				if isNil(e.X) || isNil(e.Y) {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
+// implies reports whether cond is handle != nil or a && chain holding it.
+func implies(cond ast.Expr, handle string) bool {
+	e, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	switch {
+	case !ok:
+		return false
+	case e.Op == token.LAND:
+		return implies(e.X, handle) || implies(e.Y, handle)
+	case e.Op == token.NEQ:
+		return isNil(e.Y) && types.ExprString(e.X) == handle ||
+			isNil(e.X) && types.ExprString(e.Y) == handle
+	}
+	return false
 }
 
 func isNil(e ast.Expr) bool {
@@ -139,18 +95,16 @@ func isNil(e ast.Expr) bool {
 	return ok && id.Name == "nil"
 }
 
-// isNamed reports whether e's type is (a pointer to) a named type with the
-// given name — trace.Tracer / telemetry.Telemetry / obs.EngineProbe in the
-// real tree, local stand-ins in fixtures.
-func isNamed(pass *analysis.Pass, e ast.Expr, name string) bool {
+// typeName returns the name of e's type if it is a named interface:
+// trace.Observer and obs.EngineProbe in the real tree, local stand-ins in
+// fixtures.
+func typeName(pass *analysis.Pass, e ast.Expr) string {
 	tv, ok := pass.TypesInfo.Types[e]
 	if !ok || tv.Type == nil {
-		return false
+		return ""
 	}
-	t := tv.Type
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
+	if named, ok := tv.Type.(*types.Named); ok && types.IsInterface(named) {
+		return named.Obj().Name()
 	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == name
+	return ""
 }

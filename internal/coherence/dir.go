@@ -241,8 +241,8 @@ func (b *Bank) service(d *dirLine, m *Msg) {
 			(d.state == dirEM && d.owner == m.Requester)
 		if b.sys.Arbiter.SigConflict(m.Requester, m.Line, write, wouldBeExclusive) {
 			b.Rejections++
-			if b.sys.Tracer.Enabled(trace.CatHTMLock) {
-				b.sys.Tracer.Emitf(b.id, trace.CatHTMLock, m.Line, "LLC signature reject for c%d", m.Requester)
+			if o := b.sys.Obs; o != nil {
+				o.Event(trace.Event{Kind: trace.KindSigReject, Core: b.id, Line: m.Line, Peer: m.Requester})
 			}
 			b.sys.Arbiter.NoteRejected(m.Requester)
 			b.sendAfter(b.sys.DirLatency, Msg{Type: MsgReject, Line: m.Line, Dst: m.Src,
@@ -384,8 +384,8 @@ func (b *Bank) takeOwnerData(d *dirLine, m *Msg) {
 // ownership (Fig. 3).
 func (b *Bank) ownerNacked(d *dirLine, m *Msg) {
 	b.Nacks++
-	if b.sys.Tracer.Enabled(trace.CatProto) {
-		b.sys.Tracer.Emitf(b.id, trace.CatProto, m.Line, "NACK from c%d: serve LLC to c%d", m.Src, d.pend.req.Requester)
+	if o := b.sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindNack, Core: b.id, Line: m.Line, Src: m.Src, Dst: d.pend.req.Requester})
 	}
 	d.state = dirI
 	d.owner = -1
@@ -581,8 +581,8 @@ func (b *Bank) backInvalidate(l mem.Line, cont func()) {
 		panic("coherence: back-invalidating a busy line")
 	}
 	b.BackInvals++
-	if b.sys.Tracer.Enabled(trace.CatProto) {
-		b.sys.Tracer.Emitf(b.id, trace.CatProto, l, "back-invalidation")
+	if o := b.sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindBackInv, Core: b.id, Line: l})
 	}
 	// Recall targets: the owner under dirEM, every sharer under dirS —
 	// sent in ascending core order either way (CoreSet.Next), matching

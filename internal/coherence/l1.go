@@ -394,7 +394,7 @@ func (l1 *L1) allocateAndIssue(line mem.Line, write bool, done func(), ep uint64
 // allocateWay finds (and frees) an L1 way for the line, returning nil when
 // the access was diverted to the overflow machinery.
 func (l1 *L1) allocateWay(line mem.Line, write bool, done func(), ep uint64) *cache.Entry {
-	if l1.midEnabled() {
+	if l1.hasMid() {
 		return l1.l1VictimOrDemote(line, write, done, ep)
 	}
 	avoidTx := func(e *cache.Entry) bool { return e.Tx() }
@@ -445,8 +445,8 @@ func (l1 *L1) overflow(line mem.Line, write bool, done func(), ep uint64) {
 // signatures (paper Fig. 5 (2)).
 func (l1 *L1) spillToSignature(v *cache.Entry) {
 	l1.OverflowEvictions++
-	if l1.sys.Tracer.Enabled(trace.CatHTMLock) {
-		l1.sys.Tracer.Emitf(l1.core, trace.CatHTMLock, v.Line, "signature spill r=%v w=%v", v.TxRead, v.TxWrite)
+	if o := l1.sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindSigSpill, Core: l1.core, Line: v.Line, Read: v.TxRead, Write: v.TxWrite})
 	}
 	l1.sys.Arbiter.RecordOverflow(l1.core, v.Line, v.TxRead, v.TxWrite)
 	l1.send(Msg{Type: MsgSigAdd, Line: v.Line, Dst: l1.sys.ArbiterTile,
@@ -526,8 +526,9 @@ func (l1 *L1) sendReq(m *mshr) {
 	if m.write {
 		t = MsgGetM
 	}
-	if l1.sys.Tracer.Enabled(trace.CatProto) {
-		l1.sys.Tracer.Emitf(l1.core, trace.CatProto, m.line, "%v prio=%d mode=%v", t, l1.Tx.Priority(), l1.Tx.Mode)
+	if o := l1.sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindRequest, Core: l1.core, Line: m.line, Msg: t.String(),
+			Prio: l1.Tx.Priority(), Mode: l1.Tx.Mode})
 	}
 	l1.send(Msg{Type: t, Line: m.line, Dst: l1.sys.HomeBank(m.line),
 		Requester: l1.core, Prio: l1.Tx.Priority(), ReqMode: l1.Tx.Mode})
@@ -625,8 +626,8 @@ func (l1 *L1) rejected(m *Msg) {
 		panic(fmt.Sprintf("coherence: L1 %d reject without MSHR for line %d", l1.core, m.Line))
 	}
 	l1.RejectsReceived++
-	if l1.sys.Tracer.Enabled(trace.CatConflict) {
-		l1.sys.Tracer.Emitf(l1.core, trace.CatConflict, m.Line, "request rejected by %v", m.RejectorMode)
+	if o := l1.sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindRejected, Core: l1.core, Line: m.Line, Mode: m.RejectorMode})
 	}
 	// Restore the array state from before the request (paper Fig. 2 (7)).
 	e := l1.arr.Lookup(m.Line)
@@ -646,10 +647,11 @@ func (l1 *L1) rejected(m *Msg) {
 		return
 	}
 	dec := l1.sys.HTM.Conflict.Rejected(l1.Tx.Mode)
-	if t := l1.sys.Telemetry; t != nil {
+	if o := l1.sys.Obs; o != nil {
 		// The loser's involvement is its request flavor: the line was being
 		// pulled into the read or write set when the rejector defeated it.
-		t.Conflict(m.Rejector, l1.core, m.Line, !ms.write, ms.write, dec.Abort)
+		o.Event(trace.Event{Kind: trace.KindConflict, Core: l1.core, Line: m.Line, Peer: m.Rejector,
+			Read: !ms.write, Write: ms.write, Aborted: dec.Abort})
 	}
 	if dec.Abort {
 		l1.resolveParked(ms)
@@ -844,9 +846,9 @@ func (l1 *L1) nack(line mem.Line, requester int) {
 func (l1 *L1) fwdReject(m *Msg) {
 	l1.RejectsSent++
 	l1.noteRejected(m)
-	if l1.sys.Tracer.Enabled(trace.CatConflict) {
-		l1.sys.Tracer.Emitf(l1.core, trace.CatConflict, m.Line,
-			"reject %v from c%d (own prio %d vs %d)", m.Type, m.Requester, l1.Tx.Priority(), m.Prio)
+	if o := l1.sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindRejectFwd, Core: l1.core, Line: m.Line, Msg: m.Type.String(),
+			Peer: m.Requester, Prio: l1.Tx.Priority(), PeerPrio: m.Prio})
 	}
 	l1.sendAfter(l1.arbDelay(), Msg{Type: MsgRejectFwd, Line: m.Line, Dst: l1.sys.HomeBank(m.Line),
 		Requester: m.Requester, RejectorMode: l1.Tx.Mode, Rejector: l1.core})
@@ -870,7 +872,7 @@ func (l1 *L1) dropAfterConflict(e *cache.Entry) {
 // so it captures the fields it needs rather than the message.
 func (l1 *L1) respondForward(m *Msg, e *cache.Entry, inL1 bool) {
 	line, req, getS := m.Line, m.Requester, m.Type == MsgFwdGetS
-	if inL1 && l1.midEnabled() {
+	if inL1 && l1.hasMid() {
 		// The three-level odd design: flush the line from the L1 to the
 		// middle cache before answering — even for plain loads — paying
 		// the middle-cache latency and losing the L1 copy (§IV-A).
@@ -1045,12 +1047,9 @@ func (l1 *L1) victimCause(m *Msg) htm.AbortCause {
 // the victim's read/write-set membership) before the abort flash-clears the
 // transactional bits.
 func (l1 *L1) abortVictim(m *Msg, e *cache.Entry) {
-	if t := l1.sys.Telemetry; t != nil {
-		var read, write bool
-		if e != nil {
-			read, write = e.TxRead, e.TxWrite
-		}
-		t.Conflict(m.Requester, l1.core, m.Line, read, write, true)
+	if o := l1.sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindConflict, Core: l1.core, Line: m.Line, Peer: m.Requester,
+			Read: e != nil && e.TxRead, Write: e != nil && e.TxWrite, Aborted: true})
 	}
 	l1.abortTx(l1.victimCause(m))
 }
@@ -1084,9 +1083,9 @@ func (l1 *L1) abortTx(cause htm.AbortCause) {
 	if l1.Tx.Mode != htm.HTM {
 		panic(fmt.Sprintf("coherence: abort in mode %v", l1.Tx.Mode))
 	}
-	if l1.sys.Tracer.Enabled(trace.CatTx) {
-		l1.sys.Tracer.Emitf(l1.core, trace.CatTx, 0, "abort cause=%v attempt=%d reads=%d writes=%d",
-			cause, l1.Tx.Attempt, l1.Tx.ReadLines, l1.Tx.WriteLines)
+	if o := l1.sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindAbort, Core: l1.core, Cause: cause, Attempt: l1.Tx.Attempt,
+			Reads: l1.Tx.ReadLines, Writes: l1.Tx.WriteLines})
 	}
 	l1.Tx.Doom(cause)
 	l1.Tx.Mode = htm.NonTx // hardware leaves transactional mode on abort
@@ -1117,9 +1116,9 @@ func (l1 *L1) CommitTx() {
 	if l1.Tx.Mode != htm.HTM {
 		panic(fmt.Sprintf("coherence: commit in mode %v", l1.Tx.Mode))
 	}
-	if l1.sys.Tracer.Enabled(trace.CatTx) {
-		l1.sys.Tracer.Emitf(l1.core, trace.CatTx, 0, "commit attempt=%d reads=%d writes=%d",
-			l1.Tx.Attempt, l1.Tx.ReadLines, l1.Tx.WriteLines)
+	if o := l1.sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindCommit, Core: l1.core, Attempt: l1.Tx.Attempt,
+			Reads: l1.Tx.ReadLines, Writes: l1.Tx.WriteLines})
 	}
 	l1.arr.ClearTx(false)
 	l1.midClearTx(false)
@@ -1149,14 +1148,14 @@ func (l1 *L1) trySwitch(retry func()) {
 			}
 		case granted:
 			l1.SwitchGrants++
-			if l1.sys.Tracer.Enabled(trace.CatHTMLock) {
-				l1.sys.Tracer.Emit(l1.core, trace.CatHTMLock, 0, "switchingMode granted: now STL")
+			if o := l1.sys.Obs; o != nil {
+				o.Event(trace.Event{Kind: trace.KindSwitchGrant, Core: l1.core})
 			}
 			l1.Tx.Mode = htm.STL
 			retry()
 		default:
-			if l1.sys.Tracer.Enabled(trace.CatHTMLock) {
-				l1.sys.Tracer.Emit(l1.core, trace.CatHTMLock, 0, "switchingMode denied")
+			if o := l1.sys.Obs; o != nil {
+				o.Event(trace.Event{Kind: trace.KindSwitchDeny, Core: l1.core})
 			}
 			l1.abortTx(htm.CauseOverflow)
 		}
@@ -1194,9 +1193,9 @@ func (l1 *L1) HLEnd() {
 	if !l1.Tx.Mode.Lock() {
 		panic(fmt.Sprintf("coherence: HLEnd in mode %v", l1.Tx.Mode))
 	}
-	if l1.sys.Tracer.Enabled(trace.CatHTMLock) {
-		l1.sys.Tracer.Emitf(l1.core, trace.CatHTMLock, 0, "hlend from %v reads=%d writes=%d",
-			l1.Tx.Mode, l1.Tx.ReadLines, l1.Tx.WriteLines)
+	if o := l1.sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindHLEnd, Core: l1.core, Mode: l1.Tx.Mode,
+			Reads: l1.Tx.ReadLines, Writes: l1.Tx.WriteLines})
 	}
 	l1.arr.ClearTx(false)
 	l1.midClearTx(false)

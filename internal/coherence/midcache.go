@@ -29,8 +29,8 @@ import (
 //
 // The directory is oblivious: the L1+middle pair is one coherence node.
 
-// midEnabled reports whether this L1 has a middle cache.
-func (l1 *L1) midEnabled() bool { return l1.mid != nil }
+// hasMid reports whether this L1 has a middle cache.
+func (l1 *L1) hasMid() bool { return l1.mid != nil }
 
 // midLookup returns the middle-cache entry for the line, or nil.
 func (l1 *L1) midLookup(line mem.Line) *cache.Entry {

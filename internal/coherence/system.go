@@ -8,7 +8,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -91,13 +90,10 @@ type System struct {
 	L1s     []*L1
 	Banks   []*Bank
 	Arbiter *htm.Arbiter
-	// Tracer, when non-nil, records protocol events (see internal/trace).
-	// The machine layer sets it, and the CPU cores read it too.
-	Tracer *trace.Tracer
-	// Telemetry, when non-nil, receives conflict-provenance and
-	// transaction records (see internal/telemetry). The machine layer sets
-	// it. Hot-path hook sites must nil-check it.
-	Telemetry *telemetry.Telemetry
+	// Obs, when non-nil, receives the model's events (internal/trace). The
+	// machine layer sets it, and the CPU cores report through it too. Every
+	// call site nil-checks it (the tracehook analyzer).
+	Obs trace.Observer
 	// ArbiterTile hosts the centralized HTMLock arbiter.
 	ArbiterTile int
 	// LockLine is the fallback lock's cache line, used to classify
@@ -162,7 +158,7 @@ func NewSystem(engine *sim.Engine, p Params, hc htm.Config) *System {
 // The caller must guarantee no run is in progress: no live protocol
 // messages, no busy directory lines, and no pending events. The engine is
 // reset separately by the machine layer, whose Reset also detaches the
-// Tracer and Telemetry; cpu.Machine.Observe attaches the next run's.
+// observer; cpu.Machine.Observe attaches the next run's.
 func (s *System) Reset() {
 	s.Net.Reset()
 	if s.Arbiter != nil {

@@ -360,11 +360,8 @@ func (c *Core) startAttempt(sec Section) {
 	c.st.StartSegment(stats.CatHTM, c.now())
 	c.tx().BeginAttempt(htm.HTM, c.now())
 	c.st.Attempts++
-	if tr := c.m.Sys.Tracer; tr.Enabled(trace.CatTx) {
-		tr.Emitf(c.id, trace.CatTx, 0, "xbegin section=%d attempt=%d", c.secIdx, c.tx().Attempt)
-	}
-	if t := c.m.Sys.Telemetry; t != nil {
-		t.TxBegin(c.id, c.secIdx, c.tx().Attempt)
+	if o := c.m.Sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindXBegin, Core: c.id, Section: c.secIdx, Attempt: c.tx().Attempt})
 	}
 	c.attemptTok = c.token
 	if c.m.Sys.HTM.HTMLock {
@@ -408,34 +405,32 @@ func (c *Core) runBody() {
 // finishAttempt commits the attempt in whatever mode it ended in: HTM
 // commit, or HTMLock-mode completion after a successful switch (STL).
 func (c *Core) finishAttempt() {
-	switch c.tx().Mode {
+	cat := stats.CatHTM
+	switch mode := c.tx().Mode; mode {
 	case htm.HTM:
 		// The functional commit must coincide with the protection drop:
 		// CommitTx clears the read/write sets and wakes rejected
 		// requesters, so the staged values have to be visible first.
 		c.applyStaged()
 		c.m.Sys.L1s[c.id].CommitTx()
-		c.st.Commits++
-		if t := c.m.Sys.Telemetry; t != nil {
-			t.TxCommit(c.id, c.secIdx, c.tx().Attempt, c.tx().AttemptStart, false)
-		}
-		c.st.CloseAs(stats.CatHTM, stats.CatNonTx, c.now())
-		c.sectionDone()
 	case htm.STL:
 		// The transaction switched to HTMLock mode mid-flight; hlend
-		// without releasing the fallback lock (Listing 2).
+		// without releasing the fallback lock (Listing 2). The attempt's
+		// work was saved, not wasted: it counts as a commit.
 		c.applyStaged()
 		c.m.Sys.L1s[c.id].HLEnd()
-		c.st.Commits++ // the attempt's work was saved, not wasted
 		c.st.SwitchRuns++
-		if t := c.m.Sys.Telemetry; t != nil {
-			t.TxCommit(c.id, c.secIdx, c.tx().Attempt, c.tx().AttemptStart, true)
-		}
-		c.st.CloseAs(stats.CatSwitchLock, stats.CatNonTx, c.now())
-		c.sectionDone()
+		cat = stats.CatSwitchLock
 	default:
-		panic(fmt.Sprintf("cpu: attempt finished in mode %v", c.tx().Mode))
+		panic(fmt.Sprintf("cpu: attempt finished in mode %v", mode))
 	}
+	c.st.Commits++
+	if o := c.m.Sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindAttemptCommit, Core: c.id, Section: c.secIdx,
+			Attempt: c.tx().Attempt, Start: c.tx().AttemptStart, Switched: cat == stats.CatSwitchLock})
+	}
+	c.st.CloseAs(cat, stats.CatNonTx, c.now())
+	c.sectionDone()
 }
 
 func (c *Core) sectionDone() {
@@ -462,8 +457,9 @@ func (c *Core) OnDoom(cause htm.AbortCause) {
 	c.token++
 	clear(c.staged) // discard speculative functional updates, keep the buckets
 	c.st.Abort(cause)
-	if t := c.m.Sys.Telemetry; t != nil {
-		t.TxAbort(c.id, c.secIdx, c.tx().Attempt, c.tx().AttemptStart, cause)
+	if o := c.m.Sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindAttemptAbort, Core: c.id, Section: c.secIdx,
+			Attempt: c.tx().Attempt, Start: c.tx().AttemptStart, Cause: cause})
 	}
 	c.st.CloseAs(stats.CatAborted, stats.CatRollback, c.now())
 	if cause != htm.CauseMutex {
@@ -490,8 +486,8 @@ func (c *Core) backoff() uint64 {
 // fallback executes the section on the non-speculative path: a TL lock
 // transaction under HTMLock, a plain mutex section otherwise.
 func (c *Core) fallback(sec Section) {
-	if tr := c.m.Sys.Tracer; tr.Enabled(trace.CatTx) {
-		tr.Emitf(c.id, trace.CatTx, 0, "fallback section=%d after %d retries", c.secIdx, c.retries)
+	if o := c.m.Sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindFallback, Core: c.id, Section: c.secIdx, Count: c.retries})
 	}
 	c.st.StartSegment(stats.CatWaitLock, c.now())
 	c.acquire(c.m.Lock, func() {
@@ -544,8 +540,8 @@ func (c *Core) lockSectionDone() {
 // and is handed the lock directly by the releasing core, paying one more
 // cache-to-cache transfer on the handover.
 func (c *Core) acquire(lk *SpinLock, done func()) {
-	if tr := c.m.Sys.Tracer; tr.Enabled(trace.CatLock) {
-		tr.Emitf(c.id, trace.CatLock, lk.Line, "lock acquire (held=%v waiters=%d)", lk.Held(), lk.Waiters())
+	if o := c.m.Sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindLockAcquire, Core: c.id, Line: lk.Line, Held: lk.Held(), Count: lk.Waiters()})
 	}
 	//lockiller:alloc-ok once per lock section, not per iteration
 	c.m.Sys.L1s[c.id].Access(lk.Line, true, func() {
@@ -561,8 +557,8 @@ func (c *Core) acquire(lk *SpinLock, done func()) {
 
 // release frees the lock with a real store, waking the next waiter.
 func (c *Core) release(lk *SpinLock, done func()) {
-	if tr := c.m.Sys.Tracer; tr.Enabled(trace.CatLock) {
-		tr.Emitf(c.id, trace.CatLock, lk.Line, "lock release (waiters=%d)", lk.Waiters())
+	if o := c.m.Sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindLockRelease, Core: c.id, Line: lk.Line, Count: lk.Waiters()})
 	}
 	//lockiller:alloc-ok once per lock section, not per iteration
 	c.m.Sys.L1s[c.id].Access(lk.Line, true, func() {

@@ -202,24 +202,29 @@ func (m *Machine) Reset(seed uint64, label, workload string, programs []Program)
 // Observe attaches o to the machine's next run. Call it after NewMachine
 // or Reset and before Run; Reset detaches every observer. A telemetry
 // starts sampling as it attaches, so attach at most one per run. Observe is
-// the one place observers are wired in: the engine gets the probe, the
-// coherence layer and the NoC the tracer, and a telemetry is labeled from
-// the machine, fed every closed per-core segment, given its NoC and MSHR
-// series, and started on the engine's clock.
+// the one place observers are wired in: the engine gets the probe; the
+// tracer and the telemetry that are set join one trace.Tee, the event
+// observer of the coherence layer, the NoC and the per-core stats; and a
+// telemetry is labeled from the machine, given its NoC and MSHR series, and
+// started on the engine's clock.
 func (m *Machine) Observe(o Observers) {
 	m.Engine.SetProbe(o.Probe)
+	var tee trace.Tee
 	if o.Tracer != nil {
 		o.Tracer.Now = m.Engine.Now
+		tee = append(tee, o.Tracer)
 	}
-	m.Sys.Tracer, m.Sys.Net.Tracer = o.Tracer, o.Tracer
-	m.Sys.Telemetry = o.Telemetry
-	var sink stats.SegmentSink
 	if tel := o.Telemetry; tel != nil {
-		sink = tel
 		m.registerSeries(tel)
+		tee = append(tee, tel)
 	}
+	var obs trace.Observer
+	if tee != nil {
+		obs = tee // never an empty tee: an unobserved run's sites see nil
+	}
+	m.Sys.Obs, m.Sys.Net.Obs = obs, obs
 	for _, sc := range m.Stats.Cores {
-		sc.Sink = sink
+		sc.Sink = obs
 	}
 }
 

@@ -72,9 +72,9 @@ type Network struct {
 	scratch    []topology.Link
 	scratchIdx []int32
 
-	// Tracer, when non-nil, records CatNoC events: link enqueue,
-	// serialization stalls, and scheduled delivery.
-	Tracer *trace.Tracer
+	// Obs, when non-nil, receives the link enqueue, serialization stall
+	// and scheduled delivery of each message that crosses a link.
+	Obs trace.Observer
 
 	// Stats.
 	Messages  uint64
@@ -164,8 +164,8 @@ func (n *Network) arrival(src, dst, flits int) uint64 {
 		lat := uint64(len(route)) * (n.cfg.LinkLatency + n.cfg.RouterDelay)
 		return now + maxU64(lat, 1)
 	}
-	if n.Tracer.Enabled(trace.CatNoC) {
-		n.Tracer.Emitf(src, trace.CatNoC, 0, "enqueue %d->%d flits=%d hops=%d", src, dst, flits, len(route))
+	if o := n.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindEnqueue, Core: src, Src: src, Dst: dst, Count: flits, Hops: len(route)})
 	}
 	// Head-flit arrival time threads through each link in order; the link
 	// is then occupied for the serialization time of the whole message.
@@ -180,11 +180,11 @@ func (n *Network) arrival(src, dst, flits int) uint64 {
 	}
 	// Tail flit arrives (flits-1) cycles after the head.
 	t += uint64(flits - 1)
-	if n.Tracer.Enabled(trace.CatNoC) {
+	if o := n.Obs; o != nil {
 		if stalled > 0 {
-			n.Tracer.Emitf(src, trace.CatNoC, 0, "serialization stall %d->%d wait=%d", src, dst, stalled)
+			o.Event(trace.Event{Kind: trace.KindStall, Core: src, Src: src, Dst: dst, Wait: stalled})
 		}
-		n.Tracer.Emitf(dst, trace.CatNoC, 0, "dequeue %d->%d at=%d", src, dst, t)
+		o.Event(trace.Event{Kind: trace.KindDequeue, Core: dst, Src: src, Dst: dst, End: t})
 	}
 	return t
 }

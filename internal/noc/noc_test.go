@@ -156,7 +156,7 @@ func TestMessageCounting(t *testing.T) {
 func TestNoCTracerHooks(t *testing.T) {
 	tr := trace.New(64, map[trace.Category]bool{trace.CatNoC: true})
 	e, n, d := newNet(t, DefaultConfig())
-	n.Tracer = tr
+	n.Obs = tr
 	tr.Now = e.Now
 	// Two data messages over the same route: the second serializes behind
 	// the first, so the trace must show enqueues, one stall, and dequeues.
@@ -165,15 +165,15 @@ func TestNoCTracerHooks(t *testing.T) {
 	runEngine(t, e)
 	var enq, stall, deq int
 	for _, ev := range tr.Events() {
-		if ev.Cat != trace.CatNoC {
-			t.Fatalf("unexpected category %v", ev.Cat)
+		if !strings.Contains(ev.String(), " [noc] ") {
+			t.Fatalf("unexpected category: %v", ev)
 		}
-		switch {
-		case strings.HasPrefix(ev.What, "enqueue"):
+		switch ev.Kind {
+		case trace.KindEnqueue:
 			enq++
-		case strings.HasPrefix(ev.What, "serialization stall"):
+		case trace.KindStall:
 			stall++
-		case strings.HasPrefix(ev.What, "dequeue"):
+		case trace.KindDequeue:
 			deq++
 		}
 	}
@@ -186,7 +186,7 @@ func TestNoCTracerDisabledByCategory(t *testing.T) {
 	// A tracer without CatNoC enabled must record nothing from the NoC.
 	tr := trace.New(64, map[trace.Category]bool{trace.CatProto: true})
 	e, n, d := newNet(t, DefaultConfig())
-	n.Tracer = tr
+	n.Obs = tr
 	tr.Now = e.Now
 	d.send(n, 0, 3, DataFlits, 1)
 	runEngine(t, e)

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/htm"
+	"repro/internal/trace"
 )
 
 // Category partitions every core cycle, matching the paper's breakdown:
@@ -39,20 +40,15 @@ func (c Category) String() string {
 	return fmt.Sprintf("Category(%d)", uint8(c))
 }
 
-// SegmentSink receives every closed per-core cycle segment as it is
-// flushed — the telemetry layer implements it to build Chrome-trace spans
-// and per-interval cycle-share curves without a second accounting pass.
-// Zero-length segments are never delivered.
-type SegmentSink interface {
-	Segment(core int, cat Category, start, end uint64)
-}
-
 // Core accumulates one hardware thread's measurements.
 type Core struct {
 	// ID is the core's index within the run.
 	ID int
-	// Sink, when non-nil, observes every closed cycle segment.
-	Sink SegmentSink
+	// Sink, when non-nil, receives every closed non-empty cycle segment as
+	// a trace.KindSegment event: the telemetry layer builds Chrome-trace
+	// spans and cycle-share curves from them without a second accounting
+	// pass.
+	Sink trace.Observer
 
 	Cycles [NumCategories]uint64
 
@@ -77,12 +73,7 @@ type Core struct {
 
 // StartSegment begins attributing cycles to the category at time now.
 func (c *Core) StartSegment(cat Category, now uint64) {
-	c.Cycles[c.segCat] += now - c.segStart
-	if c.Sink != nil && now > c.segStart {
-		c.Sink.Segment(c.ID, c.segCat, c.segStart, now)
-	}
-	c.segStart = now
-	c.segCat = cat
+	c.CloseAs(c.segCat, cat, now)
 }
 
 // CloseAs flushes the open segment into `as` — regardless of what category
@@ -92,8 +83,8 @@ func (c *Core) StartSegment(cat Category, now uint64) {
 // known.
 func (c *Core) CloseAs(as, next Category, now uint64) {
 	c.Cycles[as] += now - c.segStart
-	if c.Sink != nil && now > c.segStart {
-		c.Sink.Segment(c.ID, as, c.segStart, now)
+	if o := c.Sink; o != nil && now > c.segStart {
+		o.Event(trace.Event{Kind: trace.KindSegment, Core: c.ID, Seg: uint8(as), Start: c.segStart, End: now})
 	}
 	c.segStart = now
 	c.segCat = next

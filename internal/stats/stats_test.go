@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/htm"
+	"repro/internal/trace"
 )
 
 func TestSegmentAccounting(t *testing.T) {
@@ -110,22 +111,10 @@ func TestRunString(t *testing.T) {
 	}
 }
 
-// sinkRec records every flushed segment for the SegmentSink tests.
-type sinkRec struct {
-	segs []struct {
-		core       int
-		cat        Category
-		start, end uint64
-	}
-}
+// sinkRec records every event a core's sink receives.
+type sinkRec struct{ segs []trace.Event }
 
-func (s *sinkRec) Segment(core int, cat Category, start, end uint64) {
-	s.segs = append(s.segs, struct {
-		core       int
-		cat        Category
-		start, end uint64
-	}{core, cat, start, end})
-}
+func (s *sinkRec) Event(e trace.Event) { s.segs = append(s.segs, e) }
 
 func TestCloseAsAtSegmentBoundary(t *testing.T) {
 	// An abort landing exactly on the cycle the segment opened closes a
@@ -144,7 +133,7 @@ func TestCloseAsAtSegmentBoundary(t *testing.T) {
 		t.Fatalf("rollback cycles = %v", c.Cycles)
 	}
 	for _, s := range sink.segs {
-		if s.start == s.end {
+		if s.Start == s.End {
 			t.Fatalf("sink saw zero-length segment %+v", s)
 		}
 	}
@@ -163,7 +152,7 @@ func TestZeroLengthSegmentsSkipSink(t *testing.T) {
 		t.Fatalf("sink got %d segments, want 1: %+v", len(sink.segs), sink.segs)
 	}
 	s := sink.segs[0]
-	if s.cat != CatWaitLock || s.start != 0 || s.end != 20 || s.core != 0 {
+	if s.Kind != trace.KindSegment || Category(s.Seg) != CatWaitLock || s.Start != 0 || s.End != 20 || s.Core != 0 {
 		t.Fatalf("segment = %+v", s)
 	}
 	if c.TotalCycles() != 20 {
@@ -186,13 +175,13 @@ func TestFinishFlushesFinalSegment(t *testing.T) {
 	c.Finish(70)
 	var sunk uint64
 	for _, s := range sink.segs {
-		sunk += s.end - s.start
+		sunk += s.End - s.Start
 	}
 	if sunk != c.TotalCycles() {
 		t.Fatalf("sink saw %d cycles, accumulators saw %d", sunk, c.TotalCycles())
 	}
 	last := sink.segs[len(sink.segs)-1]
-	if last.cat != CatNonTx || last.end != 70 {
+	if Category(last.Seg) != CatNonTx || last.End != 70 {
 		t.Fatalf("final flush = %+v", last)
 	}
 	if c.Cycles[CatAborted] != 15 || c.Cycles[CatHTM] != 25 ||

@@ -99,7 +99,7 @@ type chromeExport struct {
 // have been enabled in the Config.
 func (t *Telemetry) WriteChromeTrace(w io.Writer) error {
 	events := []chromeEvent{}
-	if t != nil && t.chrome != nil {
+	if t.chrome != nil {
 		events = t.chrome.events
 	}
 	enc := json.NewEncoder(w)

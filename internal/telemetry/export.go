@@ -82,9 +82,6 @@ func (t *Telemetry) export() metricsExport {
 // WriteMetricsJSON writes the sampled time-series, instrument totals, and
 // conflict provenance as sorted-key JSON.
 func (t *Telemetry) WriteMetricsJSON(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(t.export())
@@ -93,9 +90,6 @@ func (t *Telemetry) WriteMetricsJSON(w io.Writer) error {
 // WriteMetricsCSV writes the sampled time-series as CSV: one row per
 // sample, a "cycle" column followed by the series in sorted-name order.
 func (t *Telemetry) WriteMetricsCSV(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
 	r := t.Reg
 	r.freeze()
 	cw := csv.NewWriter(w)

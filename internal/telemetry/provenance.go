@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"repro/internal/mem"
 )
@@ -94,7 +95,8 @@ func (p *provenance) hotLines(n int) []HotLine {
 }
 
 // abortMatrix exports the non-zero attribution cells keyed by zero-padded
-// core ids ("c03"), so lexicographic key order equals numeric core order.
+// core ids ("c03"; "c003" beyond 100 cores), so lexicographic key order
+// equals numeric core order.
 func (p *provenance) abortMatrix() map[string]map[string]uint64 {
 	out := make(map[string]map[string]uint64)
 	for w := 0; w < p.cores; w++ {
@@ -106,22 +108,22 @@ func (p *provenance) abortMatrix() map[string]map[string]uint64 {
 			}
 			if row == nil {
 				row = make(map[string]uint64)
-				out[coreKey(w)] = row
+				out[p.coreKey(w)] = row
 			}
-			row[coreKey(l)] = n
+			row[p.coreKey(l)] = n
 		}
 	}
 	return out
 }
 
-func coreKey(c int) string { return fmt.Sprintf("c%02d", c) }
+// coreKey pads c to the digit count of the largest core id, at least two.
+func (p *provenance) coreKey(c int) string {
+	return fmt.Sprintf("c%0*d", len(strconv.Itoa(max(p.cores-1, 10))), c)
+}
 
 // HotLines returns the top-n conflict-heat rows (n<=0 uses the configured
 // bound).
 func (t *Telemetry) HotLines(n int) []HotLine {
-	if t == nil {
-		return nil
-	}
 	if n <= 0 {
 		n = t.cfg.HotLines
 	}
@@ -131,9 +133,6 @@ func (t *Telemetry) HotLines(n int) []HotLine {
 // RenderProvenance writes a human-readable conflict-provenance summary:
 // the top-n hottest lines and the aborter→abortee matrix rows.
 func (t *Telemetry) RenderProvenance(w io.Writer, n int) {
-	if t == nil {
-		return
-	}
 	hot := t.HotLines(n)
 	fmt.Fprintf(w, "conflict heat (top %d of %d lines):\n", len(hot), len(t.prov.lines))
 	for _, h := range hot {

@@ -10,17 +10,16 @@
 // attached produces bit-for-bit the same cycle counts as one without, and
 // two same-seed runs produce byte-identical telemetry output.
 //
-// Like internal/trace, the layer is opt-in: a nil *Telemetry disables every
-// hook, call sites in hot packages guard with a nil check (enforced by the
-// tracehook analyzer), and all hook methods are nil-receiver-safe, so the
-// disabled path costs one branch and zero allocations.
+// The layer is one observer of the model-event stream (internal/trace): a
+// run without telemetry has none attached, and the model's guarded event
+// sites cost it one pointer test each.
 package telemetry
 
 import (
 	"repro/internal/htm"
-	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // Config sizes the telemetry layer.
@@ -55,9 +54,8 @@ type Meta struct {
 	Workload string `json:"workload"`
 }
 
-// Telemetry is one run's observability state. Create with New, attach with
-// Start before the machine runs. A nil *Telemetry is a valid disabled
-// instance: every hook returns immediately.
+// Telemetry is one run's observability state. Create with New; the machine
+// starts it and attaches it as an observer before the run.
 type Telemetry struct {
 	cfg    Config
 	engine *sim.Engine
@@ -69,7 +67,7 @@ type Telemetry struct {
 	// Meta labels exports; cpu.Machine.Observe stamps it from the machine.
 	Meta Meta
 
-	// Built-in transaction instruments, fed by the Tx* hooks.
+	// Built-in transaction instruments, fed by attempt events.
 	attempts uint64
 	commits  uint64
 	aborts   uint64
@@ -77,7 +75,7 @@ type Telemetry struct {
 	txDur    *Histogram
 	abortDur *Histogram
 
-	// Per-category cycle accumulators, fed by the Segment sink.
+	// Per-category cycle accumulators, fed by segment events.
 	catCycles [stats.NumCategories]uint64
 
 	chrome *chromeTrace
@@ -127,9 +125,6 @@ const evSampleTick uint8 = 0
 // first sampling tick. cores is the machine's core count (it sizes the
 // abort-attribution matrix and the Chrome-trace thread list).
 func (t *Telemetry) Start(engine *sim.Engine, cores int) {
-	if t == nil {
-		return
-	}
 	if t.engine != nil {
 		panic("telemetry: Start called twice (one Telemetry per run)")
 	}
@@ -158,78 +153,43 @@ func (t *Telemetry) OnEvent(uint8, uint64, any) {
 	}
 }
 
-// --- hot-path hooks ------------------------------------------------------
-//
-// Every hook is nil-receiver-safe, and call sites in hot packages must
-// still guard with a nil check (tracehook analyzer) so the disabled path
-// never pays argument evaluation.
-
-// Segment implements stats.SegmentSink: one closed per-core cycle segment.
-func (t *Telemetry) Segment(core int, cat stats.Category, start, end uint64) {
-	if t == nil || end <= start {
-		return
-	}
-	t.catCycles[cat] += end - start
-	if t.chrome != nil {
-		t.chrome.span(core, cat.String(), start, end-start)
-	}
-}
-
-// TxBegin records the start of a speculative attempt.
-func (t *Telemetry) TxBegin(core, section, attempt int) {
-	if t == nil {
-		return
-	}
-	t.attempts++
-	if t.chrome != nil {
-		t.chrome.txBegin(core, section, attempt, t.engine.Now())
-	}
-}
-
-// TxCommit records a successful attempt (switched marks an HTMLock-mode
-// completion after a switchingMode application). start is the attempt's
-// begin cycle.
-func (t *Telemetry) TxCommit(core, section, attempt int, start uint64, switched bool) {
-	if t == nil {
-		return
-	}
-	t.commits++
-	now := t.engine.Now()
-	t.txDur.Observe(now - start)
-	if t.chrome != nil {
-		what := "commit"
-		if switched {
-			what = "commit-switched"
+// Event implements trace.Observer. The telemetry reads closed segments,
+// attempt begins and outcomes, and conflicts; every other kind is the text
+// tracer's.
+func (t *Telemetry) Event(e trace.Event) {
+	switch e.Kind {
+	case trace.KindSegment:
+		t.catCycles[e.Seg] += e.End - e.Start
+		if t.chrome != nil {
+			t.chrome.span(e.Core, stats.Category(e.Seg).String(), e.Start, e.End-e.Start)
 		}
-		t.chrome.txEnd(core, section, attempt, now, what)
+	case trace.KindXBegin:
+		t.attempts++
+		if t.chrome != nil {
+			t.chrome.txBegin(e.Core, e.Section, e.Attempt, t.engine.Now())
+		}
+	case trace.KindAttemptCommit:
+		t.commits++
+		now := t.engine.Now()
+		t.txDur.Observe(now - e.Start)
+		if t.chrome != nil {
+			what := "commit"
+			if e.Switched {
+				what = "commit-switched"
+			}
+			t.chrome.txEnd(e.Core, e.Section, e.Attempt, now, what)
+		}
+	case trace.KindAttemptAbort:
+		t.aborts++
+		if int(e.Cause) < len(t.abortsBy) {
+			t.abortsBy[e.Cause]++
+		}
+		now := t.engine.Now()
+		t.abortDur.Observe(now - e.Start)
+		if t.chrome != nil {
+			t.chrome.txEnd(e.Core, e.Section, e.Attempt, now, "abort:"+e.Cause.String())
+		}
+	case trace.KindConflict:
+		t.prov.record(e.Peer, e.Core, e.Line, e.Read, e.Write, e.Aborted)
 	}
-}
-
-// TxAbort records a rolled-back attempt.
-func (t *Telemetry) TxAbort(core, section, attempt int, start uint64, cause htm.AbortCause) {
-	if t == nil {
-		return
-	}
-	t.aborts++
-	if int(cause) < len(t.abortsBy) {
-		t.abortsBy[cause]++
-	}
-	now := t.engine.Now()
-	t.abortDur.Observe(now - start)
-	if t.chrome != nil {
-		t.chrome.txEnd(core, section, attempt, now, "abort:"+cause.String())
-	}
-}
-
-// Conflict records one conflict-arbitration outcome: winner kept (or took)
-// line and loser was rejected or aborted. read/write give the loser's
-// involvement with the line (its set membership for a defeated holder, its
-// request flavor for a rejected requester); aborted marks outcomes that
-// rolled the loser back — those feed the aborter→abortee matrix, all feed
-// the per-line heat.
-func (t *Telemetry) Conflict(winner, loser int, line mem.Line, read, write, aborted bool) {
-	if t == nil {
-		return
-	}
-	t.prov.record(winner, loser, line, read, write, aborted)
 }

@@ -2,54 +2,30 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/htm"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
-// --- disabled path -------------------------------------------------------
+// --- event intake --------------------------------------------------------
 
-// TestNilTelemetryIsSafe: a nil *Telemetry must absorb every hook.
-func TestNilTelemetryIsSafe(t *testing.T) {
-	var tel *Telemetry
-	tel.Start(nil, 4)
-	tel.Segment(0, stats.CatHTM, 0, 10)
-	tel.TxBegin(0, 0, 1)
-	tel.TxCommit(0, 0, 1, 0, false)
-	tel.TxAbort(0, 0, 1, 0, htm.CauseMC)
-	tel.Conflict(1, 0, 42, true, false, true)
-	if tel.HotLines(4) != nil {
-		t.Fatal("nil telemetry returned hot lines")
-	}
-	var sb strings.Builder
-	tel.RenderProvenance(&sb, 4)
-	if sb.Len() != 0 {
-		t.Fatal("nil telemetry rendered provenance")
-	}
-	if err := tel.WriteMetricsJSON(&sb); err != nil || sb.Len() != 0 {
-		t.Fatal("nil telemetry wrote metrics")
-	}
-	if err := tel.WriteMetricsCSV(&sb); err != nil || sb.Len() != 0 {
-		t.Fatal("nil telemetry wrote CSV")
-	}
+// conflict sends one conflict outcome: winner defeated loser on line.
+func conflict(tel *Telemetry, winner, loser int, line mem.Line, read, write, aborted bool) {
+	tel.Event(trace.Event{Kind: trace.KindConflict, Core: loser, Peer: winner, Line: line,
+		Read: read, Write: write, Aborted: aborted})
 }
 
-// TestDisabledHooksZeroAlloc proves the disabled path allocates nothing:
-// with telemetry off, every hook is one nil check.
-func TestDisabledHooksZeroAlloc(t *testing.T) {
-	var tel *Telemetry
-	if n := testing.AllocsPerRun(1000, func() {
-		tel.Segment(0, stats.CatHTM, 0, 100)
-		tel.TxBegin(0, 1, 2)
-		tel.TxCommit(0, 1, 2, 50, false)
-		tel.TxAbort(0, 1, 2, 50, htm.CauseMC)
-		tel.Conflict(1, 2, 99, true, true, true)
-	}); n != 0 {
-		t.Fatalf("disabled hooks allocate %v per run, want 0", n)
-	}
+// segment sends one closed cycle segment of core.
+func segment(tel *Telemetry, core int, cat stats.Category, start, end uint64) {
+	tel.Event(trace.Event{Kind: trace.KindSegment, Core: core, Seg: uint8(cat), Start: start, End: end})
 }
 
 // TestEnabledCountingHooksZeroAlloc: with telemetry on but Chrome recording
@@ -60,12 +36,12 @@ func TestEnabledCountingHooksZeroAlloc(t *testing.T) {
 	engine := sim.NewEngine()
 	tel.Start(engine, 4)
 	// Warm up so any lazy map cells exist before measuring.
-	tel.Conflict(1, 0, 7, true, false, true)
+	conflict(tel, 1, 0, 7, true, false, true)
 	if n := testing.AllocsPerRun(1000, func() {
-		tel.Segment(0, stats.CatHTM, 0, 100)
-		tel.TxBegin(0, 1, 2)
-		tel.TxCommit(0, 1, 2, 50, false)
-		tel.Conflict(1, 0, 7, true, false, true)
+		segment(tel, 0, stats.CatHTM, 0, 100)
+		tel.Event(trace.Event{Kind: trace.KindXBegin, Core: 0, Section: 1, Attempt: 2})
+		tel.Event(trace.Event{Kind: trace.KindAttemptCommit, Core: 0, Section: 1, Attempt: 2, Start: 50})
+		conflict(tel, 1, 0, 7, true, false, true)
 	}); n != 0 {
 		t.Fatalf("enabled counting hooks allocate %v per run, want 0", n)
 	}
@@ -203,11 +179,11 @@ func TestProvenanceHeatAndMatrix(t *testing.T) {
 	tel := New(Config{HotLines: 2})
 	engine := sim.NewEngine()
 	tel.Start(engine, 4)
-	tel.Conflict(1, 0, 100, true, false, true)
-	tel.Conflict(1, 0, 100, false, true, true)
-	tel.Conflict(2, 3, 100, true, false, false) // rejected, not aborted
-	tel.Conflict(3, 2, 200, false, true, true)
-	tel.Conflict(-1, 0, 300, true, false, false) // no nameable winner
+	conflict(tel, 1, 0, 100, true, false, true)
+	conflict(tel, 1, 0, 100, false, true, true)
+	conflict(tel, 2, 3, 100, true, false, false) // rejected, not aborted
+	conflict(tel, 3, 2, 200, false, true, true)
+	conflict(tel, -1, 0, 300, true, false, false) // no nameable winner
 
 	hot := tel.HotLines(0) // 0 -> configured bound (2)
 	if len(hot) != 2 {
@@ -237,6 +213,73 @@ func TestProvenanceHeatAndMatrix(t *testing.T) {
 	}
 }
 
+// TestAbortMatrixNumericOrderAt128Cores: core keys are padded to the width
+// of the largest core id, so beyond 99 cores the matrix keys and the
+// rendered rows still sort numerically (c011 before c100, not after).
+func TestAbortMatrixNumericOrderAt128Cores(t *testing.T) {
+	tel := New(Config{})
+	tel.Start(sim.NewEngine(), 128)
+	for _, w := range []int{127, 100, 11, 2} {
+		for _, l := range []int{101, 11, 9, 3} {
+			if w != l {
+				conflict(tel, w, l, mem.Line(64*w+l), true, false, true)
+			}
+		}
+	}
+	// JSON encodes the matrix in sorted-key order.
+	mat := tel.prov.abortMatrix()
+	if keys := sortedIDs(t, mat); fmt.Sprint(keys) != "[2 11 100 127]" {
+		t.Errorf("matrix keys sort as %v", keys)
+	}
+	for k, row := range mat {
+		if cols := sortedIDs(t, row); !sort.IntsAreSorted(cols) {
+			t.Errorf("matrix row %s: keys sort as %v", k, cols)
+		}
+	}
+	var sb strings.Builder
+	tel.RenderProvenance(&sb, 4)
+	_, rows, _ := strings.Cut(sb.String(), "abort attribution (aborter -> abortee=count):\n")
+	var ids []int
+	for _, row := range strings.Split(strings.TrimSpace(rows), "\n") {
+		key, cols, _ := strings.Cut(strings.TrimSpace(row), ":")
+		var cells []int
+		for _, col := range strings.Fields(cols) {
+			cells = append(cells, coreID(t, strings.SplitN(col, "=", 2)[0]))
+		}
+		if !sort.IntsAreSorted(cells) {
+			t.Errorf("row %s: columns out of numeric order: %v", key, cells)
+		}
+		ids = append(ids, coreID(t, key))
+	}
+	if want := []int{2, 11, 100, 127}; fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Fatalf("rendered rows %v, want %v:\n%s", ids, want, sb.String())
+	}
+}
+
+// sortedIDs returns m's core keys, in sorted-key order, as core ids.
+func sortedIDs[V any](t *testing.T, m map[string]V) []int {
+	t.Helper()
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	ids := make([]int, len(keys))
+	for i, k := range keys {
+		ids[i] = coreID(t, k)
+	}
+	return ids
+}
+
+func coreID(t *testing.T, key string) int {
+	t.Helper()
+	n, err := strconv.Atoi(strings.TrimPrefix(key, "c"))
+	if err != nil {
+		t.Fatalf("bad core key %q", key)
+	}
+	return n
+}
+
 // --- exports -------------------------------------------------------------
 
 func newRunTelemetry(t *testing.T, chrome bool) *Telemetry {
@@ -247,13 +290,13 @@ func newRunTelemetry(t *testing.T, chrome bool) *Telemetry {
 	f := &filler{engine: engine, left: 10}
 	engine.AfterEvent(1, f, 0, 0, nil)
 	tel.Start(engine, 2)
-	tel.TxBegin(0, 0, 1)
-	tel.Segment(0, stats.CatHTM, 0, 80)
-	tel.TxCommit(0, 0, 1, 0, false)
-	tel.TxBegin(1, 0, 1)
-	tel.TxAbort(1, 0, 1, 10, htm.CauseMC)
-	tel.Segment(1, stats.CatAborted, 10, 60)
-	tel.Conflict(0, 1, 512, false, true, true)
+	tel.Event(trace.Event{Kind: trace.KindXBegin, Core: 0, Section: 0, Attempt: 1})
+	segment(tel, 0, stats.CatHTM, 0, 80)
+	tel.Event(trace.Event{Kind: trace.KindAttemptCommit, Core: 0, Section: 0, Attempt: 1, Start: 0})
+	tel.Event(trace.Event{Kind: trace.KindXBegin, Core: 1, Section: 0, Attempt: 1})
+	tel.Event(trace.Event{Kind: trace.KindAttemptAbort, Core: 1, Section: 0, Attempt: 1, Start: 10, Cause: htm.CauseMC})
+	segment(tel, 1, stats.CatAborted, 10, 60)
+	conflict(tel, 0, 1, 512, false, true, true)
 	if err := engine.Run(0); err != nil {
 		t.Fatal(err)
 	}
