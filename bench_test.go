@@ -457,7 +457,7 @@ func BenchmarkFusedHitChain(b *testing.B) {
 			body[i] = cpu.Write(base + mem.Line((i+7)%lines))
 		}
 	}
-	prog := cpu.Program{cpu.Plain(warm)}
+	prog := cpu.Sections{cpu.Plain(warm)}
 	for done := 0; done < b.N; done += chunk {
 		prog = append(prog, cpu.Plain(body))
 	}
@@ -580,6 +580,23 @@ func BenchmarkMachineReset(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Reset(spec.Seed, spec.System.Name, spec.Workload.Name, progs)
+	}
+}
+
+// BenchmarkPrograms is the program-generation rung: stamp.Programs for
+// intruder at 32 threads, then every section of every thread drawn into
+// one reused buffer, as the cores draw them during a run. allocs/op is
+// Programs' fixed two objects; the ops themselves allocate nothing.
+func BenchmarkPrograms(b *testing.B) {
+	wl := stamp.Intruder()
+	var ops []cpu.Op
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, p := range stamp.Programs(wl, 32, 1) {
+			for s := 0; s < p.Len(); s++ {
+				ops = p.AppendOps(ops[:0], s, 1)
+			}
+		}
 	}
 }
 

@@ -86,6 +86,9 @@ func main() {
 		fatal(fmt.Errorf("unknown cache config %q", *cacheName))
 	}
 
+	if *traceN < 1 {
+		fatal(fmt.Errorf("-tracen %d: the trace must retain at least 1 event", *traceN))
+	}
 	var tracer *trace.Tracer
 	if *traceCats != "" {
 		cats, err := trace.ParseCategories(*traceCats)

@@ -32,7 +32,7 @@ func main() {
 		if th%2 == 1 {
 			first, second = b, a
 		}
-		var prog cpu.Program
+		var prog cpu.Sections
 		for i := 0; i < sections; i++ {
 			prog = append(prog,
 				cpu.AtomicStatic([]cpu.Op{

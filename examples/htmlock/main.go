@@ -30,7 +30,7 @@ func main() {
 
 	programs := make([]cpu.Program, threads)
 	for th := 0; th < threads; th++ {
-		var prog cpu.Program
+		var prog cpu.Sections
 		for i := 0; i < 60; i++ {
 			if th == 0 && i%10 == 5 {
 				// A giant update: ~600 private lines, guaranteed L1 set

@@ -29,7 +29,7 @@ func main() {
 
 	programs := make([]cpu.Program, threads)
 	for th := 0; th < threads; th++ {
-		var prog cpu.Program
+		var prog cpu.Sections
 		for i := 0; i < perThread; i++ {
 			from := accounts.Pick(th*17 + i*13)
 			to := accounts.Pick(th*29 + i*7 + 1)

@@ -43,7 +43,7 @@ func TestSectionConservation(t *testing.T) {
 	wl := stamp.Intruder()
 	var want uint64
 	for _, p := range stamp.Programs(wl, 4, 9) {
-		want += uint64(p.CountAtomic())
+		want += uint64(cpu.CountAtomic(p))
 	}
 	for _, sys := range harness.Systems() {
 		res, err := harness.Execute(harness.Spec{System: sys, Workload: wl, Threads: 4,
@@ -61,7 +61,7 @@ func TestSectionConservation(t *testing.T) {
 // document: a Table II row's Spec.Config on cpu.NewMachine runs a
 // hand-built program to completion, identically twice.
 func TestCustomWorkloadAPI(t *testing.T) {
-	prog := cpu.Program{
+	prog := cpu.Sections{
 		cpu.AtomicStatic([]cpu.Op{cpu.Read(9000), cpu.Compute(10), cpu.Write(9000)}),
 		cpu.Plain([]cpu.Op{cpu.Compute(50)}),
 	}

@@ -29,7 +29,7 @@ func smallParams() coherence.Params {
 func atomicityPrograms(threads, incs int, counters []mem.Line) []cpu.Program {
 	progs := make([]cpu.Program, threads)
 	for th := 0; th < threads; th++ {
-		var p cpu.Program
+		var p cpu.Sections
 		for i := 0; i < incs; i++ {
 			c := counters[(th+i)%len(counters)]
 			p = append(p,
@@ -86,7 +86,7 @@ func TestAtomicityUnderOverflowAndFaults(t *testing.T) {
 	sets := 32 * 1024 / 64 / 4
 	progs := make([]cpu.Program, threads)
 	for th := 0; th < threads; th++ {
-		var p cpu.Program
+		var p cpu.Sections
 		for i := 0; i < 12; i++ {
 			ops := []cpu.Op{cpu.RMW(counter)}
 			if i%3 == 0 {
@@ -159,7 +159,7 @@ func TestAtomicityLockTxVisibility(t *testing.T) {
 // yields exact counts too (read-your-own-write within a transaction).
 func TestRMWReadYourOwnWrite(t *testing.T) {
 	sys := system(t, "Baseline")
-	prog := cpu.Program{cpu.AtomicStatic([]cpu.Op{cpu.RMW(1 << 21), cpu.RMW(1 << 21), cpu.RMW(1 << 21)})}
+	prog := cpu.Sections{cpu.AtomicStatic([]cpu.Op{cpu.RMW(1 << 21), cpu.RMW(1 << 21), cpu.RMW(1 << 21)})}
 	cfg := cpu.Config{Machine: smallParams(), HTM: sys.HTM, Sync: sys.Sync, Threads: 1, Seed: 1}
 	m := cpu.NewMachine(cfg, "t", "ryow", []cpu.Program{prog})
 	if _, err := m.Run(); err != nil {
@@ -182,7 +182,7 @@ func TestRMWTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, op := range got[0][0].Body(1) {
+	for _, op := range got[0].AppendOps(nil, 0, 1) {
 		if op.Kind == cpu.OpRMW {
 			found = true
 		}

@@ -18,7 +18,12 @@ type Core struct {
 	id   int
 	prog Program
 	st   *stats.Core
-	rng  *sim.RNG
+	rng  sim.RNG
+
+	// ops is the core's one op buffer, holding the current section's ops
+	// (see body). It keeps its capacity across sections and Reset, so a
+	// warm core draws them without allocating.
+	ops []Op
 
 	secIdx  int
 	retries int
@@ -76,7 +81,7 @@ func (c *Core) OnEvent(kind uint8, a uint64, _ any) {
 		r := c.resume
 		c.runOps(r.ops, r.i, a, r.done)
 	case evRestart:
-		c.startAttempt(c.prog[c.secIdx])
+		c.startAttempt()
 	case evSpin:
 		c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, false, c.spinFn)
 	}
@@ -84,7 +89,7 @@ func (c *Core) OnEvent(kind uint8, a uint64, _ any) {
 
 type memLine = mem.Line
 
-func newCore(m *Machine, id int, prog Program, st *stats.Core, rng *sim.RNG) *Core {
+func newCore(m *Machine, id int, prog Program, st *stats.Core, rng sim.RNG) *Core {
 	c := &Core{m: m, id: id, prog: prog, st: st, rng: rng}
 	c.contFn = c.accessDone
 	c.spinFn = c.spinCheck
@@ -97,12 +102,14 @@ func newCore(m *Machine, id int, prog Program, st *stats.Core, rng *sim.RNG) *Co
 
 // reset rebinds the core to a new run (machine reset between runs): a new
 // program, a fresh stats sink, and a fresh per-core RNG stream. The staged-
-// counter map keeps its buckets (cleared in place, exactly as commits do);
-// the machine pointer, tile id, and prebound continuations survive.
-func (c *Core) reset(prog Program, st *stats.Core, rng *sim.RNG) {
+// counter map keeps its buckets (cleared in place, exactly as commits do)
+// and the op buffer its capacity; the machine pointer, tile id, and
+// prebound continuations survive.
+func (c *Core) reset(prog Program, st *stats.Core, rng sim.RNG) {
 	c.prog = prog
 	c.st = st
 	c.rng = rng
+	c.ops = c.ops[:0]
 	c.secIdx = 0
 	c.retries = 0
 	c.token = 0
@@ -122,30 +129,47 @@ func (c *Core) start() {
 	c.nextSection()
 }
 
-// nextSection dispatches the next program section.
+// nextSection dispatches the next program section. A plain section's ops
+// and a SecAtomic body are drawn into c.ops here, once per section.
 func (c *Core) nextSection() {
-	if c.secIdx >= len(c.prog) {
+	if c.secIdx >= c.prog.Len() {
 		c.st.Finish(c.now())
 		c.m.coreDone()
 		return
 	}
-	sec := c.prog[c.secIdx]
-	switch {
-	case sec.Barrier:
+	switch kind := c.prog.Kind(c.secIdx); kind {
+	case SecBarrier:
 		c.st.StartSegment(stats.CatNonTx, c.now())
 		c.st.Barriers++
 		c.m.Barrier.Arrive(func() { c.advance() })
-	case sec.Atomic:
+	case SecAtomic, SecDynamic:
 		c.retries = 0
+		if kind == SecAtomic {
+			c.ops = c.prog.AppendOps(c.ops[:0], c.secIdx, 1)
+		}
 		if c.m.Cfg.Sync == SysCGL {
-			c.runCGL(sec)
+			c.runCGL()
 		} else {
-			c.startAttempt(sec)
+			c.startAttempt()
 		}
 	default:
 		c.st.StartSegment(stats.CatNonTx, c.now())
-		c.runOps(sec.Ops, 0, c.token, c.plainFn)
+		c.ops = c.prog.AppendOps(c.ops[:0], c.secIdx, 1)
+		c.runOps(c.ops, 0, c.token, c.plainFn)
 	}
+}
+
+// body returns the current atomic section's ops for attempt: the SecAtomic
+// body drawn when the core reached the section, or a SecDynamic body
+// redrawn into the same buffer. Redrawing in place is exact: the core is in
+// order, so the buffer's only readers are continuations of an attempt that
+// has ended, and an aborted attempt's carry a stale token or L1 epoch and
+// are dropped before they read an op (DESIGN.md §10).
+func (c *Core) body(attempt int) []Op {
+	if c.prog.Kind(c.secIdx) == SecDynamic {
+		c.ops = c.prog.AppendOps(c.ops[:0], c.secIdx, attempt)
+	}
+	return c.ops
 }
 
 // plainDone completes a non-atomic section. A non-transactional RMW becomes
@@ -321,13 +345,12 @@ func (c *Core) accessDone() {
 
 // --- CGL execution ---------------------------------------------------
 
-func (c *Core) runCGL(sec Section) {
+func (c *Core) runCGL() {
 	c.st.StartSegment(stats.CatWaitLock, c.now())
 	c.acquire(c.m.Lock, func() {
 		c.st.StartSegment(stats.CatLock, c.now())
 		c.tx().Mode = htm.Mutex
-		body := sec.Body(1)
-		c.runOps(body, 0, c.token, func() {
+		c.runOps(c.body(1), 0, c.token, func() {
 			c.tx().Mode = htm.NonTx
 			c.release(c.m.Lock, func() {
 				c.applyStaged()
@@ -344,9 +367,9 @@ func (c *Core) runCGL(sec Section) {
 // --- HTM execution ---------------------------------------------------
 
 // startAttempt begins (or restarts) a speculative attempt of the section.
-func (c *Core) startAttempt(sec Section) {
+func (c *Core) startAttempt() {
 	if c.retries >= c.m.Sys.HTM.MaxRetries {
-		c.fallback(sec)
+		c.fallback()
 		return
 	}
 	if !c.m.Sys.HTM.HTMLock && c.m.Lock.Held() {
@@ -384,7 +407,7 @@ func (c *Core) spinCheck() {
 		c.engine().AfterEvent(spinInterval, c, evSpin, c.token, nil)
 		return
 	}
-	c.startAttempt(c.prog[c.secIdx])
+	c.startAttempt()
 }
 
 // subscribed completes the classic interface's fallback-lock read.
@@ -398,8 +421,7 @@ func (c *Core) subscribed() {
 
 // runBody runs the current section's body for this attempt.
 func (c *Core) runBody() {
-	ops := c.prog[c.secIdx].Body(c.tx().Attempt)
-	c.runOps(ops, 0, c.attemptTok, c.finishFn)
+	c.runOps(c.body(c.tx().Attempt), 0, c.attemptTok, c.finishFn)
 }
 
 // finishAttempt commits the attempt in whatever mode it ended in: HTM
@@ -485,7 +507,7 @@ func (c *Core) backoff() uint64 {
 
 // fallback executes the section on the non-speculative path: a TL lock
 // transaction under HTMLock, a plain mutex section otherwise.
-func (c *Core) fallback(sec Section) {
+func (c *Core) fallback() {
 	if o := c.m.Sys.Obs; o != nil {
 		o.Event(trace.Event{Kind: trace.KindFallback, Core: c.id, Section: c.secIdx, Count: c.retries})
 	}
@@ -495,8 +517,7 @@ func (c *Core) fallback(sec Section) {
 			c.m.Sys.L1s[c.id].HLBegin(func() {
 				c.st.StartSegment(stats.CatLock, c.now())
 				c.tx().BeginAttempt(htm.TL, c.now())
-				body := sec.Body(c.tx().Attempt)
-				c.runOps(body, 0, c.token, func() {
+				c.runOps(c.body(c.tx().Attempt), 0, c.token, func() {
 					// Staged updates become visible before hlend wakes the
 					// requesters this lock transaction rejected — otherwise
 					// a woken reader could see pre-transaction values while
@@ -513,8 +534,7 @@ func (c *Core) fallback(sec Section) {
 		}
 		c.st.StartSegment(stats.CatLock, c.now())
 		c.tx().Mode = htm.Mutex
-		body := sec.Body(1)
-		c.runOps(body, 0, c.token, func() {
+		c.runOps(c.body(1), 0, c.token, func() {
 			c.tx().Mode = htm.NonTx
 			c.release(c.m.Lock, func() {
 				c.st.LockRuns++

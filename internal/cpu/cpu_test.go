@@ -41,7 +41,7 @@ func lockillerCfg() htm.Config {
 func counterProgram(nThreads, n int, shared mem.Line) []Program {
 	var ps []Program
 	for th := 0; th < nThreads; th++ {
-		var p Program
+		var p Sections
 		for i := 0; i < n; i++ {
 			p = append(p, AtomicStatic([]Op{Read(shared), Compute(5), Write(shared)}))
 			p = append(p, Plain([]Op{Compute(20)}))
@@ -179,8 +179,7 @@ func TestHTMLockEliminatesMutexAborts(t *testing.T) {
 }
 
 func TestFaultAbortsAndFallsBack(t *testing.T) {
-	var p Program
-	p = append(p, AtomicStatic([]Op{Read(4096), Fault(), Write(4096)}))
+	p := Sections{AtomicStatic([]Op{Read(4096), Fault(), Write(4096)})}
 	cfg := Config{Machine: smallParams(), HTM: baselineHTM(), Sync: SysHTM, Threads: 1, Seed: 6}
 	r := run(t, cfg, []Program{p})
 	_, by := r.TotalAborts()
@@ -202,7 +201,7 @@ func TestOverflowAbortsBaselineButSwitchesUnderLockiller(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		ops = append(ops, Write(mem.Line(4096+i*sets)))
 	}
-	prog := Program{AtomicStatic(ops)}
+	prog := Sections{AtomicStatic(ops)}
 
 	base := run(t, Config{Machine: smallParams(), HTM: baselineHTM(), Sync: SysHTM, Threads: 1, Seed: 7}, []Program{prog})
 	_, by := base.TotalAborts()
@@ -227,7 +226,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	// Thread 0 does lots of work before the barrier; thread 1 little. Both
 	// must cross together.
 	mk := func(work uint64) Program {
-		return Program{
+		return Sections{
 			Plain([]Op{Compute(work)}),
 			BarrierSection(),
 			Plain([]Op{Compute(10)}),
@@ -246,14 +245,13 @@ func TestBarrierSynchronizes(t *testing.T) {
 
 func TestDynamicBodyRegeneratedPerAttempt(t *testing.T) {
 	attempts := []int{}
-	var p Program
-	p = append(p, AtomicDynamic(func(attempt int) []Op {
+	p := Sections{AtomicDynamic(func(attempt int) []Op {
 		attempts = append(attempts, attempt)
 		if attempt < 3 {
 			return []Op{Read(4096), Fault()}
 		}
 		return []Op{Read(4096)}
-	}))
+	})}
 	hc := baselineHTM()
 	hc.MaxRetries = 10
 	cfg := Config{Machine: smallParams(), HTM: hc, Sync: SysHTM, Threads: 1, Seed: 9}

@@ -31,8 +31,8 @@ func TestCycleLimitProducesDiagnostics(t *testing.T) {
 // the barrier deadlocks; the machine must report it rather than hang.
 func TestBarrierMismatchDeadlockDetected(t *testing.T) {
 	progs := []Program{
-		{BarrierSection()},
-		{Plain([]Op{Compute(10)})}, // never arrives
+		Sections{BarrierSection()},
+		Sections{Plain([]Op{Compute(10)})}, // never arrives
 	}
 	cfg := Config{Machine: smallParams(), HTM: baselineHTM(), Sync: SysHTM, Threads: 2, Seed: 1}
 	m := NewMachine(cfg, "t", "deadlock", progs)
@@ -47,7 +47,7 @@ func TestBarrierMismatchDeadlockDetected(t *testing.T) {
 // MSHR and both complete.
 func TestMSHRWaitersCoalesce(t *testing.T) {
 	cfg := Config{Machine: smallParams(), HTM: baselineHTM(), Sync: SysHTM, Threads: 1, Seed: 1}
-	progs := []Program{{
+	progs := []Program{Sections{
 		// Two back-to-back atomic sections touching the same cold line:
 		// the L1 dedups by line under the hood.
 		AtomicStatic([]Op{Read(9999), Write(9999)}),

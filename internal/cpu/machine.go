@@ -318,7 +318,7 @@ func (m *Machine) DumpState() string {
 	for _, c := range m.Cores {
 		l1 := m.Sys.L1s[c.id]
 		fmt.Fprintf(&b, "  core %2d: section %d/%d mode=%v attempt=%d doomed=%v parked=%d\n",
-			c.id, c.secIdx, len(c.prog), l1.Tx.Mode, l1.Tx.Attempt, l1.Tx.Doomed, l1.ParkedRequests())
+			c.id, c.secIdx, c.prog.Len(), l1.Tx.Mode, l1.Tx.Attempt, l1.Tx.Doomed, l1.ParkedRequests())
 	}
 	fmt.Fprintf(&b, "  lock: held=%v owner=%d waiters=%d\n", m.Lock.Held(), m.Lock.Owner(), m.Lock.Waiters())
 	if a := m.Sys.Arbiter; a != nil {

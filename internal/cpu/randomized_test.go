@@ -22,7 +22,7 @@ func randomProgram(rng *sim.RNG, threads int, counters []mem.Line) ([]Program, m
 	barriers := rng.Intn(3)
 	sections := 8 + rng.Intn(16)
 	for th := 0; th < threads; th++ {
-		var p Program
+		var p Sections
 		for s := 0; s < sections; s++ {
 			if barriers > 0 && s > 0 && s%(sections/(barriers+1)+1) == 0 {
 				p = append(p, BarrierSection())
@@ -114,7 +114,7 @@ func TestRandomizedEndToEnd(t *testing.T) {
 
 			var wantSections uint64
 			for _, pr := range progs {
-				wantSections += uint64(pr.CountAtomic())
+				wantSections += uint64(CountAtomic(pr))
 			}
 			if got := m.Stats.Sections(); got != wantSections {
 				t.Fatalf("completed %d sections, want %d", got, wantSections)

@@ -83,20 +83,23 @@ func ExportPrograms(w io.Writer, programs []Program, maxAttempts int) error {
 		maxAttempts = 1
 	}
 	t := traceJSON{Version: traceVersion}
+	var buf []Op
 	for _, prog := range programs {
 		var secs []sectionJSON
-		for _, sec := range prog {
-			switch {
-			case sec.Barrier:
+		for i := 0; i < prog.Len(); i++ {
+			switch kind := prog.Kind(i); {
+			case kind == SecBarrier:
 				secs = append(secs, sectionJSON{Kind: "barrier"})
-			case sec.Atomic:
+			case kind.Atomic():
 				sj := sectionJSON{Kind: "atomic"}
 				for a := 1; a <= maxAttempts; a++ {
-					sj.Attempts = append(sj.Attempts, opsToJSON(sec.Body(a)))
+					buf = prog.AppendOps(buf[:0], i, a)
+					sj.Attempts = append(sj.Attempts, opsToJSON(buf))
 				}
 				secs = append(secs, sj)
 			default:
-				secs = append(secs, sectionJSON{Kind: "plain", Ops: opsToJSON(sec.Ops)})
+				buf = prog.AppendOps(buf[:0], i, 1)
+				secs = append(secs, sectionJSON{Kind: "plain", Ops: opsToJSON(buf)})
 			}
 		}
 		t.Programs = append(t.Programs, secs)
@@ -116,7 +119,7 @@ func ImportPrograms(r io.Reader) ([]Program, error) {
 	}
 	var programs []Program
 	for pi, secs := range t.Programs {
-		var prog Program
+		var prog Sections
 		for si, sj := range secs {
 			switch sj.Kind {
 			case "barrier":

@@ -11,7 +11,7 @@ import (
 func sampleProgram() Program {
 	attempt0 := []Op{Read(10), Compute(5), Write(11)}
 	attempt1 := []Op{Read(12), Fault()}
-	return Program{
+	return Sections{
 		Plain([]Op{Compute(100), Read(1)}),
 		AtomicDynamic(func(a int) []Op {
 			if a == 1 {
@@ -38,26 +38,26 @@ func TestProgramRoundTrip(t *testing.T) {
 		t.Fatalf("programs = %d", len(got))
 	}
 	for pi, prog := range got {
-		if len(prog) != 4 {
-			t.Fatalf("program %d has %d sections", pi, len(prog))
+		if prog.Len() != 4 {
+			t.Fatalf("program %d has %d sections", pi, prog.Len())
 		}
-		if !prog[2].Barrier {
+		if prog.Kind(2) != SecBarrier {
 			t.Fatal("barrier lost")
 		}
 		// Plain ops preserved.
-		if len(prog[0].Ops) != 2 || prog[0].Ops[0].N != 100 {
-			t.Fatalf("plain section = %+v", prog[0].Ops)
+		if ops := prog.AppendOps(nil, 0, 1); prog.Kind(0) != SecPlain || len(ops) != 2 || ops[0].N != 100 {
+			t.Fatalf("plain section = %+v", ops)
 		}
 		// Dynamic bodies per attempt preserved; later attempts clamp.
-		a1 := prog[1].Body(1)
+		a1 := prog.AppendOps(nil, 1, 1)
 		if len(a1) != 3 || a1[0].Kind != OpRead || a1[0].Line != mem.Line(10) {
 			t.Fatalf("attempt 1 = %+v", a1)
 		}
-		a2 := prog[1].Body(2)
+		a2 := prog.AppendOps(nil, 1, 2)
 		if len(a2) != 2 || a2[1].Kind != OpFault {
 			t.Fatalf("attempt 2 = %+v", a2)
 		}
-		a9 := prog[1].Body(9) // beyond recorded: repeats last
+		a9 := prog.AppendOps(nil, 1, 9) // beyond recorded: repeats last
 		if len(a9) != 2 {
 			t.Fatalf("attempt 9 = %+v", a9)
 		}
@@ -128,15 +128,15 @@ func FuzzImportPrograms(f *testing.F) {
 			return
 		}
 		for _, prog := range progs {
-			for _, sec := range prog {
-				if !sec.Atomic {
+			for s := 0; s < prog.Len(); s++ {
+				if !prog.Kind(s).Atomic() {
 					continue
 				}
-				first := sec.Body(1)
-				if len(sec.Body(0)) != len(first) {
-					t.Fatalf("attempt 0 body has %d ops, attempt 1 has %d", len(sec.Body(0)), len(first))
+				first := prog.AppendOps(nil, s, 1)
+				if zero := prog.AppendOps(nil, s, 0); len(zero) != len(first) {
+					t.Fatalf("attempt 0 body has %d ops, attempt 1 has %d", len(zero), len(first))
 				}
-				sec.Body(1 << 30)
+				prog.AppendOps(nil, s, 1<<30)
 			}
 		}
 	})

@@ -17,13 +17,15 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Split derives an independent stream labelled by id.
-func (r *RNG) Split(id uint64) *RNG {
+// Split derives an independent stream labelled by id. It reads r without
+// advancing it and returns the stream by value, so deriving one allocates
+// nothing.
+func (r *RNG) Split(id uint64) RNG {
 	s := r.state ^ (id+1)*0xBF58476D1CE4E5B9
 	s ^= s >> 30
 	s *= 0x94D049BB133111EB
 	s ^= s >> 31
-	return NewRNG(s)
+	return *NewRNG(s)
 }
 
 // Uint64 returns the next pseudo-random value.

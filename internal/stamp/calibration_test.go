@@ -18,12 +18,12 @@ func TestProfileCalibration(t *testing.T) {
 			progs := Programs(p, 4, 99)
 			var txs, reads, writes, faults int
 			for _, prog := range progs {
-				for _, sec := range prog {
-					if !sec.Atomic {
+				for s := 0; s < prog.Len(); s++ {
+					if !prog.Kind(s).Atomic() {
 						continue
 					}
 					txs++
-					for _, op := range sec.Body(1) {
+					for _, op := range prog.AppendOps(nil, s, 1) {
 						switch op.Kind {
 						case cpu.OpRead:
 							reads++

@@ -10,7 +10,6 @@ package stamp
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/mem"
@@ -76,10 +75,17 @@ func (p Profile) Validate() {
 	}
 }
 
-// Programs generates one program per thread. The same (profile, threads,
+// Programs returns one program per thread. The same (profile, threads,
 // seed) triple always yields identical programs, so every evaluated system
 // runs exactly the same source workload — the paper's "same source code,
 // same inputs" methodology.
+//
+// The programs are generators, not stored op streams: a section's
+// operations are drawn when a core asks for them (cpu.Program.AppendOps)
+// from an RNG stream fixed by (seed, thread, section, attempt). Programs
+// itself allocates two objects whatever the thread and section counts, and
+// the result holds no mutable state, so machines running at the same time
+// can share it (DESIGN.md §10).
 func Programs(p Profile, threads int, seed uint64) []cpu.Program {
 	p.Validate()
 	if threads <= 0 {
@@ -91,142 +97,180 @@ func Programs(p Profile, threads int, seed uint64) []cpu.Program {
 	if p.WarmLines > 0 {
 		warm = layout.Alloc(p.WarmLines)
 	}
-	private := make([]mem.Region, threads)
-	for i := range private {
-		private[i] = layout.Alloc(p.PrivateLines)
-	}
-
-	root := sim.NewRNG(seed ^ 0x5741_4D50) // "STMP"
+	root := *sim.NewRNG(seed ^ 0x5741_4D50) // "STMP"
+	gens := make([]program, threads)
 	programs := make([]cpu.Program, threads)
-	per := p.TotalSections / threads
-	extra := p.TotalSections % threads
-
-	for th := 0; th < threads; th++ {
+	per, extra := p.TotalSections/threads, p.TotalSections%threads
+	for th := range gens {
 		n := per
 		if th < extra {
 			n++
 		}
-		prog := make(cpu.Program, 0, 2*n+n/8)
-		for s := 0; s < n; s++ {
-			secRNG := root.Split(uint64(th)<<32 | uint64(s))
-			prog = append(prog, p.atomicSection(secRNG, hot, warm, private[th]))
-			prog = append(prog, p.plainSection(secRNG.Split(1), private[th]))
-			if p.BarrierEvery > 0 && (s+1)%p.BarrierEvery == 0 && s+1 < n {
-				prog = append(prog, cpu.BarrierSection())
-			}
-		}
-		programs[th] = prog
+		gens[th] = program{Profile: p, hot: hot, warm: warm, priv: layout.Alloc(p.PrivateLines),
+			root: root, th: th, txs: n}
+		programs[th] = &gens[th]
 	}
 	return programs
 }
 
-// atomicSection builds one transaction. Whether a section faults is a
-// property of the section (a yada refinement that traps keeps trapping on
-// re-execution until the fallback path handles it non-speculatively), so
-// the decision is drawn once per section and re-applied with high
-// probability on every speculative attempt.
-func (p Profile) atomicSection(rng *sim.RNG, hot, warm, priv mem.Region) cpu.Section {
-	faulty := p.FaultProb > 0 && rng.Bool(p.FaultProb)
-	if !p.Regenerate {
-		ops := p.txBody(rng.Split(0), faulty, hot, warm, priv)
-		return cpu.AtomicStatic(ops)
-	}
-	return cpu.AtomicDynamic(p.regenerated(rng, faulty, hot, warm, priv))
+// program is one thread's program: txs transactions, each followed by its
+// non-transactional work, with a barrier after every BarrierEvery
+// transactions except the last. root is the seed's stream, the same for
+// every thread; each section derives its own from it.
+type program struct {
+	Profile
+	hot, warm, priv mem.Region
+	root            sim.RNG
+	th, txs         int
 }
 
-// regenerated returns the body generator of a Regenerate section. It is
-// built here, not in atomicSection, so only Regenerate sections move a copy
-// of the profile to the heap.
-func (p Profile) regenerated(rng *sim.RNG, faulty bool, hot, warm, priv mem.Region) func(int) []cpu.Op {
-	return func(attempt int) []cpu.Op {
+// Section parts: a transaction's atomic section, the plain section after
+// it, and a barrier.
+const (
+	partAtomic = iota
+	partPlain
+	partBarrier
+)
+
+// Len implements cpu.Program.
+func (g *program) Len() int {
+	n := 2 * g.txs
+	if b := g.BarrierEvery; b > 0 && g.txs > 0 {
+		n += (g.txs - 1) / b
+	}
+	return n
+}
+
+// locate maps section i to its transaction s and part. With barriers the
+// sections repeat in blocks of BarrierEvery (atomic, plain) pairs and a
+// barrier.
+func (g *program) locate(i int) (s, part int) {
+	b := g.BarrierEvery
+	if b <= 0 {
+		return i / 2, i % 2
+	}
+	q, r := i/(2*b+1), i%(2*b+1)
+	if r == 2*b {
+		return 0, partBarrier
+	}
+	return q*b + r/2, r % 2
+}
+
+// Kind implements cpu.Program.
+func (g *program) Kind(i int) cpu.SectionKind {
+	switch _, part := g.locate(i); part {
+	case partAtomic:
+		if g.Regenerate {
+			return cpu.SecDynamic
+		}
+		return cpu.SecAtomic
+	case partPlain:
+		return cpu.SecPlain
+	default:
+		return cpu.SecBarrier
+	}
+}
+
+// AppendOps implements cpu.Program. Transaction s draws from the stream
+// root.Split(th<<32|s). Whether it faults is drawn first, and only for a
+// profile with a FaultProb: a property of the section (a yada refinement
+// that traps keeps trapping on re-execution until the fallback path
+// handles it non-speculatively), re-applied with high probability on every
+// regenerated attempt. Then Split(0) draws a static body, Split(attempt) a
+// regenerated one and Split(1) the plain section after it, so a
+// regenerated body's first attempt shares the plain section's stream.
+func (g *program) AppendOps(buf []cpu.Op, i, attempt int) []cpu.Op {
+	s, part := g.locate(i)
+	if part == partBarrier {
+		return buf
+	}
+	rng := g.root.Split(uint64(g.th)<<32 | uint64(s))
+	faulty := g.FaultProb > 0 && rng.Bool(g.FaultProb)
+	switch {
+	case part == partPlain:
+		r := rng.Split(1)
+		return g.appendPlain(buf, &r)
+	case !g.Regenerate:
+		r := rng.Split(0)
+		return g.appendTx(buf, &r, faulty)
+	default:
 		r := rng.Split(uint64(attempt))
-		f := faulty && r.Bool(0.85)
-		return p.txBody(r, f, hot, warm, priv)
+		return g.appendTx(buf, &r, faulty && r.Bool(0.85))
 	}
 }
 
-// txBody draws a transaction's operation stream. The slice is allocated at
-// its final size: every access is followed by one compute op when
-// ComputePerOp is set, plus room for one fault; labyrinth's path grows it
-// once, when its length is drawn.
-func (p Profile) txBody(rng *sim.RNG, faulty bool, hot, warm, priv mem.Region) []cpu.Op {
-	nR := rng.Geometric(float64(p.TxReads))
+// appendTx draws a transaction's operation stream.
+func (g *program) appendTx(ops []cpu.Op, rng *sim.RNG, faulty bool) []cpu.Op {
+	nR := rng.Geometric(float64(g.TxReads))
 	nW := 0
-	if p.TxWrites > 0 {
-		nW = rng.Geometric(float64(p.TxWrites))
+	if g.TxWrites > 0 {
+		nW = rng.Geometric(float64(g.TxWrites))
 	}
-	per := 1 // ops per access
-	if p.ComputePerOp > 0 {
-		per = 2
-	}
-	ops := make([]cpu.Op, 0, (nR+nW)*per+1)
 	// Reads first (lookup phase), then the update phase, matching the
 	// read-validate-update structure of the STAMP applications.
 	for i := 0; i < nR; i++ {
-		ops = appendAccess(ops, cpu.Read(p.readTarget(rng, hot, warm, priv)), p.ComputePerOp)
+		ops = g.appendAccess(ops, cpu.Read(g.readTarget(rng)))
 	}
 	faultAt := -1
 	if faulty {
 		faultAt = rng.Intn(nW + 1)
 	}
-	if p.PathLength > 0 {
+	if g.PathLength > 0 {
 		// Contiguous routing path through the hot grid.
-		start := rng.Intn(hot.N)
-		n := p.PathLength/2 + rng.Intn(p.PathLength)
-		ops = slices.Grow(ops, (n+nW)*per+1)
+		start := rng.Intn(g.hot.N)
+		n := g.PathLength/2 + rng.Intn(g.PathLength)
 		for i := 0; i < n; i++ {
-			ops = appendAccess(ops, cpu.Write(hot.Pick(start+i)), p.ComputePerOp)
+			ops = g.appendAccess(ops, cpu.Write(g.hot.Pick(start+i)))
 		}
 	}
 	for i := 0; i < nW; i++ {
 		if i == faultAt {
 			ops = append(ops, cpu.Fault())
 		}
-		ops = appendAccess(ops, cpu.Write(p.writeTarget(rng, hot, priv)), p.ComputePerOp)
+		ops = g.appendAccess(ops, cpu.Write(g.writeTarget(rng)))
 	}
 	return ops
 }
 
 // appendAccess appends a memory op and the compute that follows it.
-func appendAccess(ops []cpu.Op, op cpu.Op, compute uint64) []cpu.Op {
+func (g *program) appendAccess(ops []cpu.Op, op cpu.Op) []cpu.Op {
 	ops = append(ops, op)
-	if compute > 0 {
-		ops = append(ops, cpu.Compute(compute))
+	if g.ComputePerOp > 0 {
+		ops = append(ops, cpu.Compute(g.ComputePerOp))
 	}
 	return ops
 }
 
-func (p Profile) readTarget(rng *sim.RNG, hot, warm, priv mem.Region) mem.Line {
+func (g *program) readTarget(rng *sim.RNG) mem.Line {
 	f := rng.Float64()
 	switch {
-	case f < p.HotReadFrac:
-		return hot.Pick(rng.Intn(hot.N))
-	case warm.N > 0 && f < p.HotReadFrac+p.WarmReadFrac:
-		return warm.Pick(rng.Intn(warm.N))
+	case f < g.HotReadFrac:
+		return g.hot.Pick(rng.Intn(g.hot.N))
+	case g.warm.N > 0 && f < g.HotReadFrac+g.WarmReadFrac:
+		return g.warm.Pick(rng.Intn(g.warm.N))
 	default:
-		return priv.Pick(rng.Intn(priv.N))
+		return g.priv.Pick(rng.Intn(g.priv.N))
 	}
 }
 
-func (p Profile) writeTarget(rng *sim.RNG, hot, priv mem.Region) mem.Line {
-	if rng.Float64() < p.HotWriteFrac {
-		return hot.Pick(rng.Intn(hot.N))
+func (g *program) writeTarget(rng *sim.RNG) mem.Line {
+	if rng.Float64() < g.HotWriteFrac {
+		return g.hot.Pick(rng.Intn(g.hot.N))
 	}
-	return priv.Pick(rng.Intn(priv.N))
+	return g.priv.Pick(rng.Intn(g.priv.N))
 }
 
-// plainSection builds the non-transactional work after a transaction.
-func (p Profile) plainSection(rng *sim.RNG, priv mem.Region) cpu.Section {
-	ops := make([]cpu.Op, 0, p.NonTxMemOps+1)
-	if p.NonTxCompute > 0 {
-		ops = append(ops, cpu.Compute(p.NonTxCompute))
+// appendPlain draws the non-transactional work after a transaction.
+func (g *program) appendPlain(ops []cpu.Op, rng *sim.RNG) []cpu.Op {
+	if g.NonTxCompute > 0 {
+		ops = append(ops, cpu.Compute(g.NonTxCompute))
 	}
-	for i := 0; i < p.NonTxMemOps; i++ {
+	for i := 0; i < g.NonTxMemOps; i++ {
 		if rng.Bool(0.5) {
-			ops = append(ops, cpu.Read(priv.Pick(rng.Intn(priv.N))))
+			ops = append(ops, cpu.Read(g.priv.Pick(rng.Intn(g.priv.N))))
 		} else {
-			ops = append(ops, cpu.Write(priv.Pick(rng.Intn(priv.N))))
+			ops = append(ops, cpu.Write(g.priv.Pick(rng.Intn(g.priv.N))))
 		}
 	}
-	return cpu.Plain(ops)
+	return ops
 }

@@ -1,6 +1,8 @@
 package stamp
 
 import (
+	"hash/fnv"
+	"sync"
 	"testing"
 
 	"repro/internal/cpu"
@@ -36,16 +38,15 @@ func TestProgramsDeterministic(t *testing.T) {
 		t.Fatalf("got %d programs", len(a))
 	}
 	for th := range a {
-		if len(a[th]) != len(b[th]) {
+		if a[th].Len() != b[th].Len() {
 			t.Fatalf("thread %d program lengths differ", th)
 		}
-		for s := range a[th] {
-			sa, sb := a[th][s], b[th][s]
-			if sa.Atomic != sb.Atomic || sa.Barrier != sb.Barrier {
+		for s := 0; s < a[th].Len(); s++ {
+			if a[th].Kind(s) != b[th].Kind(s) {
 				t.Fatalf("thread %d section %d kind differs", th, s)
 			}
-			if sa.Atomic {
-				oa, ob := sa.Body(1), sb.Body(1)
+			if a[th].Kind(s).Atomic() {
+				oa, ob := a[th].AppendOps(nil, s, 1), b[th].AppendOps(nil, s, 1)
 				if len(oa) != len(ob) {
 					t.Fatalf("thread %d section %d body length differs", th, s)
 				}
@@ -61,11 +62,11 @@ func TestProgramsDeterministic(t *testing.T) {
 	c := Programs(Intruder(), 4, 43)
 	same := true
 outer:
-	for _, sec := range c[0] {
-		if sec.Atomic {
-			for _, seca := range a[0] {
-				if seca.Atomic {
-					oa, oc := seca.Body(1), sec.Body(1)
+	for s := 0; s < c[0].Len(); s++ {
+		if c[0].Kind(s).Atomic() {
+			for sa := 0; sa < a[0].Len(); sa++ {
+				if a[0].Kind(sa).Atomic() {
+					oa, oc := a[0].AppendOps(nil, sa, 1), c[0].AppendOps(nil, s, 1)
 					if len(oa) != len(oc) {
 						same = false
 						break outer
@@ -92,7 +93,7 @@ func TestSectionsSplitAcrossThreads(t *testing.T) {
 		progs := Programs(p, threads, 1)
 		total := 0
 		for _, pr := range progs {
-			total += pr.CountAtomic()
+			total += cpu.CountAtomic(pr)
 		}
 		if total != p.TotalSections {
 			t.Fatalf("threads=%d: %d sections, want %d (strong scaling)",
@@ -102,13 +103,13 @@ func TestSectionsSplitAcrossThreads(t *testing.T) {
 }
 
 func TestStaticBodyStableAcrossAttempts(t *testing.T) {
-	progs := Programs(Intruder(), 2, 5)
-	for _, sec := range progs[0] {
-		if !sec.Atomic {
+	prog := Programs(Intruder(), 2, 5)[0]
+	for s := 0; s < prog.Len(); s++ {
+		if prog.Kind(s) != cpu.SecAtomic {
 			continue
 		}
-		a1 := sec.Body(1)
-		a2 := sec.Body(2)
+		a1 := prog.AppendOps(nil, s, 1)
+		a2 := prog.AppendOps(nil, s, 2)
 		if len(a1) != len(a2) {
 			t.Fatal("static body changed across attempts")
 		}
@@ -121,43 +122,15 @@ func TestStaticBodyStableAcrossAttempts(t *testing.T) {
 	}
 }
 
-// TestBodiesSizedExactly pins that Programs allocates each body once at its
-// final size: the only spare slot allowed is the one reserved for a fault.
-// Labyrinth is skipped; its path length is drawn mid-body and grows the
-// slice once.
-func TestBodiesSizedExactly(t *testing.T) {
-	for _, p := range Workloads() {
-		if p.PathLength > 0 {
-			continue
-		}
-		for th, prog := range Programs(p, 8, 1) {
-			for s, sec := range prog {
-				var bodies [][]cpu.Op
-				switch {
-				case sec.Atomic:
-					bodies = [][]cpu.Op{sec.Body(1), sec.Body(2)}
-				case !sec.Barrier:
-					bodies = [][]cpu.Op{sec.Ops}
-				}
-				for _, ops := range bodies {
-					if spare := cap(ops) - len(ops); spare > 1 {
-						t.Fatalf("%s thread %d section %d: len %d cap %d", p.Name, th, s, len(ops), cap(ops))
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestRegeneratedBodyVariesAcrossAttempts(t *testing.T) {
-	progs := Programs(Labyrinth(), 2, 5)
+	prog := Programs(Labyrinth(), 2, 5)[0]
 	varied := false
-	for _, sec := range progs[0] {
-		if !sec.Atomic {
+	for s := 0; s < prog.Len(); s++ {
+		if prog.Kind(s) != cpu.SecDynamic {
 			continue
 		}
-		a1 := sec.Body(1)
-		a2 := sec.Body(2)
+		a1 := prog.AppendOps(nil, s, 1)
+		a2 := prog.AppendOps(nil, s, 2)
 		if len(a1) != len(a2) {
 			varied = true
 			break
@@ -178,12 +151,12 @@ func TestRegeneratedBodyVariesAcrossAttempts(t *testing.T) {
 }
 
 func TestLabyrinthWritesContiguousPath(t *testing.T) {
-	progs := Programs(Labyrinth(), 1, 3)
-	for _, sec := range progs[0] {
-		if !sec.Atomic {
+	prog := Programs(Labyrinth(), 1, 3)[0]
+	for s := 0; s < prog.Len(); s++ {
+		if !prog.Kind(s).Atomic() {
 			continue
 		}
-		ops := sec.Body(1)
+		ops := prog.AppendOps(nil, s, 1)
 		var writes []mem.Line
 		for _, op := range ops {
 			if op.Kind == cpu.OpWrite {
@@ -208,11 +181,11 @@ func TestLabyrinthWritesContiguousPath(t *testing.T) {
 }
 
 func TestYadaFaultsPersistAcrossAttempts(t *testing.T) {
-	progs := Programs(Yada(), 1, 11)
+	prog := Programs(Yada(), 1, 11)[0]
 	faultySections := 0
 	persistent := 0
-	for _, sec := range progs[0] {
-		if !sec.Atomic {
+	for s := 0; s < prog.Len(); s++ {
+		if !prog.Kind(s).Atomic() {
 			continue
 		}
 		hasFault := func(ops []cpu.Op) bool {
@@ -223,14 +196,14 @@ func TestYadaFaultsPersistAcrossAttempts(t *testing.T) {
 			}
 			return false
 		}
-		if !hasFault(sec.Body(1)) {
+		if !hasFault(prog.AppendOps(nil, s, 1)) {
 			continue
 		}
 		faultySections++
 		// A faulty section should usually keep faulting on retry.
 		again := 0
 		for attempt := 2; attempt <= 6; attempt++ {
-			if hasFault(sec.Body(attempt)) {
+			if hasFault(prog.AppendOps(nil, s, attempt)) {
 				again++
 			}
 		}
@@ -261,8 +234,8 @@ func TestBarriersBalancedAcrossThreads(t *testing.T) {
 	progs := Programs(p, 4, 1)
 	count := func(pr cpu.Program) int {
 		n := 0
-		for _, s := range pr {
-			if s.Barrier {
+		for s := 0; s < pr.Len(); s++ {
+			if pr.Kind(s) == cpu.SecBarrier {
 				n++
 			}
 		}
@@ -272,6 +245,60 @@ func TestBarriersBalancedAcrossThreads(t *testing.T) {
 	for th, pr := range progs {
 		if count(pr) != want {
 			t.Fatalf("thread %d has %d barriers, thread 0 has %d (deadlock)", th, count(pr), want)
+		}
+	}
+}
+
+// TestProgramsAllocateConstantPerThread pins that Programs stores no ops:
+// it allocates two objects (the per-thread generators and the slice of
+// programs) whatever the thread and section counts are.
+func TestProgramsAllocateConstantPerThread(t *testing.T) {
+	long := Intruder()
+	long.TotalSections *= 16
+	for _, threads := range []int{2, 8, 32} {
+		base := testing.AllocsPerRun(20, func() { Programs(Intruder(), threads, 1) })
+		more := testing.AllocsPerRun(20, func() { Programs(long, threads, 1) })
+		if base > 2 || more != base {
+			t.Errorf("threads=%d: %.0f allocations, %.0f with 16x the sections; want at most 2 for both",
+				threads, base, more)
+		}
+	}
+}
+
+// TestProgramsShareable pins that a Programs result holds no mutable
+// state: goroutines drawing every section of the same programs at once
+// (as machines sharing them do) all draw the same ops. Run it under -race.
+func TestProgramsShareable(t *testing.T) {
+	progs := Programs(Yada(), 4, 1)
+	draw := func() uint64 {
+		h := fnv.New64a()
+		var ops []cpu.Op
+		for _, p := range progs {
+			for s := 0; s < p.Len(); s++ {
+				for a := 1; a <= 3; a++ {
+					ops = p.AppendOps(ops[:0], s, a)
+					for _, op := range ops {
+						h.Write([]byte{byte(op.Kind), byte(op.Line), byte(op.Line >> 8), byte(op.N)})
+					}
+				}
+			}
+		}
+		return h.Sum64()
+	}
+	want := draw()
+	var wg sync.WaitGroup
+	got := make([]uint64, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = draw()
+		}()
+	}
+	wg.Wait()
+	for i, h := range got {
+		if h != want {
+			t.Errorf("goroutine %d drew %#x, a lone draw %#x", i, h, want)
 		}
 	}
 }

@@ -146,23 +146,20 @@ func (c Category) String() string {
 }
 
 // ParseCategories parses a comma-separated filter list ("tx,conflict").
-// An empty string or "all" enables every category.
+// An empty string, or "all" anywhere in the list, enables every category;
+// an unknown name is an error even beside "all".
 func ParseCategories(s string) (map[Category]bool, error) {
 	out := make(map[Category]bool)
-	if s == "" || s == "all" {
-		for c := Category(0); c < numCategories; c++ {
-			out[c] = true
-		}
-		return out, nil
+	if s == "" {
+		s = "all"
 	}
 	for _, name := range strings.Split(s, ",") {
 		name = strings.TrimSpace(name)
 		found := false
 		for c := Category(0); c < numCategories; c++ {
-			if c.String() == name {
+			if name == "all" || c.String() == name {
 				out[c] = true
 				found = true
-				break
 			}
 		}
 		if !found {
@@ -239,10 +236,11 @@ type Tracer struct {
 }
 
 // New creates a tracer keeping the last n events of the given categories
-// (nil cats = all categories). The ring grows to n as events arrive.
+// (nil cats = all categories). The ring grows to n as events arrive; n must
+// be at least 1.
 func New(n int, cats map[Category]bool) *Tracer {
-	if n <= 0 {
-		n = 4096
+	if n < 1 {
+		panic(fmt.Sprintf("trace: New(%d): a tracer must retain at least 1 event", n))
 	}
 	t := &Tracer{size: n}
 	for c := Category(0); c < numCategories; c++ {

@@ -101,6 +101,47 @@ func TestParseCategoriesErrors(t *testing.T) {
 	}
 }
 
+// TestParseCategoriesAll: "all" anywhere in the list selects every
+// category, and an unknown name beside it is still an error.
+func TestParseCategoriesAll(t *testing.T) {
+	for _, tc := range []struct {
+		list string
+		ok   bool
+	}{
+		{"all", true},
+		{"tx,all", true},
+		{"all, noc", true},
+		{"all,bogus", false},
+		{"bogus,all", false},
+	} {
+		cats, err := ParseCategories(tc.list)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%q: want an error, got %v", tc.list, cats)
+			}
+			continue
+		}
+		if err != nil || len(cats) != int(numCategories) {
+			t.Errorf("%q should enable all %d categories: %v %v", tc.list, numCategories, cats, err)
+		}
+	}
+}
+
+// TestNewRejectsNoRetention: a tracer that retains nothing is a caller
+// error, not a request for a default size.
+func TestNewRejectsNoRetention(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d) did not panic", n)
+				}
+			}()
+			New(n, nil)
+		}()
+	}
+}
+
 func TestEventString(t *testing.T) {
 	e := Event{Cycle: 42, Core: 3, Kind: KindRejectFwd, Line: 100, Msg: "FwdGetM", Peer: 5, Prio: 9, PeerPrio: 4}
 	s := e.String()
