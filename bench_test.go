@@ -322,23 +322,6 @@ func BenchmarkAblationRetryBudget(b *testing.B) {
 
 // --- Component micro-benchmarks ------------------------------------------
 
-func BenchmarkEngineEvents(b *testing.B) {
-	e := sim.NewEngine()
-	var tick func()
-	n := 0
-	tick = func() {
-		n++
-		if n < b.N {
-			e.After(1, tick)
-		}
-	}
-	e.After(1, tick)
-	b.ResetTimer()
-	if err := e.Run(0); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // nopHandler discards delivered events, so BenchmarkNoCSend measures only
 // the send path.
 type nopHandler struct{}

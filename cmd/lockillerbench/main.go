@@ -24,7 +24,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -53,9 +52,18 @@ func main() {
 	selfProfile := flag.Bool("selfprofile", false, "profile the event engine itself and print the report after the sweep")
 	flag.Parse()
 
-	if strings.HasSuffix(*resultsDir, ".json") {
-		fmt.Fprintf(os.Stderr, "lockillerbench: -results %s: the single-file snapshot cache was removed; pass a cache directory (e.g. out/cache)\n", *resultsDir)
-		os.Exit(2)
+	var disk *harness.DiskCache
+	if *resultsDir != "" {
+		// Opened before any other output file, so a refused path leaves
+		// nothing behind. Every fresh result is written the moment it
+		// finishes, keyed by (key, seed, schema version), so interrupted
+		// sweeps lose nothing and repeat sweeps are near-free.
+		d, err := harness.OpenDiskCache(*resultsDir)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "lockillerbench:", err)
+			os.Exit(2)
+		}
+		disk = d
 	}
 
 	if *cpuProfile != "" {
@@ -113,17 +121,9 @@ func main() {
 		r.Profiler = obs.NewProfiler()
 		defer r.Profiler.Render(os.Stderr)
 	}
-	if *resultsDir != "" {
-		// Every fresh result is written the moment it finishes, keyed by
-		// (key, seed, schema version), so interrupted sweeps lose nothing
-		// and repeat sweeps are near-free.
-		d, err := harness.OpenDiskCache(*resultsDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lockillerbench:", err)
-			os.Exit(1)
-		}
-		r.Disk = d
-		fmt.Fprintf(os.Stderr, "results: content-addressed cache at %s\n", d.Dir())
+	if disk != nil {
+		r.Disk = disk
+		fmt.Fprintf(os.Stderr, "results: content-addressed cache at %s\n", disk.Dir())
 	}
 	if *verbose {
 		r.Log = func(s string) { fmt.Fprintln(os.Stderr, "  run:", s) }

@@ -8,7 +8,8 @@
 //	                in deterministic packages, and wall-clock reads outside
 //	                internal/obs anywhere in the repo
 //	poolsafe      — use-after-free / double-free of pooled protocol objects
-//	evtalloc      — closure-literal Engine.At/After scheduling on hot paths
+//	evtalloc      — closure literals passed as L1.Access completions in hot
+//	                packages
 //	tabledispatch — raw switches over MsgType in the coherence package that
 //	                bypass the protocol transition tables
 //	tracehook     — trace.Observer and obs.EngineProbe calls outside an if

@@ -14,8 +14,9 @@
 //     must never be read, written, or re-freed after it flowed into its
 //     free/release sink (poolsafe);
 //
-// plus one performance invariant: hot packages schedule with the typed
-// zero-alloc AtEvent/AfterEvent API rather than per-event closures (evtalloc).
+// plus one performance invariant: hot packages complete memory accesses
+// through prebound continuations rather than a closure per access
+// (evtalloc).
 package analysis
 
 import (
@@ -160,9 +161,9 @@ var deterministicPkgs = map[string]bool{
 	"telemetry": true,
 }
 
-// hotPkgs are the packages whose event scheduling sits on the simulator's
-// hot path, where per-event closure allocation is a measured regression
-// (see BENCH_1.json: the PR-1 pooling work cut allocs/op 11x).
+// hotPkgs are the packages whose memory accesses sit on the simulator's hot
+// path, where a closure per access is a measured regression (see
+// BENCH_1.json: the PR-1 pooling work cut allocs/op 11x).
 var hotPkgs = map[string]bool{
 	"coherence": true, "cpu": true, "noc": true, "htm": true,
 }

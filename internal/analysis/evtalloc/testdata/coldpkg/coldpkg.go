@@ -1,14 +1,14 @@
-// Package plot is an evtalloc fixture: closure-literal scheduling outside
-// the hot set is accepted without a waiver.
+// Package plot is an evtalloc fixture: a closure literal passed as an
+// L1.Access completion outside the hot set is accepted without a waiver.
 package plot
 
-// Engine stands in for sim.Engine.
-type Engine struct{}
+// L1 stands in for coherence.L1.
+type L1 struct{}
 
-func (e *Engine) After(d uint64, fn func()) {}
+func (l *L1) Access(line uint64, write bool, done func()) {}
 
-func renderLater(e *Engine, done func()) {
-	e.After(100, func() {
+func renderLater(l1 *L1, done func()) {
+	l1.Access(0, false, func() {
 		done()
 	})
 }

@@ -7,8 +7,6 @@ package cpu
 // Engine stands in for sim.Engine.
 type Engine struct{}
 
-func (e *Engine) After(d uint64, fn func()) {}
-
 // Handler mirrors sim.Handler.
 type Handler interface {
 	OnEvent(kind uint8, a uint64, p any)
@@ -32,7 +30,6 @@ type core struct {
 	lock   *lock
 	token  uint64
 	spinFn func() // prebound spinCheck
-	tick   func() // prebound, re-armed through a field
 }
 
 const (
@@ -43,7 +40,6 @@ const (
 func newCore(e *Engine, l1 *L1, lk *lock) *core {
 	c := &core{engine: e, l1: l1, lock: lk}
 	c.spinFn = c.spinCheck
-	c.tick = func() { c.engine.After(1, c.tick) }
 	return c
 }
 
@@ -65,9 +61,9 @@ func (c *core) spinCheck() {
 
 func (c *core) start() {}
 
-// acquire is once per lock section, and says so.
-func (c *core) acquire(done func()) {
-	//lockiller:alloc-ok once per lock section, not per iteration
+// rmw is a test-only op, and says so.
+func (c *core) rmw(done func()) {
+	//lockiller:alloc-ok test-only op; no generated workload emits it
 	c.l1.Access(c.lock.line, true, func() {
 		done()
 	})

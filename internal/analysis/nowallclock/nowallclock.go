@@ -43,7 +43,7 @@ type rule struct {
 
 const (
 	steerClock = "use sim.Engine.Now (simulated cycles)"
-	steerTimer = "schedule with sim.Engine.After"
+	steerTimer = "schedule with sim.Engine.AfterEvent"
 	steerEnv   = "thread configuration through Params/Config structs"
 	steerRand  = "use the seeded sim.NewRNG / RNG.Split streams"
 )

@@ -16,7 +16,7 @@ func wallClock() int64 {
 
 // sleeper stalls on host time instead of scheduling an event.
 func sleeper() {
-	time.Sleep(time.Millisecond) // want `time\.Sleep in deterministic package "htm": schedule with sim\.Engine\.After`
+	time.Sleep(time.Millisecond) // want `time\.Sleep in deterministic package "htm": schedule with sim\.Engine\.AfterEvent`
 }
 
 // globalRand draws from the shared, unseeded global generator.

@@ -264,10 +264,8 @@ func (b *Bank) service(d *dirLine, m *Msg) {
 		return
 	}
 	b.MemFetches++
-	// The closure is accepted: memory-fetch path only, and the continuation
-	// needs both the directory line and the request. (evtalloc checks the
-	// closure-scheduling At/After entry points, not typed-event payloads,
-	// so no waiver is needed here.)
+	// The closure payload is accepted: memory-fetch path only, and the
+	// continuation needs both the directory line and the request.
 	b.sys.Engine.AfterEvent(b.sys.MemLatency, b, evBankAllocate, uint64(m.Line),
 		func() { b.serviceWithData(d, m) })
 }

@@ -241,9 +241,8 @@ func (l1 *L1) Access(line mem.Line, write bool, done func()) {
 		// Three-level: middle-cache hit; promote into the L1.
 		l1.Misses++
 		l1.MidHits++
-		gdone := l1.guard(done)
-		//lockiller:alloc-ok three-level baseline only; the promote carries two pointers + a flag, which the typed payload cannot hold unboxed
-		l1.sys.Engine.After(l1.sys.MidHit, func() { l1.promoteFromMid(line, me, write, gdone) })
+		l1.sys.Engine.AfterEvent(l1.sys.MidHit, l1, evL1MidPromote, 0,
+			&midCtx{l1: l1, line: line, me: me, write: write, gdone: l1.guard(done)})
 		return
 	}
 	l1.Misses++
@@ -252,9 +251,11 @@ func (l1 *L1) Access(line mem.Line, write bool, done func()) {
 
 // Typed-event kinds handled by L1.OnEvent.
 const (
-	evL1Done      uint8 = iota // a = epoch at access time, p = completion func
-	evL1MshrDone               // p = *mshr whose done callback and waiters run
-	evL1ParkRetry              // a = epoch<<32 | parkSeq (32 bits each), p = *mshr
+	evL1Done       uint8 = iota // a = epoch at access time, p = completion func
+	evL1MshrDone                // p = *mshr whose done callback and waiters run
+	evL1ParkRetry               // a = epoch<<32 | parkSeq (32 bits each), p = *mshr
+	evL1MidPromote              // p = *midCtx: a middle-cache hit moves into the L1
+	evL1MidFlush                // p = *midFlush: a forward's deferred flush and reply
 )
 
 // OnEvent implements sim.Handler for the L1's allocation-free completions.
@@ -286,6 +287,10 @@ func (l1 *L1) OnEvent(kind uint8, a uint64, p any) {
 			ms.state == mshrParked && ms.parkSeq&epochMask == a&epochMask {
 			l1.retry(ms)
 		}
+	case evL1MidPromote:
+		l1.promoteFromMid(p.(*midCtx))
+	case evL1MidFlush:
+		l1.flushForward(p.(*midFlush))
 	}
 }
 
@@ -741,9 +746,8 @@ func (l1 *L1) retry(ms *mshr) {
 		// The MSHR is recycled before the promote fires, so the continuation
 		// leaves it here — re-wrapped in its guard epoch, since the promote
 		// machinery expects a self-guarding closure.
-		line, write, done := ms.line, ms.write, l1.guardAt(ms.doneEp, ms.done)
-		//lockiller:alloc-ok three-level baseline only; the promote carries two pointers + a flag, which the typed payload cannot hold unboxed
-		l1.sys.Engine.After(l1.sys.MidHit, func() { l1.promoteFromMid(line, me, write, done) })
+		l1.sys.Engine.AfterEvent(l1.sys.MidHit, l1, evL1MidPromote, 0,
+			&midCtx{l1: l1, line: ms.line, me: me, write: ms.write, gdone: l1.guardAt(ms.doneEp, ms.done)})
 		for _, w := range ms.waiters {
 			w()
 		}
@@ -868,51 +872,18 @@ func (l1 *L1) dropAfterConflict(e *cache.Entry) {
 }
 
 // respondForward performs the ordinary ownership transfer / downgrade for a
-// non-conflicting forward. The deferred flush path runs after m is recycled,
-// so it captures the fields it needs rather than the message.
+// non-conflicting forward.
 func (l1 *L1) respondForward(m *Msg, e *cache.Entry, inL1 bool) {
-	line, req, getS := m.Line, m.Requester, m.Type == MsgFwdGetS
 	if inL1 && l1.hasMid() {
 		// The three-level odd design: flush the line from the L1 to the
 		// middle cache before answering — even for plain loads — paying
-		// the middle-cache latency and losing the L1 copy (§IV-A).
-		mv := *m // value copy: the pooled message is recycled before the flush runs
-		//lockiller:alloc-ok three-level baseline only; the deferred forward reply needs the entry, line, requester, and flavor
-		l1.sys.Engine.After(l1.sys.MidHit, func() {
-			if !e.State.Valid() {
-				// The line moved while the flush was in flight (abort).
-				l1.nack(line, req)
-				return
-			}
-			if e.TxWrite || (e.Tx() && !getS) {
-				// The line joined a transaction during the flush delay, so
-				// the no-conflict classification that routed us here is
-				// stale. Re-arbitrate as the l1.forward table would have.
-				if l1.Tx.InTx() {
-					if l1.ownerWins(&mv) {
-						l1.fwdReject(&mv)
-						return
-					}
-					l1.abortVictim(&mv, e)
-					l1.dropAfterConflict(e)
-					l1.nack(line, req)
-					return
-				}
-				// Speculative bits without a live transaction are leftovers
-				// of an attempt that already ended; scrub them before the
-				// downgrade rather than hand them to the middle cache.
-				e.TxRead, e.TxWrite = false, false
-			}
-			if me := l1.midFlushForForward(e); me != nil {
-				l1.forwardRespond(me, line, req, getS)
-				return
-			}
-			// Flush could not place the line; respond in place.
-			l1.forwardRespond(e, line, req, getS)
-		})
+		// the middle-cache latency and losing the L1 copy (§IV-A). The
+		// step carries a value copy: the pooled message is recycled
+		// before the flush runs.
+		l1.sys.Engine.AfterEvent(l1.sys.MidHit, l1, evL1MidFlush, 0, &midFlush{m: *m, e: e})
 		return
 	}
-	l1.forwardRespond(e, line, req, getS)
+	l1.forwardRespond(e, m.Line, m.Requester, m.Type == MsgFwdGetS)
 }
 
 // forwardRespond downgrades (FwdGetS) or surrenders (FwdGetM) the held copy

@@ -43,20 +43,19 @@ func (l1 *L1) midLookup(line mem.Line) *cache.Entry {
 // promoteFromMid moves a middle-cache hit into the L1 (the reverse fill),
 // then completes the access, dispatching through the mid.promote table.
 // Transactional metadata survives the move. The promote fires MidHit cycles
-// after the hit was observed, so the slot is revalidated here: a dead entry
-// (abort) or one reused for a different line dispatches as the synthetic
-// stale state and the access is re-resolved from scratch.
-func (l1 *L1) promoteFromMid(line mem.Line, me *cache.Entry, write bool, gdone func()) {
+// after the hit was observed (evL1MidPromote), so the slot is revalidated
+// here: a dead entry (abort) or one reused for a different line dispatches
+// as the synthetic stale state and the access is re-resolved from scratch.
+func (l1 *L1) promoteFromMid(c *midCtx) {
 	evt := midLoad
-	if write {
+	if c.write {
 		evt = midStore
 	}
 	s := midStale
-	if me.State.Valid() && me.Line == line {
-		s = proto.State(me.State)
+	if c.me.State.Valid() && c.me.Line == c.line {
+		s = proto.State(c.me.State)
 	}
-	midPromoteTable.Dispatch(s, evt,
-		midCtx{l1: l1, line: line, me: me, write: write, gdone: gdone}, l1.sys.fired[tblMidPromote])
+	midPromoteTable.Dispatch(s, evt, *c, l1.sys.fired[tblMidPromote])
 }
 
 // upgradeThroughMid handles a store over a Shared middle-cache line: leave
@@ -167,6 +166,51 @@ func (l1 *L1) demoteToMid(v *cache.Entry) bool {
 	v.TxRead = false
 	v.TxWrite = false
 	return true
+}
+
+// midFlush is the payload of evL1MidFlush: the forward being answered and
+// the L1 entry it hit.
+type midFlush struct {
+	m Msg // value copy of the recycled pooled message
+	e *cache.Entry
+}
+
+// flushForward answers a forward that hit the L1 MidHit cycles after it
+// arrived (respondForward): the line flushes to the middle cache and the
+// reply goes out from there.
+func (l1 *L1) flushForward(f *midFlush) {
+	m, e := &f.m, f.e
+	line, req, getS := m.Line, m.Requester, m.Type == MsgFwdGetS
+	if !e.State.Valid() {
+		// The line moved while the flush was in flight (abort).
+		l1.nack(line, req)
+		return
+	}
+	if e.TxWrite || (e.Tx() && !getS) {
+		// The line joined a transaction during the flush delay, so the
+		// no-conflict classification that routed us here is stale.
+		// Re-arbitrate as the l1.forward table would have.
+		if l1.Tx.InTx() {
+			if l1.ownerWins(m) {
+				l1.fwdReject(m)
+				return
+			}
+			l1.abortVictim(m, e)
+			l1.dropAfterConflict(e)
+			l1.nack(line, req)
+			return
+		}
+		// Speculative bits without a live transaction are leftovers of an
+		// attempt that already ended; scrub them before the downgrade
+		// rather than hand them to the middle cache.
+		e.TxRead, e.TxWrite = false, false
+	}
+	if me := l1.midFlushForForward(e); me != nil {
+		l1.forwardRespond(me, line, req, getS)
+		return
+	}
+	// Flush could not place the line; respond in place.
+	l1.forwardRespond(e, line, req, getS)
 }
 
 // midFlushForForward implements the odd design: an external forward that

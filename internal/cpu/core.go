@@ -50,10 +50,12 @@ type Core struct {
 	// contFn is the prebound memory-access completion (accessDone), built
 	// once so the per-op Access call allocates no closure.
 	contFn func()
-	// The section and attempt continuations, prebound the same way: the
-	// state they need lives in the core (secIdx, attemptTok), so neither
-	// the lock spin nor an attempt allocates per iteration.
-	spinFn, subscribeFn, finishFn, plainFn func()
+	// The section, attempt and lock-section continuations, prebound the
+	// same way: the state they need lives in the core (secIdx, attemptTok)
+	// and the lock, so neither the lock spin, an attempt nor a lock section
+	// allocates per iteration.
+	spinFn, subscribeFn, finishFn, plainFn         func()
+	acquireFn, lockedFn, tlFn, unlockFn, releaseFn func()
 
 	// fusedRuns counts event-fusion fast-path runs (maximal inline op
 	// chains); collected into stats.Run.FusedRuns after the run.
@@ -66,6 +68,9 @@ const (
 	evResume  uint8 = iota // continue runOps from c.resume
 	evRestart              // restart the current section's attempt
 	evSpin                 // re-read the fallback lock (Listing 1's spin)
+	evStart                // begin the program (Machine.Run)
+	evBarrier              // leave the barrier every participant reached
+	evGrant                // take the lock line after a handover (release)
 )
 
 // ProbeClass implements sim.ProbeClasser for self-profiler reports.
@@ -84,6 +89,14 @@ func (c *Core) OnEvent(kind uint8, a uint64, _ any) {
 		c.startAttempt()
 	case evSpin:
 		c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, false, c.spinFn)
+	case evStart:
+		c.st.StartSegment(stats.CatNonTx, c.now())
+		c.nextSection()
+	case evBarrier:
+		c.advance()
+	case evGrant:
+		// Ownership handed over: take the lock line (transfer traffic).
+		c.m.Sys.L1s[c.id].Access(c.m.Lock.Line, true, c.lockedFn)
 	}
 }
 
@@ -96,6 +109,11 @@ func newCore(m *Machine, id int, prog Program, st *stats.Core, rng sim.RNG) *Cor
 	c.subscribeFn = c.subscribed
 	c.finishFn = c.finishAttempt
 	c.plainFn = c.plainDone
+	c.acquireFn = c.acquired
+	c.lockedFn = c.locked
+	c.tlFn = c.tlBegun
+	c.unlockFn = c.unlock
+	c.releaseFn = c.released
 	m.Sys.L1s[id].SetClient(c)
 	return c
 }
@@ -123,12 +141,6 @@ func (c *Core) engine() *sim.Engine { return c.m.Engine }
 func (c *Core) now() uint64         { return c.m.Engine.Now() }
 func (c *Core) tx() *htm.TxState    { return c.m.Sys.L1s[c.id].Tx }
 
-// start begins executing the program.
-func (c *Core) start() {
-	c.st.StartSegment(stats.CatNonTx, c.now())
-	c.nextSection()
-}
-
 // nextSection dispatches the next program section. A plain section's ops
 // and a SecAtomic body are drawn into c.ops here, once per section.
 func (c *Core) nextSection() {
@@ -141,14 +153,14 @@ func (c *Core) nextSection() {
 	case SecBarrier:
 		c.st.StartSegment(stats.CatNonTx, c.now())
 		c.st.Barriers++
-		c.m.Barrier.Arrive(func() { c.advance() })
+		c.m.Barrier.arrive(c)
 	case SecAtomic, SecDynamic:
 		c.retries = 0
 		if kind == SecAtomic {
 			c.ops = c.prog.AppendOps(c.ops[:0], c.secIdx, 1)
 		}
 		if c.m.Cfg.Sync == SysCGL {
-			c.runCGL()
+			c.acquire()
 		} else {
 			c.startAttempt()
 		}
@@ -343,27 +355,6 @@ func (c *Core) accessDone() {
 	c.runOps(c.resume.ops, c.resume.i, c.resume.tok, c.resume.done)
 }
 
-// --- CGL execution ---------------------------------------------------
-
-func (c *Core) runCGL() {
-	c.st.StartSegment(stats.CatWaitLock, c.now())
-	c.acquire(c.m.Lock, func() {
-		c.st.StartSegment(stats.CatLock, c.now())
-		c.tx().Mode = htm.Mutex
-		c.runOps(c.body(1), 0, c.token, func() {
-			c.tx().Mode = htm.NonTx
-			c.release(c.m.Lock, func() {
-				c.applyStaged()
-				c.st.LockRuns++
-				c.st.Sections++
-				c.engine().Progress()
-				c.st.StartSegment(stats.CatNonTx, c.now())
-				c.advance()
-			})
-		})
-	})
-}
-
 // --- HTM execution ---------------------------------------------------
 
 // startAttempt begins (or restarts) a speculative attempt of the section.
@@ -505,86 +496,93 @@ func (c *Core) backoff() uint64 {
 	return base/2 + c.rng.Uint64()%base
 }
 
-// fallback executes the section on the non-speculative path: a TL lock
-// transaction under HTMLock, a plain mutex section otherwise.
+// fallback executes the section on the non-speculative path, the lock
+// section.
 func (c *Core) fallback() {
 	if o := c.m.Sys.Obs; o != nil {
 		o.Event(trace.Event{Kind: trace.KindFallback, Core: c.id, Section: c.secIdx, Count: c.retries})
 	}
-	c.st.StartSegment(stats.CatWaitLock, c.now())
-	c.acquire(c.m.Lock, func() {
-		if c.m.Sys.HTM.HTMLock {
-			c.m.Sys.L1s[c.id].HLBegin(func() {
-				c.st.StartSegment(stats.CatLock, c.now())
-				c.tx().BeginAttempt(htm.TL, c.now())
-				c.runOps(c.body(c.tx().Attempt), 0, c.token, func() {
-					// Staged updates become visible before hlend wakes the
-					// requesters this lock transaction rejected — otherwise
-					// a woken reader could see pre-transaction values while
-					// the lock-release access is still in flight.
-					c.applyStaged()
-					c.m.Sys.L1s[c.id].HLEnd()
-					c.release(c.m.Lock, func() {
-						c.st.LockRuns++
-						c.lockSectionDone()
-					})
-				})
-			})
-			return
-		}
-		c.st.StartSegment(stats.CatLock, c.now())
-		c.tx().Mode = htm.Mutex
-		c.runOps(c.body(1), 0, c.token, func() {
-			c.tx().Mode = htm.NonTx
-			c.release(c.m.Lock, func() {
-				c.st.LockRuns++
-				c.lockSectionDone()
-			})
-		})
-	})
+	c.acquire()
 }
 
-func (c *Core) lockSectionDone() {
+// --- lock sections ----------------------------------------------------
+//
+// A lock section runs the current section under the fallback lock: a TL
+// lock transaction under HTMLock, a plain mutex section otherwise. CGL runs
+// every atomic section this way, as a mutex section. Each step completes
+// through a prebound continuation, so a lock section allocates nothing.
+
+// acquire takes the FIFO queued lock. The RMW is modeled by a real store to
+// the lock line; a contended caller parks (futex-style, no spin traffic)
+// and is handed the lock directly by the releasing core, paying one more
+// cache-to-cache transfer on the handover (evGrant).
+func (c *Core) acquire() {
+	lk := c.m.Lock
+	c.st.StartSegment(stats.CatWaitLock, c.now())
+	if o := c.m.Sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindLockAcquire, Core: c.id, Line: lk.Line, Held: lk.Held(), Count: lk.Waiters()})
+	}
+	c.m.Sys.L1s[c.id].Access(lk.Line, true, c.acquireFn)
+}
+
+// acquired completes acquire's store: take the lock if it is free, else
+// wait in its queue for the handover.
+func (c *Core) acquired() {
+	if c.m.Lock.acquireOrEnqueue(c) {
+		c.locked()
+	}
+}
+
+// locked runs the section body once the lock is held: as a TL lock
+// transaction after hlbegin under HTMLock, as a mutex section otherwise.
+func (c *Core) locked() {
+	if c.m.Cfg.Sync == SysHTM && c.m.Sys.HTM.HTMLock {
+		c.m.Sys.L1s[c.id].HLBegin(c.tlFn)
+		return
+	}
+	c.st.StartSegment(stats.CatLock, c.now())
+	c.tx().Mode = htm.Mutex
+	c.runOps(c.body(1), 0, c.token, c.unlockFn)
+}
+
+// tlBegun runs the body as a TL lock transaction once hlbegin is granted.
+func (c *Core) tlBegun() {
+	c.st.StartSegment(stats.CatLock, c.now())
+	c.tx().BeginAttempt(htm.TL, c.now())
+	c.runOps(c.body(c.tx().Attempt), 0, c.token, c.unlockFn)
+}
+
+// unlock ends the body in whatever mode it ran and frees the lock with a
+// real store.
+func (c *Core) unlock() {
+	if c.tx().Mode == htm.TL {
+		// Staged updates become visible before hlend wakes the requesters
+		// this lock transaction rejected — otherwise a woken reader could
+		// see pre-transaction values while the lock-release access is
+		// still in flight.
+		c.applyStaged()
+		c.m.Sys.L1s[c.id].HLEnd()
+	} else {
+		c.tx().Mode = htm.NonTx
+	}
+	lk := c.m.Lock
+	if o := c.m.Sys.Obs; o != nil {
+		o.Event(trace.Event{Kind: trace.KindLockRelease, Core: c.id, Line: lk.Line, Count: lk.Waiters()})
+	}
+	c.m.Sys.L1s[c.id].Access(lk.Line, true, c.releaseFn)
+}
+
+// released completes unlock's store: the next queued core, if any, takes
+// the lock line one cycle later, and the section completes.
+func (c *Core) released() {
+	if w := c.m.Lock.release(c.id); w != nil {
+		c.engine().AfterEvent(1, w, evGrant, w.token, nil)
+	}
+	c.st.LockRuns++
 	c.applyStaged()
 	c.tx().Reset()
 	c.st.Sections++
 	c.engine().Progress()
 	c.st.StartSegment(stats.CatNonTx, c.now())
 	c.advance()
-}
-
-// --- lock primitives --------------------------------------------------
-
-// acquire takes a FIFO queued lock. The RMW is modeled by a real store to
-// the lock line; a contended caller parks (futex-style, no spin traffic)
-// and is handed the lock directly by the releasing core, paying one more
-// cache-to-cache transfer on the handover.
-func (c *Core) acquire(lk *SpinLock, done func()) {
-	if o := c.m.Sys.Obs; o != nil {
-		o.Event(trace.Event{Kind: trace.KindLockAcquire, Core: c.id, Line: lk.Line, Held: lk.Held(), Count: lk.Waiters()})
-	}
-	//lockiller:alloc-ok once per lock section, not per iteration
-	c.m.Sys.L1s[c.id].Access(lk.Line, true, func() {
-		granted := func() {
-			// Ownership handed over: take the lock line (transfer traffic).
-			c.m.Sys.L1s[c.id].Access(lk.Line, true, done)
-		}
-		if lk.acquireOrEnqueue(c.id, granted) {
-			done()
-		}
-	})
-}
-
-// release frees the lock with a real store, waking the next waiter.
-func (c *Core) release(lk *SpinLock, done func()) {
-	if o := c.m.Sys.Obs; o != nil {
-		o.Event(trace.Event{Kind: trace.KindLockRelease, Core: c.id, Line: lk.Line, Count: lk.Waiters()})
-	}
-	//lockiller:alloc-ok once per lock section, not per iteration
-	c.m.Sys.L1s[c.id].Access(lk.Line, true, func() {
-		if next := lk.release(c.id); next != nil {
-			c.engine().After(1, next)
-		}
-		done()
-	})
 }

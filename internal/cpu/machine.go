@@ -145,7 +145,7 @@ func NewMachine(cfg Config, label, workload string, programs []Program) *Machine
 		Engine:   engine,
 		Sys:      sys,
 		Lock:     NewSpinLock(sys.LockLine),
-		Barrier:  NewBarrier(engine, cfg.Threads),
+		Barrier:  NewBarrier(cfg.Threads),
 		Stats:    stats.NewRun(label, workload, cfg.Threads),
 		counters: make(map[mem.Line]uint64),
 	}
@@ -258,8 +258,7 @@ func (m *Machine) registerSeries(tel *telemetry.Telemetry) {
 func (m *Machine) Run() (*stats.Run, error) {
 	m.running = len(m.Cores)
 	for _, c := range m.Cores {
-		c := c
-		m.Engine.After(0, c.start)
+		m.Engine.AfterEvent(0, c, evStart, c.token, nil)
 	}
 	err := m.Engine.Run(m.Cfg.Limit)
 	m.collectTraffic()

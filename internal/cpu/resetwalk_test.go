@@ -67,6 +67,8 @@ func TestResetDiffCatchesPlantedFields(t *testing.T) {
 		{"core token", func(m *Machine) { m.Cores[1].token = 7 }},
 		{"lock stats", func(m *Machine) { m.Lock.Acquisitions = 3 }},
 		{"barrier crossings", func(m *Machine) { m.Barrier.Crossings = 2 }},
+		{"lock queue", func(m *Machine) { m.Lock.queue = append(m.Lock.queue, m.Cores[1]) }},
+		{"barrier waiting", func(m *Machine) { m.Barrier.waiting = append(m.Barrier.waiting, m.Cores[2]) }},
 		{"functional counter", func(m *Machine) { m.counters[4096] = 1 }},
 		{"noc stats", func(m *Machine) { m.Sys.Net.Messages = 9 }},
 		{"l1 stats", func(m *Machine) { m.Sys.L1s[2].Hits = 5 }},

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/stats"
 )
@@ -28,8 +29,14 @@ type DiskCache struct {
 	dir string
 }
 
-// OpenDiskCache opens (creating if needed) a disk cache rooted at dir.
+// OpenDiskCache opens (creating if needed) a disk cache rooted at dir. A
+// .json path is refused before anything is created: it names the removed
+// single-file snapshot cache, and a directory by that name would hide the
+// mistake.
 func OpenDiskCache(dir string) (*DiskCache, error) {
+	if strings.HasSuffix(dir, ".json") {
+		return nil, fmt.Errorf("harness: disk cache %s: the single-file snapshot cache was removed; pass a cache directory (e.g. out/cache)", dir)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("harness: disk cache: %w", err)
 	}

@@ -6,12 +6,26 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
+
+// TestOpenDiskCacheRefusesJSONPath pins the one refusal both CLIs share: a
+// .json path (the removed single-file snapshot cache) is an error and
+// creates nothing.
+func TestOpenDiskCacheRefusesJSONPath(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "x.json")
+	if _, err := OpenDiskCache(dir); err == nil || !strings.Contains(err.Error(), "single-file snapshot cache was removed") {
+		t.Fatalf("OpenDiskCache(%q) = %v, want the snapshot-cache refusal", dir, err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("refused path exists afterwards: %v", err)
+	}
+}
 
 func TestDiskCacheRoundTrip(t *testing.T) {
 	d, err := OpenDiskCache(filepath.Join(t.TempDir(), "cache"))

@@ -1,5 +1,7 @@
 // Package obs is the host-side observability layer: structured run
-// ledgers, sweep progress streaming, and the engine self-profiler.
+// ledgers, sweep progress streaming, and the engine self-profiler. Its
+// power-of-two Histogram is a plain value type, shared with the telemetry
+// layer, which fills it with simulated cycles.
 //
 // Everything in this package measures the *host* — wall-clock time,
 // allocator pressure, dispatch time — never the simulated machine.
@@ -8,8 +10,9 @@
 // invariants keep the boundary sound:
 //
 //   - obs is a leaf package (stdlib only). Deterministic packages may
-//     import it for the EngineProbe interface, but obs never imports them,
-//     so no host state can flow back into model code.
+//     import it for the EngineProbe interface and the Histogram type, but
+//     obs never imports them, so no host state can flow back into model
+//     code.
 //   - obs is the only package allowed to read the wall clock. The
 //     lockillerlint `nowallclock` analyzer enforces that `time.Now` (and
 //     its siblings) appear nowhere else, and `tracehook` that every

@@ -235,3 +235,24 @@ func FuzzValidateLedger(f *testing.F) {
 		_, _ = ValidateLedger(bytes.NewReader(data))
 	})
 }
+
+func TestHistogramBuckets(t *testing.T) {
+	var h Histogram
+	for _, v := range []uint64{0, 1, 2, 3, 4, 1000} {
+		h.Observe(v)
+	}
+	if h.Count() != 6 || h.Sum() != 1010 {
+		t.Fatalf("hist count=%d sum=%d", h.Count(), h.Sum())
+	}
+	b := h.Buckets()
+	// 0 -> le 0; 1 -> le 1; 2,3 -> le 3; 4 -> le 7; 1000 -> le 1023.
+	want := []Bucket{{0, 1}, {1, 1}, {3, 2}, {7, 1}, {1023, 1}}
+	if len(b) != len(want) {
+		t.Fatalf("buckets = %+v", b)
+	}
+	for i := range want {
+		if b[i] != want[i] {
+			t.Fatalf("bucket %d = %+v, want %+v", i, b[i], want[i])
+		}
+	}
+}

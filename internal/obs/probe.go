@@ -9,7 +9,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -26,48 +25,11 @@ type EngineProbe interface {
 	EventEnd(class string, kind uint8)
 }
 
-// histBuckets is the power-of-two histogram width: bucket i counts values
-// v with bits.Len64(v) == i, so bucket 0 is v==0 and bucket 63 covers the
-// full uint64 range.
-const histBuckets = 64
-
-// hist is a power-of-two-bucketed histogram.
-type hist struct {
-	n   uint64
-	sum uint64
-	b   [histBuckets]uint64
-}
-
-func (h *hist) add(v uint64) {
-	h.n++
-	h.sum += v
-	b := bits.Len64(v)
-	if b >= histBuckets { // values with the top bit set share the last bucket
-		b = histBuckets - 1
-	}
-	h.b[b]++
-}
-
-func (h *hist) merge(o *hist) {
-	h.n += o.n
-	h.sum += o.sum
-	for i := range h.b {
-		h.b[i] += o.b[i]
-	}
-}
-
-func (h *hist) mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
 // render prints "n=… mean=…ns max<…ns" — the count, mean, and the upper
 // bound of the highest populated power-of-two bucket.
-func (h *hist) render(w io.Writer) {
+func (h *Histogram) render(w io.Writer) {
 	top := 0
-	for i, c := range h.b {
+	for i, c := range h.buckets {
 		if c > 0 {
 			top = i
 		}
@@ -76,7 +38,7 @@ func (h *hist) render(w io.Writer) {
 	if top > 0 {
 		bound = uint64(1) << top
 	}
-	fmt.Fprintf(w, "n=%d mean=%.1fns max<%dns", h.n, h.mean(), bound)
+	fmt.Fprintf(w, "n=%d mean=%.1fns max<%dns", h.count, h.mean(), bound)
 }
 
 // eventKey identifies one dispatch-time series: the handler class plus its
@@ -94,13 +56,13 @@ type eventKey struct {
 type Profiler struct {
 	mu sync.Mutex
 
-	events map[eventKey]*hist
+	events map[eventKey]*Histogram
 	t0     time.Time
 }
 
 // NewProfiler returns an empty profiler.
 func NewProfiler() *Profiler {
-	return &Profiler{events: make(map[eventKey]*hist)}
+	return &Profiler{events: make(map[eventKey]*Histogram)}
 }
 
 // EventBegin implements EngineProbe.
@@ -120,10 +82,10 @@ func (p *Profiler) EventEnd(class string, kind uint8) {
 	k := eventKey{class: class, kind: kind}
 	h := p.events[k]
 	if h == nil {
-		h = &hist{}
+		h = &Histogram{}
 		p.events[k] = h
 	}
-	h.add(ns)
+	h.Observe(ns)
 }
 
 // Events returns the total number of dispatches observed.
@@ -135,7 +97,7 @@ func (p *Profiler) Events() uint64 {
 	defer p.mu.Unlock()
 	var n uint64
 	for _, h := range p.events {
-		n += h.n
+		n += h.count
 	}
 	return n
 }
@@ -152,7 +114,7 @@ func (p *Profiler) Merge(src *Profiler) {
 	for k, h := range src.events {
 		d := p.events[k]
 		if d == nil {
-			d = &hist{}
+			d = &Histogram{}
 			p.events[k] = d
 		}
 		d.merge(h)
@@ -173,7 +135,7 @@ func (p *Profiler) Render(w io.Writer) {
 	for k, h := range p.events {
 		keys = append(keys, k)
 		totalNs += h.sum
-		totalN += h.n
+		totalN += h.count
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].class != keys[j].class {

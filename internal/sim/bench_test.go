@@ -41,26 +41,6 @@ func BenchmarkTypedEventRing(b *testing.B) { benchTypedChain(b, 2) }
 // ring horizon (memory latencies, retry backoffs).
 func BenchmarkTypedEventHeap(b *testing.B) { benchTypedChain(b, 100) }
 
-// BenchmarkClosureEventRing measures the closure API on the same small-delay
-// pattern, for comparison against the typed path.
-func BenchmarkClosureEventRing(b *testing.B) {
-	e := NewEngine()
-	e.Watchdog = 0
-	var n uint64
-	var tick func()
-	tick = func() {
-		n++
-		if n < uint64(b.N) {
-			e.After(2, tick)
-		}
-	}
-	e.After(2, tick)
-	b.ResetTimer()
-	if err := e.Run(0); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkMixedHorizon interleaves ring and heap traffic the way the full
 // simulator does (mostly short latencies, occasional memory-scale delays).
 func BenchmarkMixedHorizon(b *testing.B) {

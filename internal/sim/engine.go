@@ -26,10 +26,9 @@
 // the global (when, seq) order exactly. The two-tier scheduler is therefore
 // bit-for-bit identical in execution order to a single ordered queue.
 //
-// Events are plain values in flat slices. The typed-event API (AtEvent /
-// AfterEvent) lets hot paths schedule a Handler callback with two payload
-// words instead of allocating a fresh closure per event; the closure API
-// (At / After) remains for cold paths and tests.
+// Every event is one Handler.OnEvent call scheduled with AtEvent or
+// AfterEvent: a 64-byte value in a flat slice carrying the handler, a kind
+// discriminator and two payload words, so scheduling allocates nothing.
 package sim
 
 import (
@@ -51,12 +50,10 @@ type Handler interface {
 	OnEvent(kind uint8, a uint64, p any)
 }
 
-// event is one scheduled callback: either a closure (fn != nil) or a typed
-// handler event.
+// event is one scheduled h.OnEvent(kind, a, p) call, 64 bytes.
 type event struct {
 	when uint64
 	seq  uint64
-	fn   func()
 	h    Handler
 	p    any
 	a    uint64
@@ -152,12 +149,6 @@ func (e *Engine) schedule(t uint64, ev event) {
 	e.q.push(e.now, ev)
 }
 
-// At schedules fn to run at absolute cycle t.
-func (e *Engine) At(t uint64, fn func()) { e.schedule(t, event{fn: fn}) }
-
-// After schedules fn to run d cycles from now.
-func (e *Engine) After(d uint64, fn func()) { e.schedule(e.now+d, event{fn: fn}) }
-
 // AtEvent schedules h.OnEvent(kind, a, p) at absolute cycle t without
 // allocating: the event is a value in a flat slice and the payload fields
 // are stored unboxed.
@@ -211,37 +202,26 @@ type ProbeClasser interface {
 	ProbeClass() string
 }
 
-// probeClassOf derives the profiling class of an event: closures have no
-// handler to ask, typed events use the handler's ProbeClass when offered.
+// probeClassOf derives the profiling class of an event: the handler's
+// ProbeClass when offered.
 func probeClassOf(ev *event) string {
-	if ev.fn != nil {
-		return "closure"
-	}
 	if pc, ok := ev.h.(ProbeClasser); ok {
 		return pc.ProbeClass()
 	}
 	return "event"
 }
 
-// exec runs one popped event's callback.
+// exec runs one popped event with the probe bracket. The class lookup and
+// clock reads happen only on the probed path; unprobed runs pay one nil
+// test.
 func (e *Engine) exec(ev *event) {
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.h.OnEvent(ev.kind, ev.a, ev.p)
-	}
-}
-
-// execObserved is exec with the probe bracket. The class lookup and clock
-// reads happen only on the probed path; unprobed runs pay one nil test.
-func (e *Engine) execObserved(ev *event) {
 	if pr := e.probe; pr != nil {
 		pr.EventBegin()
-		e.exec(ev)
+		ev.h.OnEvent(ev.kind, ev.a, ev.p)
 		pr.EventEnd(probeClassOf(ev), ev.kind)
 		return
 	}
-	e.exec(ev)
+	ev.h.OnEvent(ev.kind, ev.a, ev.p)
 }
 
 // Step executes the next pending event, advancing time. It reports whether
@@ -253,7 +233,7 @@ func (e *Engine) Step() bool {
 	}
 	e.now = ev.when
 	e.executed++
-	e.execObserved(&ev)
+	e.exec(&ev)
 	return true
 }
 
@@ -276,7 +256,7 @@ func (e *Engine) Run(limit uint64) error {
 		ev, _ := e.q.pop(e.now)
 		e.now = ev.when
 		e.executed++
-		e.execObserved(&ev)
+		e.exec(&ev)
 	}
 }
 

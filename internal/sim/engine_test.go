@@ -3,14 +3,33 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// fnHandler runs a func() payload, so the tests below can schedule
+// closures as typed events.
+type fnHandler struct{}
+
+func (fnHandler) OnEvent(_ uint8, _ uint64, p any) { p.(func())() }
+
+// at and after schedule fn at absolute cycle t and d cycles from now.
+func at(e *Engine, t uint64, fn func())    { e.AtEvent(t, fnHandler{}, 0, 0, fn) }
+func after(e *Engine, d uint64, fn func()) { e.AfterEvent(d, fnHandler{}, 0, 0, fn) }
+
+// TestEventRecordSize pins the event record at 64 bytes: (when, seq), the
+// handler, the kind and two payload words, and no second event flavor.
+func TestEventRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 64 {
+		t.Fatalf("event record is %d bytes, want 64", n)
+	}
+}
 
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(10, func() { got = append(got, 2) })
-	e.At(5, func() { got = append(got, 1) })
-	e.At(10, func() { got = append(got, 3) }) // same cycle: scheduling order
+	at(e, 10, func() { got = append(got, 2) })
+	at(e, 5, func() { got = append(got, 1) })
+	at(e, 10, func() { got = append(got, 3) }) // same cycle: scheduling order
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -32,10 +51,10 @@ func TestEngineAfterChains(t *testing.T) {
 	step = func() {
 		times = append(times, e.Now())
 		if len(times) < 4 {
-			e.After(3, step)
+			after(e, 3, step)
 		}
 	}
-	e.After(0, step)
+	after(e, 0, step)
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +67,13 @@ func TestEngineAfterChains(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	at(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling in the past")
 			}
 		}()
-		e.At(5, func() {})
+		at(e, 5, func() {})
 	})
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
@@ -63,12 +82,12 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 
 func TestEngineLimit(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {})
+	at(e, 100, func() {})
 	if err := e.Run(50); err == nil {
 		t.Fatal("expected limit error")
 	}
 	e2 := NewEngine()
-	e2.At(100, func() {})
+	at(e2, 100, func() {})
 	if err := e2.Run(100); err != nil {
 		t.Fatalf("limit==when should run: %v", err)
 	}
@@ -82,10 +101,10 @@ func TestEngineWatchdog(t *testing.T) {
 	tick = func() {
 		n++
 		if n < 100 {
-			e.After(10, tick) // never calls Progress
+			after(e, 10, tick) // never calls Progress
 		}
 	}
-	e.After(0, tick)
+	after(e, 0, tick)
 	if err := e.Run(0); err == nil {
 		t.Fatal("expected watchdog error")
 	}
@@ -100,10 +119,10 @@ func TestEngineWatchdogPatted(t *testing.T) {
 		n++
 		e.Progress()
 		if n < 50 {
-			e.After(90, tick)
+			after(e, 90, tick)
 		}
 	}
-	e.After(0, tick)
+	after(e, 0, tick)
 	if err := e.Run(0); err != nil {
 		t.Fatalf("watchdog fired despite progress: %v", err)
 	}

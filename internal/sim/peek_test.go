@@ -8,7 +8,7 @@ func TestPeekNextEmpty(t *testing.T) {
 		t.Fatal("PeekNext on an empty queue reported an event")
 	}
 	// Draining the queue must restore the empty answer.
-	e.At(3, func() {})
+	at(e, 3, func() {})
 	if w, ok := e.PeekNext(); !ok || w != 3 {
 		t.Fatalf("PeekNext = (%d,%v), want (3,true)", w, ok)
 	}
@@ -27,13 +27,13 @@ func TestPeekNextEmpty(t *testing.T) {
 func TestPeekNextRingHeapTie(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(100, func() { order = append(order, 1) }) // 100-0 >= 64: heap
-	e.At(40, func() { order = append(order, 0) })  // ring
+	at(e, 100, func() { order = append(order, 1) }) // 100-0 >= 64: heap
+	at(e, 40, func() { order = append(order, 0) })  // ring
 	if w, ok := e.PeekNext(); !ok || w != 40 {
 		t.Fatalf("PeekNext = (%d,%v), want (40,true)", w, ok)
 	}
-	e.Step()                                       // now = 40
-	e.At(100, func() { order = append(order, 2) }) // 100-40 < 64: ring, same cycle as the heap event
+	e.Step()                                        // now = 40
+	at(e, 100, func() { order = append(order, 2) }) // 100-40 < 64: ring, same cycle as the heap event
 	if w, ok := e.PeekNext(); !ok || w != 100 {
 		t.Fatalf("PeekNext = (%d,%v), want (100,true)", w, ok)
 	}
@@ -61,12 +61,12 @@ func TestPeekNextMatchesPop(t *testing.T) {
 		pending--
 		for spawned < 10_000 && (pending < 4 || (pending < 40 && rng.Bool(0.7))) {
 			d := uint64(rng.Intn(200)) // straddles the 64-cycle ring horizon
-			e.After(d, fn)
+			after(e, d, fn)
 			spawned++
 			pending++
 		}
 	}
-	e.After(0, fn)
+	after(e, 0, fn)
 	spawned++
 	pending++
 	steps := 0
@@ -90,13 +90,13 @@ func TestPeekNextMatchesPop(t *testing.T) {
 
 func TestAdvanceTo(t *testing.T) {
 	e := NewEngine()
-	e.At(50, func() {})
+	at(e, 50, func() {})
 	e.AdvanceTo(49) // strictly before the pending event: fine
 	if e.Now() != 49 {
 		t.Fatalf("Now = %d after AdvanceTo(49)", e.Now())
 	}
 	// Scheduling relative to the lazily advanced clock must keep working.
-	e.After(0, func() {})
+	after(e, 0, func() {})
 	if w, _ := e.PeekNext(); w != 49 {
 		t.Fatalf("PeekNext = %d, want 49", w)
 	}
@@ -116,7 +116,7 @@ func TestAdvanceToEmptyQueue(t *testing.T) {
 	}
 	// The ring window follows the advanced clock.
 	fired := false
-	e.After(2, func() { fired = true })
+	after(e, 2, func() { fired = true })
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestAdvanceToPastPendingPanics(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			e := NewEngine()
-			e.At(50, func() {})
+			at(e, 50, func() {})
 			defer func() {
 				if recover() == nil {
 					t.Errorf("AdvanceTo(%d) with an event at 50 did not panic", tt.to)
@@ -148,8 +148,8 @@ func TestAdvanceToPastPendingPanics(t *testing.T) {
 
 func TestAdvanceToBackwardsPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {})
-	e.At(20, func() {})
+	at(e, 10, func() {})
+	at(e, 20, func() {})
 	e.Step()
 	defer func() {
 		if recover() == nil {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"strconv"
 )
 
 // chromeEvent is one Chrome-trace-event object. JSON field order (and
@@ -48,7 +49,7 @@ func (c *chromeTrace) metadata(cores int) {
 	for i := 0; i < cores; i++ {
 		c.events = append(c.events, chromeEvent{
 			Name: "thread_name", Ph: "M", Tid: i,
-			Args: map[string]any{"name": "core " + itoa(i)},
+			Args: map[string]any{"name": "core " + strconv.Itoa(i)},
 		})
 	}
 }
@@ -104,28 +105,4 @@ func (t *Telemetry) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeExport{DisplayTimeUnit: "ms", TraceEvents: events})
-}
-
-// itoa is a minimal integer formatter (avoids fmt on the metadata path and
-// keeps the package's import set lean).
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -5,13 +5,15 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
+
+	"repro/internal/obs"
 )
 
 // histExport is one histogram in the metrics JSON.
 type histExport struct {
-	Buckets []Bucket `json:"buckets"`
-	Count   uint64   `json:"count"`
-	Sum     uint64   `json:"sum"`
+	Buckets []obs.Bucket `json:"buckets"`
+	Count   uint64       `json:"count"`
+	Sum     uint64       `json:"sum"`
 }
 
 // provExport is the conflict-provenance section of the metrics JSON.
@@ -65,7 +67,7 @@ func (t *Telemetry) export() metricsExport {
 	for _, h := range r.hists {
 		b := h.h.Buckets()
 		if b == nil {
-			b = []Bucket{}
+			b = []obs.Bucket{}
 		}
 		out.Histograms[h.name] = histExport{Buckets: b, Count: h.h.Count(), Sum: h.h.Sum()}
 	}

@@ -2,54 +2,10 @@ package telemetry
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
+
+	"repro/internal/obs"
 )
-
-// Histogram counts observations into power-of-two buckets: bucket i holds
-// values v with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i). Observing is
-// one increment — no allocation, no search.
-type Histogram struct {
-	count   uint64
-	sum     uint64
-	buckets [65]uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	h.count++
-	h.sum += v
-	h.buckets[bits.Len64(v)]++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Bucket is one exported histogram bucket: N values were observed with
-// value <= Le (and greater than the previous bucket's Le).
-type Bucket struct {
-	Le uint64 `json:"le"`
-	N  uint64 `json:"n"`
-}
-
-// Buckets returns the non-empty buckets in increasing bound order.
-func (h *Histogram) Buckets() []Bucket {
-	var out []Bucket
-	for i, n := range h.buckets {
-		if n == 0 {
-			continue
-		}
-		le := uint64(0)
-		if i > 0 {
-			le = 1<<uint(i) - 1
-		}
-		out = append(out, Bucket{Le: le, N: n})
-	}
-	return out
-}
 
 // seriesKind selects how a sampled column derives its per-tick value from
 // its callbacks.
@@ -92,7 +48,7 @@ type Registry struct {
 	}
 	hists []struct {
 		name string
-		h    *Histogram
+		h    *obs.Histogram
 	}
 	names  map[string]bool
 	frozen bool
@@ -156,12 +112,12 @@ func (r *Registry) CounterFunc(name string, fn func() uint64) {
 }
 
 // NewHistogram registers and returns a named histogram.
-func (r *Registry) NewHistogram(name string) *Histogram {
+func (r *Registry) NewHistogram(name string) *obs.Histogram {
 	r.claim(name)
-	h := &Histogram{}
+	h := &obs.Histogram{}
 	r.hists = append(r.hists, struct {
 		name string
-		h    *Histogram
+		h    *obs.Histogram
 	}{name, h})
 	return h
 }

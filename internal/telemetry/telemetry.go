@@ -17,6 +17,7 @@ package telemetry
 
 import (
 	"repro/internal/htm"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -72,8 +73,8 @@ type Telemetry struct {
 	commits  uint64
 	aborts   uint64
 	abortsBy [htm.NumCauses + 1]uint64
-	txDur    *Histogram
-	abortDur *Histogram
+	txDur    *obs.Histogram
+	abortDur *obs.Histogram
 
 	// Per-category cycle accumulators, fed by segment events.
 	catCycles [stats.NumCategories]uint64

@@ -11,7 +11,7 @@ trap 'rm -f "$TMP"' EXIT INT TERM
 
 echo "running engine micro-benchmarks..." >&2
 go test -run '^$' -benchmem \
-    -bench '^(BenchmarkTypedEventRing|BenchmarkTypedEventHeap|BenchmarkClosureEventRing|BenchmarkMixedHorizon)$' \
+    -bench '^(BenchmarkTypedEventRing|BenchmarkTypedEventHeap|BenchmarkMixedHorizon)$' \
     ./internal/sim >"$TMP"
 
 echo "running protocol-table dispatch benchmark..." >&2
@@ -21,7 +21,7 @@ go test -run '^$' -benchmem \
 
 echo "running component and full-sim benchmarks..." >&2
 go test -run '^$' -benchmem \
-    -bench '^(BenchmarkEngineEvents|BenchmarkNoCSend|BenchmarkFusedHitChain|BenchmarkSimulatorThroughput|BenchmarkTelemetryEnabledOverhead|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledOverhead)$' \
+    -bench '^(BenchmarkNoCSend|BenchmarkFusedHitChain|BenchmarkSimulatorThroughput|BenchmarkTelemetryEnabledOverhead|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledOverhead)$' \
     . >>"$TMP"
 
 echo "running machine-reuse benchmarks..." >&2
