@@ -2,7 +2,9 @@
 // hot path: a func literal passed as the completion of an L1's Access
 // allocates one closure per memory access. Every engine event is a typed
 // Handler call with two unboxed payload words, so an access completion is
-// where a hot package could still build a closure per operation. Park the
+// one place a hot package could still build a closure per operation (a
+// closure handed on as an event payload or a stored continuation is
+// another, guarded by cpu's TestWarmRunAllocs instead). Park the
 // state in a field and pass a completion prebound once at construction;
 // a cold path that genuinely needs an ad-hoc closure is waived with
 // //lockiller:alloc-ok plus a justification.

@@ -1,8 +1,9 @@
 // Package poolsafe enforces the ownership rules of the pooled protocol
-// objects (coherence.Msg, mshr, pending): once a value flows into its
-// release sink — System.free, L1.freeMshr, Bank.freePending, or a helper
-// that forwards its parameter to one of those — the local variable holding
-// it is dead. Reading or writing through it reads recycled state (the exact
+// objects (coherence.Msg, mshr, pending, and the middle cache's midCtx and
+// midFlush event payloads): once a value flows into its release sink —
+// System.free, L1.freeMshr, Bank.freePending, L1.freeMidCtx,
+// L1.freeMidFlush, or a helper that forwards its parameter to one of those —
+// the local variable holding it is dead. Reading or writing through it reads recycled state (the exact
 // use-after-recycle MSHR bug class PR 1 fixed by hand), and releasing it
 // again corrupts the free list.
 //
@@ -41,6 +42,7 @@ var Analyzer = &analysis.Analyzer{
 // first argument.
 var baseSinks = map[string]bool{
 	"free": true, "freeMshr": true, "freePending": true,
+	"freeMidCtx": true, "freeMidFlush": true,
 }
 
 func run(pass *analysis.Pass) error {

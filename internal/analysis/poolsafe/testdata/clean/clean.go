@@ -78,3 +78,26 @@ func waived(s *System) uint64 {
 	//lockiller:pool-ok reading the recycled flag is the point of this diagnostic probe
 	return m.Line
 }
+
+// midCtx is a middle-cache promote payload, pooled per L1.
+type midCtx struct {
+	line uint64
+}
+
+// L1 owns the payload free list.
+type L1 struct {
+	midCtxFree []*midCtx
+}
+
+func (l1 *L1) freeMidCtx(c *midCtx) {
+	*c = midCtx{}
+	l1.midCtxFree = append(l1.midCtxFree, c)
+}
+
+// copyThenFree is the payload pattern: copy the record, recycle it, then
+// work from the copy.
+func copyThenFree(l1 *L1, p *midCtx) uint64 {
+	c := *p
+	l1.freeMidCtx(p)
+	return c.line
+}

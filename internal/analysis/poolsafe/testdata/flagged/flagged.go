@@ -89,3 +89,41 @@ func deepHelperThenUse(s *System) uint64 {
 func (s *System) retire(m *Msg) { s.release(m) }
 
 func (s *System) release(m *Msg) { s.free(m) }
+
+// midCtx and midFlush are the middle cache's pooled event payloads.
+type midCtx struct {
+	line uint64
+	done func()
+}
+
+type midFlush struct {
+	m Msg
+}
+
+// L1 owns the payload free lists.
+type L1 struct {
+	midCtxFree   []*midCtx
+	midFlushFree []*midFlush
+}
+
+func (l1 *L1) freeMidCtx(c *midCtx) {
+	*c = midCtx{}
+	l1.midCtxFree = append(l1.midCtxFree, c)
+}
+
+func (l1 *L1) freeMidFlush(f *midFlush) {
+	l1.midFlushFree = append(l1.midFlushFree, f)
+}
+
+// promoteAfterFree reads the promote payload after recycling it instead
+// of copying it first: the next promote overwrites the fields.
+func promoteAfterFree(l1 *L1, c *midCtx) uint64 {
+	l1.freeMidCtx(c)
+	return c.line // want `use of c after it was freed`
+}
+
+// flushAfterFree answers the forward from a recycled flush payload.
+func flushAfterFree(l1 *L1, f *midFlush) uint64 {
+	l1.freeMidFlush(f)
+	return f.m.Line // want `use of f after it was freed`
+}

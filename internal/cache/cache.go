@@ -275,9 +275,10 @@ func (a *Array) CountTx() (reads, writes int) {
 
 // ClearTx clears all transactional metadata; invalidateWrites additionally
 // drops speculatively written (TxWrite) lines, which is what an abort does
-// under L1-based eager version management. Returns the dropped lines so the
-// controller can lazily reconcile the directory via NACKs later.
-func (a *Array) ClearTx(invalidateWrites bool) (dropped []mem.Line) {
+// under L1-based eager version management. The controller needs no list of
+// the dropped lines: the directory learns of them lazily, through the NACKs
+// that answer later forwards.
+func (a *Array) ClearTx(invalidateWrites bool) {
 	for i := range a.entries {
 		e := &a.entries[i]
 		// Untouched entries (the vast majority each commit) fall through
@@ -289,12 +290,10 @@ func (a *Array) ClearTx(invalidateWrites bool) (dropped []mem.Line) {
 			continue
 		}
 		if invalidateWrites && e.TxWrite {
-			dropped = append(dropped, e.Line)
 			e.State = Invalid
 			e.Dirty = false
 		}
 		e.TxRead = false
 		e.TxWrite = false
 	}
-	return dropped
 }

@@ -49,9 +49,36 @@ func TestRandomOpsInvariants(t *testing.T) {
 					}
 				}
 			case 4: // clear tx
-				dropped := a.ClearTx(rng.Bool(0.5))
-				for _, dl := range dropped {
-					delete(live, dl)
+				abort := rng.Bool(0.5)
+				// An abort must drop exactly the valid write-set lines.
+				before := map[mem.Line]bool{}
+				writes := map[mem.Line]bool{}
+				a.ForEach(func(e *Entry) {
+					before[e.Line] = true
+					if abort && e.TxWrite {
+						writes[e.Line] = true
+					}
+				})
+				a.ClearTx(abort)
+				after := map[mem.Line]bool{}
+				a.ForEach(func(e *Entry) {
+					after[e.Line] = true
+					if e.Tx() {
+						t.Fatalf("line %d kept tx bits across ClearTx", e.Line)
+					}
+				})
+				for l := range before {
+					if after[l] == writes[l] {
+						t.Fatalf("ClearTx(%v): line %d write-set %v, present after %v",
+							abort, l, writes[l], after[l])
+					}
+				}
+				if len(after) != len(before)-len(writes) {
+					t.Fatalf("ClearTx(%v): %d lines before, %d dropped, %d after",
+						abort, len(before), len(writes), len(after))
+				}
+				for l := range writes {
+					delete(live, l)
 				}
 			}
 			// Invariants.

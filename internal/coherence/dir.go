@@ -180,7 +180,7 @@ func (b *Bank) sendAfter(d uint64, v Msg) {
 // Typed-event kinds handled by Bank.OnEvent.
 const (
 	evBankReceive  uint8 = iota // p = *Msg: re-enter Receive (post-eviction restart)
-	evBankAllocate              // a = line, p = cont func(): memory fetch matured
+	evBankAllocate              // a = line, p = *dirLine whose request waits: memory fetch matured
 )
 
 // ProbeClass implements sim.ProbeClasser for self-profiler reports.
@@ -193,11 +193,7 @@ func (b *Bank) OnEvent(kind uint8, a uint64, p any) {
 	case evBankReceive:
 		b.Receive(p.(*Msg))
 	case evBankAllocate:
-		var cont func()
-		if p != nil {
-			cont = p.(func())
-		}
-		b.allocate(mem.Line(a), cont)
+		b.allocate(mem.Line(a), p.(*dirLine))
 	}
 }
 
@@ -256,18 +252,14 @@ func (b *Bank) service(d *dirLine, m *Msg) {
 	d.pend = b.newPending()
 	d.pend.req = m // ownership moves to the pending slot
 	if b.arr.Lookup(b.frame(m.Line)) != nil {
-		// LLC hit: continue synchronously. Building the deferred
-		// continuation unconditionally showed up as one allocation per
-		// serviced request in whole-run profiles; now only the memory
-		// fetch (rare) pays for a closure.
-		b.serviceWithData(d, m)
+		b.serviceWithData(d, m) // LLC hit: continue synchronously
 		return
 	}
+	// Memory fetch: the directory line is the payload. The request waits in
+	// d.pend.req, and the line stays busy — so neither is recycled nor
+	// evicted — until the fetch matures and allocate continues it.
 	b.MemFetches++
-	// The closure payload is accepted: memory-fetch path only, and the
-	// continuation needs both the directory line and the request.
-	b.sys.Engine.AfterEvent(b.sys.MemLatency, b, evBankAllocate, uint64(m.Line),
-		func() { b.serviceWithData(d, m) })
+	b.sys.Engine.AfterEvent(b.sys.MemLatency, b, evBankAllocate, uint64(m.Line), d)
 }
 
 // serviceWithData continues once the LLC holds the line, dispatching the
@@ -353,7 +345,12 @@ func (b *Bank) reopen(d *dirLine) {
 func (b *Bank) drainQueue(d *dirLine) {
 	for len(d.queue) > 0 && !d.busy {
 		m := d.queue[0]
-		d.queue = d.queue[1:]
+		// Shift the rest down rather than slide the slice forward, so the
+		// queue keeps its backing and a warm queue appends without
+		// allocating.
+		n := copy(d.queue, d.queue[1:])
+		d.queue[n] = nil
+		d.queue = d.queue[:n]
 		b.dispatch(m, true)
 	}
 }
@@ -361,7 +358,7 @@ func (b *Bank) drainQueue(d *dirLine) {
 // takeOwnerData accepts the owner's data: the owner downgraded to S (GetS,
 // staying a sharer) or invalidated itself (GetM grant).
 func (b *Bank) takeOwnerData(d *dirLine, m *Msg) {
-	b.fillLLC(m.Line, nil)
+	b.fillLLC(m.Line)
 	if d.pend.req.Type == MsgGetS {
 		old := d.owner
 		d.state = dirS
@@ -451,7 +448,7 @@ func (b *Bank) handlePut(d *dirLine, m *Msg) {
 		return
 	}
 	if m.Type == MsgPutM {
-		b.fillLLC(m.Line, nil)
+		b.fillLLC(m.Line)
 	}
 	d.state = dirI
 	d.owner = -1
@@ -471,7 +468,8 @@ func (b *Bank) arbiter() *htm.Arbiter {
 // arbApply handles an HLApply at the arbiter bank: an atomic grant-or-deny
 // for switchingMode applications (Fig. 6), or a waited-out grant for a TL
 // application (the caller holds the fallback lock; it may still have to wait
-// out an active STL transaction).
+// out an active STL transaction). The arbiter queues a waiting TL applicant
+// by core and sends its grant through Arbiter.SendGrant.
 func (b *Bank) arbApply(m *Msg) {
 	a := b.arbiter()
 	core := m.Requester
@@ -483,9 +481,7 @@ func (b *Bank) arbApply(m *Msg) {
 		b.sendAfter(b.sys.DirLatency, Msg{Type: t, Dst: core, Requester: core})
 		return
 	}
-	a.ApplyTL(core, func() {
-		b.sendAfter(b.sys.DirLatency, Msg{Type: MsgHLGrant, Dst: core, Requester: core})
-	})
+	a.ApplyTL(core)
 }
 
 // arbRelease handles an HLRelease (hlend) at the arbiter bank.
@@ -501,20 +497,21 @@ func (b *Bank) sigBandwidth() {
 }
 
 // fillLLC refreshes (or allocates) the LLC copy of a line on a writeback.
-func (b *Bank) fillLLC(l mem.Line, cont func()) {
+func (b *Bank) fillLLC(l mem.Line) {
 	if e := b.arr.Lookup(b.frame(l)); e != nil {
 		e.Dirty = true
-		if cont != nil {
-			cont()
-		}
 		return
 	}
-	b.allocate(l, cont)
+	b.allocate(l, nil)
 }
 
 // allocate finds a victim way for the line, running the back-invalidation
-// flow when inclusion forces eviction of a line with live L1 copies.
-func (b *Bank) allocate(l mem.Line, cont func()) {
+// flow when inclusion forces eviction of a line with live L1 copies. A
+// memory fetch passes the directory line whose request waits for the data
+// (see service); its service continues once the line is installed. Only
+// the back-invalidation path, which must wait for the recall's acks,
+// builds a continuation closure.
+func (b *Bank) allocate(l mem.Line, fetch *dirLine) {
 	// The array stores bank-local frames; protection predicates look up
 	// the directory by the original line.
 	protected := func(e *cache.Entry) bool {
@@ -544,9 +541,7 @@ func (b *Bank) allocate(l mem.Line, cont func()) {
 	f := b.frame(l)
 	if v := b.arr.Victim(f, avoid); v != nil {
 		b.arr.Install(v, f, cache.Modified)
-		if cont != nil {
-			cont()
-		}
+		b.fetched(fetch)
 		return
 	}
 	// Every way holds a line with L1 copies (or is protected): back-
@@ -560,10 +555,16 @@ func (b *Bank) allocate(l mem.Line, cont func()) {
 	}
 	b.backInvalidate(b.unframe(v.Line), func() {
 		b.arr.Install(v, f, cache.Modified)
-		if cont != nil {
-			cont()
-		}
+		b.fetched(fetch)
 	})
+}
+
+// fetched continues a memory fetch's request once its line is installed;
+// a writeback's allocation (nil) has nothing to continue.
+func (b *Bank) fetched(d *dirLine) {
+	if d != nil {
+		b.serviceWithData(d, d.pend.req)
+	}
 }
 
 // backInvalidate recalls all L1 copies of a line being evicted from the

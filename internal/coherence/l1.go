@@ -75,8 +75,20 @@ type L1 struct {
 	// applyingHLA state (switchingMode, paper Fig. 6): while an HLApply is
 	// outstanding, external requests are blocked and queued.
 	applying   bool
-	applyCont  func(granted bool)
 	blockedExt []*Msg
+	// applyCont is the outstanding HLApply's continuation: tlGrantFn or
+	// switchFn, prebound at construction. Their state lives in fields — a
+	// TL application's completion (tlDone), a switchingMode application's
+	// revoked request (sw) — so an application builds no closure.
+	applyCont           func(granted bool)
+	tlGrantFn, switchFn func(granted bool)
+	tlDone              func()
+	sw                  switchRetry
+
+	// midCtxFree and midFlushFree recycle the three-level organization's
+	// deferred-step payloads (midcache.go).
+	midCtxFree   []*midCtx
+	midFlushFree []*midFlush
 
 	// wake is the recovery mechanism's wake-up table (Fig. 2): cores whose
 	// requests this cache rejected, to be woken at commit/abort.
@@ -101,7 +113,19 @@ func newL1(sys *System, core int, arena *cache.Arena) *L1 {
 	if sys.MidSize > 0 {
 		l1.mid = cache.NewArrayIn(arena, sys.MidSize, sys.MidWays)
 	}
+	l1.tlGrantFn = l1.tlGranted
+	l1.switchFn = l1.switchDecided
 	return l1
+}
+
+// switchRetry is a switchingMode application's state (Fig. 6): the abort
+// epoch it was made in, and the revoked request, re-issued on grant with
+// its completion done, live in that epoch.
+type switchRetry struct {
+	ep    uint64
+	line  mem.Line
+	write bool
+	done  func()
 }
 
 // reset returns the L1 to its just-constructed state in place (machine
@@ -123,6 +147,8 @@ func (l1 *L1) reset() {
 	l1.mshrScratch = l1.mshrScratch[:0]
 	l1.applying = false
 	l1.applyCont = nil
+	l1.tlDone = nil
+	l1.sw = switchRetry{}
 	l1.blockedExt = l1.blockedExt[:0]
 	l1.wake.Clear()
 	l1.Hits, l1.Misses, l1.MidHits, l1.TxWBs = 0, 0, 0, 0
@@ -176,26 +202,17 @@ func (l1 *L1) sendAfter(d uint64, v Msg) {
 	l1.sys.sendAfter(d, v)
 }
 
-// guard wraps a CPU continuation so it fires only if no abort intervened.
-//
-// The dominant miss path no longer builds this closure: the MSHR carries the
-// raw continuation plus its guard epoch (ms.done / ms.doneEp) and the
-// completion site performs the epoch check directly. guard remains for the
-// cold paths (mid-cache promotes, stale-retry re-dispatch) where the
-// continuation outlives the MSHR.
-func (l1 *L1) guard(fn func()) func() {
-	return l1.guardAt(l1.epoch, fn)
-}
-
-// guardAt is guard with an explicit capture epoch: the continuation fires
-// only if l1.epoch still equals ep. Epochs are monotonic, so wrapping an
-// already-guarded continuation with a later epoch is a no-op filter.
-func (l1 *L1) guardAt(ep uint64, fn func()) func() {
-	return func() {
-		if l1.epoch == ep && fn != nil {
-			fn()
-		}
+// live returns a CPU continuation guarded by epoch ep — one that may fire
+// only while l1.epoch equals ep — as a raw continuation for the current
+// epoch: done itself if ep is current, else nil. Epochs only grow, so a
+// guarded completion can never fire once the epoch has moved, and dropping
+// it is exact. Completions travel as (done, ep) pairs, as the MSHR stores
+// them, so no guard closure is built.
+func (l1 *L1) live(done func(), ep uint64) func() {
+	if ep != l1.epoch {
+		return nil
 	}
+	return done
 }
 
 // tracking reports whether accesses should set transactional metadata.
@@ -206,9 +223,11 @@ func (l1 *L1) tracking() bool { return l1.Tx.InTx() }
 // aborts first. The L1 resolves mode (plain / HTM / TL / STL) from the
 // shared TxState.
 //
-// The dominant hit path is allocation-free: completion is a typed engine
-// event carrying the access-time epoch, so no guard closure is built. Miss
-// paths wrap done in an epoch guard as before (one closure per miss).
+// The hit path is allocation-free: completion is a typed engine event
+// carrying the access-time epoch, so no guard closure is built. A miss
+// stores done raw beside its guard epoch, in the MSHR or the middle cache's
+// promote payload; only an access that queues behind another attempt's
+// outstanding request builds a closure (the MSHR waiter).
 func (l1 *L1) Access(line mem.Line, write bool, done func()) {
 	if m := l1.mshrs.lookup(line); m != nil {
 		// A request for this line is already outstanding (e.g. issued by a
@@ -242,7 +261,7 @@ func (l1 *L1) Access(line mem.Line, write bool, done func()) {
 		l1.Misses++
 		l1.MidHits++
 		l1.sys.Engine.AfterEvent(l1.sys.MidHit, l1, evL1MidPromote, 0,
-			&midCtx{l1: l1, line: line, me: me, write: write, gdone: l1.guard(done)})
+			l1.newMidCtx(line, me, write, done, l1.epoch))
 		return
 	}
 	l1.Misses++
@@ -437,7 +456,7 @@ func (l1 *L1) overflow(line mem.Line, write bool, done func(), ep uint64) {
 		// Fig. 6: revoke the request, enter applyingHLA, apply to the LLC
 		// for STL authorization, and re-issue the revoked request after the
 		// decision (retrying it as the lock-mode spill path on grant).
-		l1.trySwitch(func() { l1.allocateAndIssue(line, write, done, ep) })
+		l1.trySwitch(line, write, done, ep)
 	default:
 		if l1.Tx.Mode != htm.HTM {
 			panic(fmt.Sprintf("coherence: L1 %d overflow outside a transaction (mode %v)", l1.core, l1.Tx.Mode))
@@ -744,10 +763,9 @@ func (l1 *L1) retry(ms *mshr) {
 	if me := l1.midLookup(ms.line); me != nil && me.State.Valid() {
 		l1.mshrs.remove(ms.line)
 		// The MSHR is recycled before the promote fires, so the continuation
-		// leaves it here — re-wrapped in its guard epoch, since the promote
-		// machinery expects a self-guarding closure.
+		// and its guard epoch move to the promote's payload.
 		l1.sys.Engine.AfterEvent(l1.sys.MidHit, l1, evL1MidPromote, 0,
-			&midCtx{l1: l1, line: ms.line, me: me, write: ms.write, gdone: l1.guardAt(ms.doneEp, ms.done)})
+			l1.newMidCtx(ms.line, me, ms.write, ms.done, ms.doneEp))
 		for _, w := range ms.waiters {
 			w()
 		}
@@ -880,7 +898,7 @@ func (l1 *L1) respondForward(m *Msg, e *cache.Entry, inL1 bool) {
 		// the middle-cache latency and losing the L1 copy (§IV-A). The
 		// step carries a value copy: the pooled message is recycled
 		// before the flush runs.
-		l1.sys.Engine.AfterEvent(l1.sys.MidHit, l1, evL1MidFlush, 0, &midFlush{m: *m, e: e})
+		l1.sys.Engine.AfterEvent(l1.sys.MidHit, l1, evL1MidFlush, 0, l1.newMidFlush(m, e))
 		return
 	}
 	l1.forwardRespond(e, m.Line, m.Requester, m.Type == MsgFwdGetS)
@@ -1100,46 +1118,56 @@ func (l1 *L1) CommitTx() {
 
 // trySwitch runs the switchingMode application (Fig. 6): block external
 // requests, ask the LLC arbiter for STL authorization, and either continue
-// as a lock transaction or abort with the capacity cause.
-func (l1 *L1) trySwitch(retry func()) {
+// as a lock transaction or abort with the capacity cause (switchDecided).
+// The revoked access — line, write, and its completion done guarded by
+// ep — waits in l1.sw for the decision; it is re-issued only if the epoch
+// has not moved, so its completion is stored live (see live).
+func (l1 *L1) trySwitch(line mem.Line, write bool, done func(), ep uint64) {
 	l1.SwitchTries++
 	l1.Tx.TriedSwitch = true
 	l1.applying = true
-	ep := l1.epoch
-	l1.applyCont = func(granted bool) {
-		l1.applying = false
-		blocked := l1.blockedExt
-		l1.blockedExt = nil
-		switch {
-		case l1.epoch != ep:
-			// The transaction died while applying (e.g. a rejected request
-			// self-aborted). Give back a granted authorization.
-			if granted {
-				l1.send(Msg{Type: MsgHLRelease, Dst: l1.sys.ArbiterTile, Requester: l1.core})
-			}
-		case granted:
-			l1.SwitchGrants++
-			if o := l1.sys.Obs; o != nil {
-				o.Event(trace.Event{Kind: trace.KindSwitchGrant, Core: l1.core})
-			}
-			l1.Tx.Mode = htm.STL
-			retry()
-		default:
-			if o := l1.sys.Obs; o != nil {
-				o.Event(trace.Event{Kind: trace.KindSwitchDeny, Core: l1.core})
-			}
-			l1.abortTx(htm.CauseOverflow)
-		}
-		for _, b := range blocked {
-			l1.Receive(b)
-		}
-	}
+	l1.sw = switchRetry{ep: l1.epoch, line: line, write: write, done: l1.live(done, ep)}
+	l1.applyCont = l1.switchFn
 	l1.send(Msg{Type: MsgHLApply, Dst: l1.sys.ArbiterTile, Requester: l1.core, ReqMode: htm.STL})
+}
+
+// switchDecided resolves a switchingMode application (switchFn): leave
+// applyingHLA, act on the verdict, then dispatch the external requests that
+// queued meanwhile.
+func (l1 *L1) switchDecided(granted bool) {
+	sw := l1.sw
+	l1.sw = switchRetry{}
+	l1.applying = false
+	blocked := l1.blockedExt
+	l1.blockedExt = nil
+	switch {
+	case l1.epoch != sw.ep:
+		// The transaction died while applying (e.g. a rejected request
+		// self-aborted). Give back a granted authorization.
+		if granted {
+			l1.send(Msg{Type: MsgHLRelease, Dst: l1.sys.ArbiterTile, Requester: l1.core})
+		}
+	case granted:
+		l1.SwitchGrants++
+		if o := l1.sys.Obs; o != nil {
+			o.Event(trace.Event{Kind: trace.KindSwitchGrant, Core: l1.core})
+		}
+		l1.Tx.Mode = htm.STL
+		l1.allocateAndIssue(sw.line, sw.write, sw.done, sw.ep)
+	default:
+		if o := l1.sys.Obs; o != nil {
+			o.Event(trace.Event{Kind: trace.KindSwitchDeny, Core: l1.core})
+		}
+		l1.abortTx(htm.CauseOverflow)
+	}
+	for _, b := range blocked {
+		l1.Receive(b)
+	}
 }
 
 // HLBegin enters HTMLock (TL) mode: the caller already holds the fallback
 // lock; the LLC arbiter is consulted so a live STL transaction is waited
-// out (paper §III-C). done runs once authorization is held.
+// out (paper §III-C). done runs once authorization is held (tlGranted).
 func (l1 *L1) HLBegin(done func()) {
 	if l1.sys.Arbiter == nil {
 		panic("coherence: HLBegin without HTMLock")
@@ -1147,13 +1175,20 @@ func (l1 *L1) HLBegin(done func()) {
 	if l1.applyCont != nil {
 		panic("coherence: HLBegin while an application is outstanding")
 	}
-	l1.applyCont = func(granted bool) {
-		if !granted {
-			panic("coherence: TL application denied")
-		}
-		done()
-	}
+	l1.tlDone = done
+	l1.applyCont = l1.tlGrantFn
 	l1.send(Msg{Type: MsgHLApply, Dst: l1.sys.ArbiterTile, Requester: l1.core, ReqMode: htm.TL})
+}
+
+// tlGranted resolves a TL application (tlGrantFn): HLBegin's completion
+// runs once authorization is held.
+func (l1 *L1) tlGranted(granted bool) {
+	if !granted {
+		panic("coherence: TL application denied")
+	}
+	done := l1.tlDone
+	l1.tlDone = nil
+	done()
 }
 
 // HLEnd leaves HTMLock mode (hlend): transactional metadata is cleared

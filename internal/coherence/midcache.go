@@ -46,7 +46,14 @@ func (l1 *L1) midLookup(line mem.Line) *cache.Entry {
 // after the hit was observed (evL1MidPromote), so the slot is revalidated
 // here: a dead entry (abort) or one reused for a different line dispatches
 // as the synthetic stale state and the access is re-resolved from scratch.
-func (l1 *L1) promoteFromMid(c *midCtx) {
+//
+// The dispatch takes a copy, so the payload is recycled first. Its guarded
+// completion becomes a raw one for the current epoch (live): every action
+// pairs it with that epoch before any abort can move it.
+func (l1 *L1) promoteFromMid(p *midCtx) {
+	c := *p
+	l1.freeMidCtx(p)
+	c.done = l1.live(c.done, c.ep)
 	evt := midLoad
 	if c.write {
 		evt = midStore
@@ -55,18 +62,38 @@ func (l1 *L1) promoteFromMid(c *midCtx) {
 	if c.me.State.Valid() && c.me.Line == c.line {
 		s = proto.State(c.me.State)
 	}
-	midPromoteTable.Dispatch(s, evt, *c, l1.sys.fired[tblMidPromote])
+	midPromoteTable.Dispatch(s, evt, c, l1.sys.fired[tblMidPromote])
+}
+
+// newMidCtx returns a promote payload from the L1's free list, carrying the
+// access's completion done raw with its guard epoch ep.
+func (l1 *L1) newMidCtx(line mem.Line, me *cache.Entry, write bool, done func(), ep uint64) *midCtx {
+	var c *midCtx
+	if n := len(l1.midCtxFree); n > 0 {
+		c = l1.midCtxFree[n-1]
+		l1.midCtxFree = l1.midCtxFree[:n-1]
+	} else {
+		c = new(midCtx)
+	}
+	*c = midCtx{l1: l1, line: line, me: me, write: write, done: done, ep: ep}
+	return c
+}
+
+// freeMidCtx recycles a promote payload once its event has copied it.
+func (l1 *L1) freeMidCtx(c *midCtx) {
+	*c = midCtx{}
+	l1.midCtxFree = append(l1.midCtxFree, c)
 }
 
 // upgradeThroughMid handles a store over a Shared middle-cache line: leave
 // the data behind and run the ordinary upgrade path; the line logically
 // moves to the L1 as StoM.
-func (l1 *L1) upgradeThroughMid(me *cache.Entry, gdone func()) {
+func (l1 *L1) upgradeThroughMid(me *cache.Entry, done func()) {
 	line := me.Line
 	txR, txW := me.TxRead, me.TxWrite
 	me.State = cache.Invalid
 	me.TxRead, me.TxWrite = false, false
-	v := l1.l1VictimOrDemote(line, true, gdone, l1.epoch)
+	v := l1.l1VictimOrDemote(line, true, done, l1.epoch)
 	if v == nil {
 		return // overflow path took over (or aborted)
 	}
@@ -74,19 +101,19 @@ func (l1 *L1) upgradeThroughMid(me *cache.Entry, gdone func()) {
 	e := l1.arr.Peek(line)
 	e.TxRead = txR
 	e.TxWrite = txW
-	l1.issue(line, true, gdone, l1.epoch)
+	l1.issue(line, true, done, l1.epoch)
 }
 
 // moveToL1 transfers a middle-cache line into the L1 in its current state
 // and completes the access as a hit. The caller (the mid.promote table) has
 // already revalidated the entry, so the line is live here.
-func (l1 *L1) moveToL1(me *cache.Entry, write bool, gdone func()) {
+func (l1 *L1) moveToL1(me *cache.Entry, write bool, done func()) {
 	line, st, dirty := me.Line, me.State, me.Dirty
 	txR, txW := me.TxRead, me.TxWrite
 	me.State = cache.Invalid
 	me.Dirty = false
 	me.TxRead, me.TxWrite = false, false
-	v := l1.l1VictimOrDemote(line, write, gdone, l1.epoch)
+	v := l1.l1VictimOrDemote(line, write, done, l1.epoch)
 	if v == nil {
 		return
 	}
@@ -95,16 +122,16 @@ func (l1 *L1) moveToL1(me *cache.Entry, write bool, gdone func()) {
 	e.Dirty = dirty
 	e.TxRead = txR
 	e.TxWrite = txW
-	l1.hit(e, write, gdone)
+	l1.hit(e, write, done)
 }
 
 // l1VictimOrDemote finds an L1 way for a new line, demoting the victim to
 // the middle cache. Returns nil if the access was diverted to the overflow
 // machinery (every L1 way transactional AND the middle-cache set full of
 // transactional lines).
-// The continuation arrives as an already-guarded closure on these cold
-// paths; ep only re-filters it if the overflow machinery defers the issue.
-func (l1 *L1) l1VictimOrDemote(line mem.Line, write bool, gdone func(), ep uint64) *cache.Entry {
+// done and its guard epoch ep travel to the overflow machinery, which may
+// defer the issue.
+func (l1 *L1) l1VictimOrDemote(line mem.Line, write bool, done func(), ep uint64) *cache.Entry {
 	avoidTx := func(e *cache.Entry) bool { return e.Tx() }
 	v := l1.arr.Victim(line, avoidTx)
 	if v == nil {
@@ -117,7 +144,7 @@ func (l1 *L1) l1VictimOrDemote(line mem.Line, write bool, gdone func(), ep uint6
 		if !l1.demoteToMid(v) {
 			// The middle cache is itself full of transactional data:
 			// genuine capacity overflow.
-			l1.overflow(line, write, gdone, ep)
+			l1.overflow(line, write, done, ep)
 			return nil
 		}
 		return v
@@ -175,10 +202,31 @@ type midFlush struct {
 	e *cache.Entry
 }
 
+// newMidFlush returns a flush payload from the L1's free list.
+func (l1 *L1) newMidFlush(m *Msg, e *cache.Entry) *midFlush {
+	var f *midFlush
+	if n := len(l1.midFlushFree); n > 0 {
+		f = l1.midFlushFree[n-1]
+		l1.midFlushFree = l1.midFlushFree[:n-1]
+	} else {
+		f = new(midFlush)
+	}
+	f.m, f.e = *m, e
+	return f
+}
+
+// freeMidFlush recycles a flush payload once its event has copied it.
+func (l1 *L1) freeMidFlush(f *midFlush) {
+	f.e = nil
+	l1.midFlushFree = append(l1.midFlushFree, f)
+}
+
 // flushForward answers a forward that hit the L1 MidHit cycles after it
 // arrived (respondForward): the line flushes to the middle cache and the
-// reply goes out from there.
-func (l1 *L1) flushForward(f *midFlush) {
+// reply goes out from there. The payload is copied and recycled first.
+func (l1 *L1) flushForward(p *midFlush) {
+	f := *p
+	l1.freeMidFlush(p)
 	m, e := &f.m, f.e
 	line, req, getS := m.Line, m.Requester, m.Type == MsgFwdGetS
 	if !e.State.Valid() {

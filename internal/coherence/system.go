@@ -134,6 +134,9 @@ func NewSystem(engine *sim.Engine, p Params, hc htm.Config) *System {
 		sys.Arbiter.SendWake = func(core int) {
 			sys.send(Msg{Type: MsgWakeUp, Src: sys.ArbiterTile, Dst: core})
 		}
+		sys.Arbiter.SendGrant = func(core int) {
+			sys.sendAfter(sys.DirLatency, Msg{Type: MsgHLGrant, Src: sys.ArbiterTile, Dst: core, Requester: core})
+		}
 	}
 	bankSize := p.LLCSize / p.Cores
 	// One bump arena backs every cache array of the machine — bank slices,

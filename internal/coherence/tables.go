@@ -251,12 +251,17 @@ var midStates = append(append([]string{}, cacheStates...), "stale")
 // the cache.State codes (TestMidStaleState pins the alignment).
 const midStale proto.State = 7
 
+// midCtx is the mid.promote dispatch context and the payload of
+// evL1MidPromote (recycled through L1.midCtxFree). done is the access's
+// completion, guarded by epoch ep; promoteFromMid turns the pair into a raw
+// completion for the current epoch before it dispatches.
 type midCtx struct {
 	l1    *L1
 	line  mem.Line // the line the promote was scheduled for
 	me    *cache.Entry
 	write bool
-	gdone func()
+	done  func()
+	ep    uint64
 }
 
 // --- compiled tables -------------------------------------------------------
@@ -469,7 +474,7 @@ func buildBankRecvTable() {
 	put := act("handle-put", func(c bankMsgCtx) { c.b.handlePut(c.line(), c.m) })
 	// Pre-transactional writeback: refresh the LLC copy immediately, even
 	// while busy — it is response-class traffic and the owner is unchanged.
-	txWB := act("refresh-llc", func(c bankMsgCtx) { c.b.fillLLC(c.m.Line, nil) })
+	txWB := act("refresh-llc", func(c bankMsgCtx) { c.b.fillLLC(c.m.Line) })
 
 	// at wraps a pending-request action with the busy line's tracker (the
 	// busy states guarantee the directory entry exists).
@@ -638,14 +643,14 @@ func buildBankClusterTable() {
 // already installed the line completes as a hit, an in-flight request parks
 // on its MSHR, and a truly gone line re-issues as an ordinary miss).
 func buildMidPromoteTable() {
-	move := act("move-to-l1", func(c midCtx) { c.l1.moveToL1(c.me, c.write, c.gdone) })
-	reissue := act("reissue-after-stale", func(c midCtx) { c.l1.Access(c.line, c.write, c.gdone) })
+	move := act("move-to-l1", func(c midCtx) { c.l1.moveToL1(c.me, c.write, c.done) })
+	reissue := act("reissue-after-stale", func(c midCtx) { c.l1.Access(c.line, c.write, c.done) })
 
 	midPromoteTable = proto.New("mid.promote", midStates, midEvents,
 		[]proto.Transition[midCtx]{
 			{From: cst(cache.Shared), On: midStore, To: cst(cache.StoM),
 				Actions: []proto.Action[midCtx]{
-					act("upgrade-through-mid", func(c midCtx) { c.l1.upgradeThroughMid(c.me, c.gdone) })}},
+					act("upgrade-through-mid", func(c midCtx) { c.l1.upgradeThroughMid(c.me, c.done) })}},
 			{From: cst(cache.Shared), On: midLoad, To: proto.Same, Actions: []proto.Action[midCtx]{move}},
 			{From: cst(cache.Exclusive), On: midLoad, To: proto.Same, Actions: []proto.Action[midCtx]{move}},
 			{From: cst(cache.Exclusive), On: midStore, To: proto.Same, Actions: []proto.Action[midCtx]{move}},
@@ -680,17 +685,33 @@ const (
 )
 
 // protocolTable is the type-erased registry view of one compiled table.
+// rows holds its heat-profile rows, one per transition in declaration order
+// with Count zero: labelled once at init, so a run's TransitionProfile only
+// copies them and fills in the counts.
 type protocolTable struct {
-	length   int
+	rows     []stats.TransitionCount
 	validate func() []error
 	doc      func() proto.Doc
 }
 
 func registerTable[C any](t *proto.Table[C]) protocolTable {
-	return protocolTable{length: t.Len(), validate: t.Validate, doc: t.Doc}
+	d := t.Doc()
+	rows := make([]stats.TransitionCount, len(d.Transitions))
+	for j, tr := range d.Transitions {
+		label := ""
+		if len(tr.Actions) > 0 {
+			label = tr.Actions[0]
+		}
+		rows[j] = stats.TransitionCount{Table: d.Name, From: tr.From, On: tr.On,
+			Guard: tr.Guard, To: tr.To, Label: label}
+	}
+	return protocolTable{rows: rows, validate: t.Validate, doc: t.Doc}
 }
 
 var protocolTables [tblCount]protocolTable
+
+// profileRows is the heat profile's length: every table's transitions.
+var profileRows int
 
 func registerProtocolTables() {
 	protocolTables = [tblCount]protocolTable{
@@ -702,6 +723,9 @@ func registerProtocolTables() {
 		tblBankSvc:     registerTable(bankSvcTable),
 		tblBankCluster: registerTable(bankClusterTable),
 		tblMidPromote:  registerTable(midPromoteTable),
+	}
+	for _, t := range protocolTables {
+		profileRows += len(t.rows)
 	}
 }
 
@@ -730,7 +754,7 @@ func ValidateProtocolTables() []error {
 func newFiredCounters() [tblCount][]uint64 {
 	var fired [tblCount][]uint64
 	for i, t := range protocolTables {
-		fired[i] = make([]uint64, t.length)
+		fired[i] = make([]uint64, len(t.rows))
 	}
 	return fired
 }
@@ -740,18 +764,11 @@ func newFiredCounters() [tblCount][]uint64 {
 // lockillersim -transitions). Zero-count transitions are included; renderers
 // decide what to elide.
 func (s *System) TransitionProfile() []stats.TransitionCount {
-	var out []stats.TransitionCount
+	out := make([]stats.TransitionCount, 0, profileRows)
 	for i, t := range protocolTables {
-		d := t.doc()
-		for j, tr := range d.Transitions {
-			label := ""
-			if len(tr.Actions) > 0 {
-				label = tr.Actions[0]
-			}
-			out = append(out, stats.TransitionCount{
-				Table: d.Name, From: tr.From, On: tr.On, Guard: tr.Guard,
-				To: tr.To, Label: label, Count: s.fired[i][j],
-			})
+		for j, row := range t.rows {
+			row.Count = s.fired[i][j]
+			out = append(out, row)
 		}
 	}
 	return out

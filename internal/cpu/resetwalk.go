@@ -22,8 +22,9 @@ import (
 // each of which must be justified by a behavior-neutrality argument:
 //
 //   - warm pools (the protocol-message, MSHR, pending-tracker and dirLine
-//     free lists) are skipped: entries are fully normalized when handed
-//     out, so pool population is invisible;
+//     free lists, and the middle cache's promote and flush payloads) are
+//     skipped: entries are fully normalized when handed out, so pool
+//     population is invisible;
 //   - generation-reset cache arrays compare by shape plus Pristine(), not
 //     bytes: stale entries from a previous generation read as Invalid;
 //   - grown line tables (directory, MSHR) compare by live population, not
@@ -46,12 +47,14 @@ func ResetDiff(fresh, reset *Machine) []string {
 // "pkgpath.Type.field" — each entry is a warm pool whose population is
 // invisible to the simulation (see ResetDiff).
 var resetWalkSkip = map[string]bool{
-	"coherence.System.msgFree": true, // messages are fully overwritten on send
-	"coherence.L1.mshrFree":    true, // newMshr normalizes (parkSeq equality-only)
-	"coherence.L1.mshrScratch": true, // rebuilt from the table on every use
-	"coherence.Bank.pendFree":  true, // newPending zeroes on hand-out
-	"coherence.Bank.dirFree":   true, // Bank.line normalizes on hand-out
-	"htm.WakeSet.scratch":      true, // rebuilt from the bitmap on every drain
+	"coherence.System.msgFree":  true, // messages are fully overwritten on send
+	"coherence.L1.mshrFree":     true, // newMshr normalizes (parkSeq equality-only)
+	"coherence.L1.mshrScratch":  true, // rebuilt from the table on every use
+	"coherence.Bank.pendFree":   true, // newPending zeroes on hand-out
+	"coherence.Bank.dirFree":    true, // Bank.line normalizes on hand-out
+	"coherence.L1.midCtxFree":   true, // newMidCtx overwrites every field on hand-out
+	"coherence.L1.midFlushFree": true, // newMidFlush overwrites every field on hand-out
+	"htm.WakeSet.scratch":       true, // rebuilt from the bitmap on every drain
 }
 
 // resetDiffLimit caps the reported paths; past this many the machines are

@@ -1,10 +1,13 @@
 package cpu
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cache"
+	"repro/internal/mem"
 	"repro/internal/stats"
 )
 
@@ -51,8 +54,9 @@ func TestResetDiffCatchesDirtyMachine(t *testing.T) {
 }
 
 // TestResetDiffCatchesPlantedFields plants one stale value in each layer a
-// reset must cover — engine clock, cache array, lock stats, core state —
-// and asserts the walk reports every plant. This is the fixture guarding
+// reset must cover — engine clock, cache array, lock stats, core state, the
+// HTMLock application state of the arbiter and the L1s — and asserts the
+// walk reports every plant. This is the fixture guarding
 // the walk itself: a walk that silently skips a layer would wave through a
 // future Reset that forgets it. (The companion under -tags reuseforget
 // drives the same check through Machine.Reset's own code path.)
@@ -77,6 +81,10 @@ func TestResetDiffCatchesPlantedFields(t *testing.T) {
 			arr.Install(arr.Victim(4096, nil), 4096, cache.Shared)
 		}},
 		{"stats run", func(m *Machine) { m.Stats.Cores[0].Commits = 1 }},
+		{"arbiter queued core", func(m *Machine) { plantField(m.Sys.Arbiter, "waiting", []int{2}) }},
+		{"l1 pending TL completion", func(m *Machine) { plantField(m.Sys.L1s[1], "tlDone", func() {}) }},
+		{"l1 switch-retry line", func(m *Machine) { plantField(m.Sys.L1s[3], "sw.line", mem.Line(4096)) }},
+		{"l1 switch-retry completion", func(m *Machine) { plantField(m.Sys.L1s[3], "sw.done", func() {}) }},
 	}
 	for _, p := range plants {
 		t.Run(p.name, func(t *testing.T) {
@@ -88,6 +96,17 @@ func TestResetDiffCatchesPlantedFields(t *testing.T) {
 			}
 		})
 	}
+}
+
+// plantField stores val in the field at path ("f" or "f.g") of the struct
+// obj points to, unexported or not — how a plant reaches run state another
+// package keeps private.
+func plantField(obj any, path string, val any) {
+	v := reflect.ValueOf(obj).Elem()
+	for _, name := range strings.Split(path, ".") {
+		v = v.FieldByName(name)
+	}
+	reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem().Set(reflect.ValueOf(val))
 }
 
 // TestResetRunBitIdentity is the package-level identity check the harness

@@ -15,7 +15,7 @@ import "repro/internal/mem"
 type Arbiter struct {
 	holder     int // core ID of the current HTMLock-mode transaction, -1 if none
 	holderMode Mode
-	waiting    []waiter // TL applicants queued behind an active STL
+	waiting    []int // TL applicants (cores) queued behind an active STL
 
 	// OfRd and OfWr hold the lock transaction's L1-overflowed read and
 	// write sets.
@@ -30,14 +30,13 @@ type Arbiter struct {
 	// SendWake is installed by the coherence layer to deliver wake-up
 	// messages; nil is allowed in unit tests.
 	SendWake func(core int)
+	// SendGrant is installed by the coherence layer to deliver a TL
+	// application's grant, immediate or queued; nil is allowed in unit
+	// tests.
+	SendGrant func(core int)
 
 	// Stats.
 	Grants, Denies, QueuedGrants uint64
-}
-
-type waiter struct {
-	core  int
-	grant func()
 }
 
 // NewArbiter creates an arbiter with signatures of the given size.
@@ -51,8 +50,8 @@ func NewArbiter(signatureBits int) *Arbiter {
 
 // Reset returns the arbiter to its just-constructed state in place:
 // signatures flash-cleared, wake table emptied, no holder, no waiters, stats
-// zeroed. SendWake is kept — it is construction wiring (a closure over the
-// owning coherence system), not run state.
+// zeroed. SendWake and SendGrant are kept — they are construction wiring
+// (closures over the owning coherence system), not run state.
 func (a *Arbiter) Reset() {
 	a.holder = -1
 	a.holderMode = NonTx
@@ -92,19 +91,26 @@ func (a *Arbiter) ApplySTL(core int) bool {
 // ApplyTL is the fallback path's application: the caller already holds the
 // fallback lock (so at most one TL applicant exists at a time), but under
 // switchingMode it must additionally wait out any active STL transaction.
-// grant is invoked — possibly immediately — when authorization is given.
-func (a *Arbiter) ApplyTL(core int, grant func()) {
+// The grant goes out through SendGrant — immediately, or from the Release
+// that hands the queued core authorization.
+func (a *Arbiter) ApplyTL(core int) {
 	if a.holder < 0 {
 		a.holder = core
 		a.holderMode = TL
 		a.Grants++
-		grant()
+		a.grant(core)
 		return
 	}
 	if a.holder == core {
 		panic("htm: core re-applying for HTMLock mode it already holds")
 	}
-	a.waiting = append(a.waiting, waiter{core: core, grant: grant})
+	a.waiting = append(a.waiting, core)
+}
+
+func (a *Arbiter) grant(core int) {
+	if a.SendGrant != nil {
+		a.SendGrant(core)
+	}
 }
 
 // RecordOverflow adds an L1-evicted transactional line of the current
@@ -160,12 +166,14 @@ func (a *Arbiter) Release(core int) {
 		}
 	})
 	if len(a.waiting) > 0 {
-		w := a.waiting[0]
-		a.waiting = a.waiting[1:]
-		a.holder = w.core
+		// Shift the rest down rather than slide the slice forward, so the
+		// queue keeps its backing.
+		core := a.waiting[0]
+		a.waiting = a.waiting[:copy(a.waiting, a.waiting[1:])]
+		a.holder = core
 		a.holderMode = TL
 		a.Grants++
 		a.QueuedGrants++
-		w.grant()
+		a.grant(core)
 	}
 }

@@ -34,9 +34,10 @@ func TestArbiterTLQueuesBehindSTL(t *testing.T) {
 	if !a.ApplySTL(1) {
 		t.Fatal("grant")
 	}
-	granted := false
-	a.ApplyTL(2, func() { granted = true })
-	if granted {
+	granted := -1
+	a.SendGrant = func(core int) { granted = core }
+	a.ApplyTL(2)
+	if granted >= 0 {
 		t.Fatal("TL must wait while STL active")
 	}
 	// New STL applications are denied while a TL waits (it would starve TL).
@@ -44,8 +45,8 @@ func TestArbiterTLQueuesBehindSTL(t *testing.T) {
 		t.Fatal("STL must not jump a waiting TL")
 	}
 	a.Release(1)
-	if !granted {
-		t.Fatal("queued TL must be granted on release")
+	if granted != 2 {
+		t.Fatalf("queued TL must be granted on release, granted %d", granted)
 	}
 	if a.Holder() != 2 || a.HolderMode() != TL {
 		t.Fatal("TL holder wrong")
@@ -58,9 +59,10 @@ func TestArbiterTLQueuesBehindSTL(t *testing.T) {
 
 func TestArbiterTLImmediateWhenIdle(t *testing.T) {
 	a := NewArbiter(256)
-	granted := false
-	a.ApplyTL(4, func() { granted = true })
-	if !granted || a.HolderMode() != TL {
+	granted := -1
+	a.SendGrant = func(core int) { granted = core }
+	a.ApplyTL(4)
+	if granted != 4 || a.HolderMode() != TL {
 		t.Fatal("idle arbiter must grant TL immediately")
 	}
 }
