@@ -329,23 +329,30 @@ type nopHandler struct{}
 func (nopHandler) OnEvent(uint8, uint64, any) {}
 
 // BenchmarkNoCSend measures SendEvent, the path every protocol message
-// takes, on Table I's 4x8 mesh.
+// takes, on Table I's 4x8 mesh and on the 256- and 1024-tile meshes of the
+// scaling sweep. Source i%T and destination 7i%T each visit every tile of a
+// T-tile grid (T is a power of two), so the routes spread over the whole
+// grid; at 32 tiles this is the same message sequence the rung always sent.
 func BenchmarkNoCSend(b *testing.B) {
-	e := sim.NewEngine()
-	topo, err := topology.New("", 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net := noc.New(e, topo, noc.DefaultConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.SendEvent(i%32, (i*7)%32, noc.DataFlits, nopHandler{}, 0, 0, nil)
-		if i%1024 == 0 {
+	for _, tiles := range []int{32, 256, 1024} {
+		b.Run(fmt.Sprintf("tiles=%d", tiles), func(b *testing.B) {
+			e := sim.NewEngine()
+			topo, err := topology.New("", tiles)
+			if err != nil {
+				b.Fatal(err)
+			}
+			net := noc.New(e, topo, noc.DefaultConfig())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.SendEvent(i%tiles, (i*7)%tiles, noc.DataFlits, nopHandler{}, 0, 0, nil)
+				if i%1024 == 0 {
+					for e.Step() {
+					}
+				}
+			}
 			for e.Step() {
 			}
-		}
-	}
-	for e.Step() {
+		})
 	}
 }
 
@@ -538,15 +545,28 @@ func reuseBenchSpec() harness.Spec {
 }
 
 // BenchmarkMachineConstruction is the cost Reset avoids: building one
-// Table I machine from nothing (caches, directory, NoC, cores, programs).
+// machine from nothing (caches, directory, NoC, cores, programs). Its
+// table1 case is the Table I machine BenchmarkMachineReset resets; scale256
+// is the 256-core, clustered-directory machine every scaling-sweep spec
+// builds (harness.ScalingSpec).
 func BenchmarkMachineConstruction(b *testing.B) {
-	spec := reuseBenchSpec()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m := harness.NewMachineFor(spec, harness.ExecOptions{})
-		if m == nil {
-			b.Fatal("no machine")
-		}
+	sys, _ := harness.SystemByName("LockillerTM")
+	for _, c := range []struct {
+		name string
+		spec harness.Spec
+	}{
+		{"table1", reuseBenchSpec()},
+		{"scale256", harness.ScalingSpec(sys, stamp.Intruder(), 256)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := harness.NewMachineFor(c.spec, harness.ExecOptions{})
+				if m == nil {
+					b.Fatal("no machine")
+				}
+			}
+		})
 	}
 }
 

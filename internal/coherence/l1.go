@@ -830,14 +830,7 @@ func (l1 *L1) resolveParked(ms *mshr) {
 // transactional bits and dispatches through the l1.forward table; conflict
 // arbitration, rejection, and the victim abort are the table's guarded rows.
 func (l1 *L1) forwarded(m *Msg) {
-	e := l1.arr.Peek(m.Line)
-	inL1 := e != nil && e.State.Valid()
-	if !inL1 {
-		e = l1.midLookup(m.Line) // three-level: the middle cache may hold it
-		if e != nil && !e.State.Valid() {
-			e = nil
-		}
-	}
+	e, inL1 := l1.holding(m.Line)
 	s := fwdNone
 	switch {
 	case e == nil:
@@ -853,6 +846,19 @@ func (l1 *L1) forwarded(m *Msg) {
 		evt = fwdStore
 	}
 	l1FwdTable.Dispatch(s, evt, l1FwdCtx{l1: l1, m: m, e: e, inL1: inL1}, l1.sys.fired[tblL1Fwd])
+}
+
+// holding returns the entry through which this node holds line in a stable
+// state, and whether it is the L1's: the L1's copy, else (three-level) the
+// middle cache's. It returns nil when the node holds no valid copy.
+func (l1 *L1) holding(line mem.Line) (e *cache.Entry, inL1 bool) {
+	if e = l1.arr.Peek(line); e != nil && e.State.Valid() {
+		return e, true
+	}
+	if e = l1.midLookup(line); e != nil && e.State.Valid() {
+		return e, false
+	}
+	return nil, false
 }
 
 // nack tells the directory we no longer hold the line (transaction abort or
@@ -898,7 +904,7 @@ func (l1 *L1) respondForward(m *Msg, e *cache.Entry, inL1 bool) {
 		// the middle-cache latency and losing the L1 copy (§IV-A). The
 		// step carries a value copy: the pooled message is recycled
 		// before the flush runs.
-		l1.sys.Engine.AfterEvent(l1.sys.MidHit, l1, evL1MidFlush, 0, l1.newMidFlush(m, e))
+		l1.sys.Engine.AfterEvent(l1.sys.MidHit, l1, evL1MidFlush, 0, l1.newMidFlush(m))
 		return
 	}
 	l1.forwardRespond(e, m.Line, m.Requester, m.Type == MsgFwdGetS)

@@ -195,15 +195,13 @@ func (l1 *L1) demoteToMid(v *cache.Entry) bool {
 	return true
 }
 
-// midFlush is the payload of evL1MidFlush: the forward being answered and
-// the L1 entry it hit.
+// midFlush is the payload of evL1MidFlush: the forward being answered.
 type midFlush struct {
 	m Msg // value copy of the recycled pooled message
-	e *cache.Entry
 }
 
 // newMidFlush returns a flush payload from the L1's free list.
-func (l1 *L1) newMidFlush(m *Msg, e *cache.Entry) *midFlush {
+func (l1 *L1) newMidFlush(m *Msg) *midFlush {
 	var f *midFlush
 	if n := len(l1.midFlushFree); n > 0 {
 		f = l1.midFlushFree[n-1]
@@ -211,26 +209,36 @@ func (l1 *L1) newMidFlush(m *Msg, e *cache.Entry) *midFlush {
 	} else {
 		f = new(midFlush)
 	}
-	f.m, f.e = *m, e
+	f.m = *m
 	return f
 }
 
 // freeMidFlush recycles a flush payload once its event has copied it.
 func (l1 *L1) freeMidFlush(f *midFlush) {
-	f.e = nil
 	l1.midFlushFree = append(l1.midFlushFree, f)
 }
 
 // flushForward answers a forward that hit the L1 MidHit cycles after it
 // arrived (respondForward): the line flushes to the middle cache and the
 // reply goes out from there. The payload is copied and recycled first.
+//
+// The line is looked up again rather than through the way the forward hit:
+// in the MidHit window an abort or an eviction may have dropped it, or the
+// L1 may have given its way to another line and demoted it to the middle
+// cache. The flush answers from wherever the node now holds the line, as
+// the l1.forward table answers a forward that finds it there, and NACKs
+// only when the node holds no copy. Both other choices break the protocol:
+// answering through the reused way downgrades a line the forward never
+// named, and a NACK while the middle cache keeps an E/M copy lets the
+// directory grant the requester ownership beside that copy.
 func (l1 *L1) flushForward(p *midFlush) {
-	f := *p
+	m := p.m
 	l1.freeMidFlush(p)
-	m, e := &f.m, f.e
 	line, req, getS := m.Line, m.Requester, m.Type == MsgFwdGetS
-	if !e.State.Valid() {
-		// The line moved while the flush was in flight (abort).
+	e, inL1 := l1.holding(line)
+	if e == nil {
+		// The line left the node while the flush was in flight (abort or
+		// eviction).
 		l1.nack(line, req)
 		return
 	}
@@ -239,11 +247,11 @@ func (l1 *L1) flushForward(p *midFlush) {
 		// no-conflict classification that routed us here is stale.
 		// Re-arbitrate as the l1.forward table would have.
 		if l1.Tx.InTx() {
-			if l1.ownerWins(m) {
-				l1.fwdReject(m)
+			if l1.ownerWins(&m) {
+				l1.fwdReject(&m)
 				return
 			}
-			l1.abortVictim(m, e)
+			l1.abortVictim(&m, e)
 			l1.dropAfterConflict(e)
 			l1.nack(line, req)
 			return
@@ -252,6 +260,11 @@ func (l1 *L1) flushForward(p *midFlush) {
 		// attempt that already ended; scrub them before the downgrade
 		// rather than hand them to the middle cache.
 		e.TxRead, e.TxWrite = false, false
+	}
+	if !inL1 {
+		// Already in the middle cache, where the flush would have put it.
+		l1.forwardRespond(e, line, req, getS)
+		return
 	}
 	if me := l1.midFlushForForward(e); me != nil {
 		l1.forwardRespond(me, line, req, getS)

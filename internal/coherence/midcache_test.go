@@ -79,6 +79,63 @@ func TestMidCacheOddFlushOnForward(t *testing.T) {
 	}
 }
 
+// TestMidCacheFlushAfterWayReuse: the forward's flush runs MidHit cycles
+// after the forward hit the L1. If the owner's L1 reuses the line's way in
+// that window, the line has moved to the middle cache, and the flush must
+// answer from there; it must not demote or downgrade the way's new line.
+func TestMidCacheFlushAfterWayReuse(t *testing.T) {
+	p := DefaultParams()
+	p.Cores = 4
+	p.LLCSize = 1 << 20
+	p.MidSize = 4 * 1024
+	p.MidWays = 8
+	p.MidHit = 200 // a window wide enough for a whole miss to complete in
+	es := newEngineSys(t, p, baseCfg())
+	e, sys := es.e, es.sys
+	l1 := sys.L1s[0]
+	sets := l1.Array().Sets()
+	line := mem.Line(100)
+	// Fill the set (4 ways) with line first, so it is the LRU way.
+	for i := 0; i < 4; i++ {
+		access(t, e, sys, 0, line+mem.Line(i*sets), true)
+		drain(e)
+	}
+	forwards := func() (n uint64) {
+		for _, c := range sys.fired[tblL1Fwd] {
+			n += c
+		}
+		return n
+	}
+	before := forwards()
+	sys.L1s[1].Access(line, false, func() {})
+	for forwards() == before {
+		if !e.Step() {
+			t.Fatal("the read never forwarded to the owner")
+		}
+	}
+	if st(sys, 0, line) != cache.Modified {
+		t.Fatalf("precondition: the flush should be in flight with the line in the L1, state %v", st(sys, 0, line))
+	}
+	// The owner misses on a fifth line of the set: the victim is line's way.
+	other := line + mem.Line(4*sets)
+	access(t, e, sys, 0, other, true)
+	if me := l1.MidArray().Peek(line); me == nil || me.State != cache.Modified {
+		t.Fatalf("precondition: line should have moved to the middle cache, got %+v", me)
+	}
+	drain(e)
+	if got := st(sys, 0, other); got != cache.Modified {
+		t.Fatalf("the reused way's line %d is %v after the flush, want Modified", other, got)
+	}
+	if me := l1.MidArray().Peek(line); me == nil || me.State != cache.Shared {
+		t.Fatalf("the flush should answer from the middle cache and leave it Shared, got %+v", me)
+	}
+	if got := st(sys, 1, line); got != cache.Shared {
+		t.Fatalf("requester state = %v, want Shared", got)
+	}
+	checkSWMR(t, sys)
+	checkDirConsistency(t, sys)
+}
+
 func TestMidCacheThreeLevelSlowerOnSharing(t *testing.T) {
 	// Ping-pong a line between two cores: the three-level flush makes each
 	// handover strictly slower — the reason the paper built two-level.

@@ -163,11 +163,11 @@ func NewMachine(cfg Config, label, workload string, programs []Program) *Machine
 // fresh stats.Run (callers memoize the returned *stats.Run, so it must not
 // be recycled). Everything shape-dependent survives — cache array backings
 // (generation reset), directory and MSHR table capacity, free lists
-// (messages, MSHRs, pending trackers), the NoC route table, and the engine's
-// calendar-queue rings — which is what makes reset several times cheaper
-// than construction. The run that used this machine must have completed
-// cleanly (Run returned): no pending events, no live protocol messages, no
-// busy directory lines.
+// (messages, MSHRs, pending trackers), the NoC's port array and router
+// positions, and the engine's calendar-queue rings — which is what makes
+// reset several times cheaper than construction. The run that used this
+// machine must have completed cleanly (Run returned): no pending events, no
+// live protocol messages, no busy directory lines.
 //
 // Reset detaches every observer: the previous run's tracer, telemetry and
 // probe keep what they recorded and see nothing of the next run. Call

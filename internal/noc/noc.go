@@ -42,35 +42,28 @@ func DefaultConfig() Config {
 	return Config{LinkLatency: 1, RouterDelay: 1, LocalLatency: 1}
 }
 
-// RouteTableTiles bounds the route table: a T-tile machine stores T^2
-// routes, so bigger machines route on demand instead.
-const RouteTableTiles = 256
+// ports is the number of directed links leaving each router: +x, -x, +y
+// and -y, in that order. A leg stepping dir (+1 or -1) along X leaves
+// through port (1-dir)/2, and along Y through port 2+(1-dir)/2.
+const ports = 4
 
 // Network delivers messages between tiles of a topology.
 type Network struct {
 	engine *sim.Engine
 	cfg    Config
+	topo   topology.Topology
 
-	// busyUntil[from*tiles+to] is the cycle at which the directed link
-	// from→to becomes free. A flat slice rather than a map keyed by
-	// topology.Link: the lookup runs once per link per message on the
-	// hottest path in the simulator, and hashing a 16-byte struct key
-	// dominated whole-run profiles. tiles² entries is 8 KiB for the
-	// paper's 32-tile mesh and 8 MiB at the 1024-tile ceiling — still far
-	// cheaper than per-message hashing; non-adjacent pairs simply stay
-	// zero.
-	busyUntil []uint64
-	tiles     int
-
-	// routes[src*tiles+dst] lists the flat busyUntil indices of the links
-	// along the route, built once so the arrival loop walks a dense int32
-	// slice instead of re-deriving link identities per message. Machines
-	// beyond RouteTableTiles skip the tiles² table and convert each route
-	// on demand into scratchIdx instead.
-	routes     [][]int32
-	topo       topology.Topology
-	scratch    []topology.Link
-	scratchIdx []int32
+	// busy[r*ports+p] is the cycle at which the link leaving router r
+	// through port p becomes free: 8 KiB at 256 tiles, 32 KiB at 1024.
+	// A port names a link one-to-one with the (from, to) pair
+	// topology.AppendRoute names, over every link a route can use: the
+	// only routers joined by two ports each way are the two of a length-2
+	// ring, and its dateline tie always resolves toward +, so its - ports
+	// stay unused (DESIGN.md "One router grid").
+	busy []uint64
+	// pos[tile] is the grid position of the tile's router, so a message
+	// looks both endpoints up instead of dividing by Conc and W.
+	pos []routerXY
 
 	// Obs, when non-nil, receives the link enqueue, serialization stall
 	// and scheduled delivery of each message that crosses a link.
@@ -82,34 +75,23 @@ type Network struct {
 	QueueWait uint64
 }
 
-// New creates a network over the given topology. Its route table is the
-// only one in the simulator: every route is converted once from
-// topology.AppendRoute through one reused link buffer into a single backing
-// array sized by the routes' total Hops.
+// routerXY is a router's grid position.
+type routerXY struct{ x, y int32 }
+
+// New creates a network over the given topology: every message walks its
+// route on the router grid (topology.Leg), so building one costs a port
+// array and a per-tile position table, whatever the machine size.
 func New(engine *sim.Engine, topo topology.Topology, cfg Config) *Network {
-	t := topo.Tiles()
 	n := &Network{
-		engine:    engine,
-		topo:      topo,
-		cfg:       cfg,
-		busyUntil: make([]uint64, t*t),
-		tiles:     t,
+		engine: engine,
+		topo:   topo,
+		cfg:    cfg,
+		busy:   make([]uint64, ports*topo.W*topo.H),
+		pos:    make([]routerXY, topo.Tiles()),
 	}
-	if t > RouteTableTiles {
-		return n // on-demand routing via scratch
-	}
-	total := 0
-	for src := 0; src < t; src++ {
-		for dst := 0; dst < t; dst++ {
-			total += topo.Hops(src, dst)
-		}
-	}
-	backing := make([]int32, 0, total) // one allocation backs every route
-	n.routes = make([][]int32, t*t)
-	for i := range n.routes {
-		start := len(backing)
-		backing = n.appendRoute(backing, i/t, i%t)
-		n.routes[i] = backing[start:len(backing):len(backing)]
+	for tile := range n.pos {
+		x, y := topo.XY(tile)
+		n.pos[tile] = routerXY{int32(x), int32(y)}
 	}
 	return n
 }
@@ -118,16 +100,11 @@ func New(engine *sim.Engine, topo topology.Topology, cfg Config) *Network {
 func (n *Network) Topo() topology.Topology { return n.topo }
 
 // Reset returns the network to its just-constructed state in place: all
-// link reservations released and stats zeroed. The route table and the
-// on-demand scratch buffers are construction artifacts of the (immutable)
-// topology and survive; the simulated clock restarts at zero after a
-// machine reset, so stale busyUntil times must not.
+// link reservations released and stats zeroed. The simulated clock
+// restarts at zero after a machine reset, so stale busy times must not
+// survive it.
 func (n *Network) Reset() {
-	for i := range n.busyUntil {
-		n.busyUntil[i] = 0
-	}
-	n.scratch = n.scratch[:0]
-	n.scratchIdx = n.scratchIdx[:0]
+	clear(n.busy)
 	n.Messages, n.FlitHops, n.QueueWait = 0, 0, 0
 }
 
@@ -144,40 +121,32 @@ func (n *Network) SendEvent(src, dst, flits int, h sim.Handler, kind uint8, a ui
 func (n *Network) arrival(src, dst, flits int) uint64 {
 	n.Messages++
 	now := n.engine.Now()
-	if src == dst {
+	s, d := n.pos[src], n.pos[dst]
+	hx, dirX := n.topo.Leg(int(s.x), int(d.x), n.topo.W)
+	hy, dirY := n.topo.Leg(int(s.y), int(d.y), n.topo.H)
+	hops := hx + hy
+	if hops == 0 {
+		// A tile talking to itself, or to another tile of its router on a
+		// concentrated mesh: the local crossbar; never zero cycles.
 		return now + maxU64(n.cfg.LocalLatency, 1)
 	}
-	var route []int32
-	if n.routes != nil {
-		route = n.routes[src*n.tiles+dst]
-	} else {
-		n.scratchIdx = n.appendRoute(n.scratchIdx[:0], src, dst)
-		route = n.scratchIdx
-	}
-	if len(route) == 0 {
-		// Distinct tiles on the same router (concentrated mesh): the local
-		// crossbar, like a tile talking to itself; never zero cycles.
-		return now + maxU64(n.cfg.LocalLatency, 1)
-	}
-	n.FlitHops += uint64(flits * len(route))
+	n.FlitHops += uint64(flits * hops)
 	if n.cfg.Perfect {
-		lat := uint64(len(route)) * (n.cfg.LinkLatency + n.cfg.RouterDelay)
+		lat := uint64(hops) * (n.cfg.LinkLatency + n.cfg.RouterDelay)
 		return now + maxU64(lat, 1)
 	}
 	if o := n.Obs; o != nil {
-		o.Event(trace.Event{Kind: trace.KindEnqueue, Core: src, Src: src, Dst: dst, Count: flits, Hops: len(route)})
+		o.Event(trace.Event{Kind: trace.KindEnqueue, Core: src, Src: src, Dst: dst, Count: flits, Hops: hops})
 	}
-	// Head-flit arrival time threads through each link in order; the link
-	// is then occupied for the serialization time of the whole message.
-	t := now
-	var stalled uint64
-	for _, li := range route {
-		start := maxU64(t, n.busyUntil[li])
-		n.QueueWait += start - t
-		stalled += start - t
-		t = start + n.cfg.LinkLatency + n.cfg.RouterDelay
-		n.busyUntil[li] = start + uint64(flits)
-	}
+	// Head-flit arrival time threads through each link in order, the X leg
+	// from src's router and then the Y leg from the router in dst's column;
+	// each link is then occupied for the serialization time of the whole
+	// message.
+	w, hop, occupy := n.topo.W, n.cfg.LinkLatency+n.cfg.RouterDelay, uint64(flits)
+	t, waitX := n.leg(now, (int(s.y)*w+int(s.x))*ports+(1-dirX)/2, ports*dirX, int(s.x), dirX, w, hx, hop, occupy)
+	t, waitY := n.leg(t, (int(s.y)*w+int(d.x))*ports+2+(1-dirY)/2, ports*w*dirY, int(s.y), dirY, n.topo.H, hy, hop, occupy)
+	stalled := waitX + waitY
+	n.QueueWait += stalled
 	// Tail flit arrives (flits-1) cycles after the head.
 	t += uint64(flits - 1)
 	if o := n.Obs; o != nil {
@@ -189,15 +158,26 @@ func (n *Network) arrival(src, dst, flits int) uint64 {
 	return t
 }
 
-// appendRoute appends the flat busyUntil indices of the links from src to
-// dst to buf, routing through the reused scratch link buffer: the one
-// conversion behind both the route table and on-demand routing.
-func (n *Network) appendRoute(buf []int32, src, dst int) []int32 {
-	n.scratch = n.topo.AppendRoute(n.scratch[:0], src, dst)
-	for _, l := range n.scratch {
-		buf = append(buf, int32(l.From*n.tiles+l.To))
+// leg reserves the hops links of one route leg and returns the head flit's
+// time after it and the cycles it queued. The leg starts at busy index li,
+// at coordinate c of a dimension of size routers; each hop moves c by dir
+// and li by step, and a hop off the grid's edge (a torus wraparound)
+// re-enters at the other side.
+func (n *Network) leg(t uint64, li, step, c, dir, size, hops int, hop, occupy uint64) (uint64, uint64) {
+	var wait uint64
+	for ; hops > 0; hops-- {
+		start := maxU64(t, n.busy[li])
+		wait += start - t
+		t = start + hop
+		n.busy[li] = start + occupy
+		c += dir
+		li += step
+		if uint(c) >= uint(size) {
+			c -= dir * size
+			li -= step * size
+		}
 	}
-	return buf
+	return t, wait
 }
 
 func maxU64(a, b uint64) uint64 {

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -196,19 +197,16 @@ func TestNoCTracerDisabledByCategory(t *testing.T) {
 }
 
 func TestOnDemandRoutingBigMachine(t *testing.T) {
-	// 1024 tiles is beyond RouteTableTiles: the network must skip the
-	// tiles² route table and still deliver with hop-proportional latency.
+	// The 1024-tile ceiling walks its routes like every other size and
+	// must still deliver with hop-proportional latency.
 	e, big, d := newNetOn(t, "mesh", 1024, DefaultConfig())
-	if big.routes != nil {
-		t.Fatal("1024-tile network should route on demand")
-	}
 	d.send(big, 0, 1023, ControlFlits, 1)
 	runEngine(t, e)
 	// 62 hops on the 32x32 grid at 2 cycles each.
 	if at := d.cycle(1); at != 62*2 {
 		t.Fatalf("on-demand delivery at %d, want %d", at, 62*2)
 	}
-	// Same route walked twice must contend like the table path does.
+	// The same route walked twice must contend on its shared links.
 	e2, big2, d2 := newNetOn(t, "mesh", 1024, DefaultConfig())
 	d2.send(big2, 0, 3, DataFlits, 1)
 	d2.send(big2, 0, 3, DataFlits, 2)
@@ -218,48 +216,178 @@ func TestOnDemandRoutingBigMachine(t *testing.T) {
 	}
 }
 
-// TestRouteTableMatchesOnDemand: at RouteTableTiles, the largest machine
-// that gets a table, every (src, dst) table entry must equal the on-demand
-// conversion of topology.AppendRoute that machines beyond the bound use,
-// on every kind.
-func TestRouteTableMatchesOnDemand(t *testing.T) {
+// walkShapes returns the topologies the walk differential covers: every
+// kind at 1-64 tiles and at the powers of two up to the 1024-tile ceiling,
+// plus every hand-built grid of W, H <= 9 with 1-4 tiles per router, with
+// and without wraparound.
+func walkShapes() []topology.Topology {
+	var shapes []topology.Topology
 	for _, kind := range []string{"mesh", "torus", "cmesh"} {
-		_, n, _ := newNetOn(t, kind, RouteTableTiles, DefaultConfig())
-		if n.routes == nil {
-			t.Fatalf("%s: %d-tile network should have a route table", kind, RouteTableTiles)
+		for tiles := 1; tiles <= 1024; tiles++ {
+			if tiles > 64 && tiles&(tiles-1) != 0 {
+				continue
+			}
+			if topo, err := topology.New(kind, tiles); err == nil {
+				shapes = append(shapes, topo)
+			}
 		}
-		for src := 0; src < n.tiles; src++ {
-			for dst := 0; dst < n.tiles; dst++ {
-				got := n.routes[src*n.tiles+dst]
-				want := n.appendRoute(nil, src, dst)
-				if len(got) != len(want) || len(got) != n.topo.Hops(src, dst) {
-					t.Fatalf("%s %d->%d: table %v, on demand %v, %d hops", kind, src, dst, got, want, n.topo.Hops(src, dst))
+	}
+	for w := 1; w <= 9; w++ {
+		for h := 1; h <= 9; h++ {
+			for conc := 1; conc <= 4; conc++ {
+				for _, wrap := range []bool{false, true} {
+					shapes = append(shapes, topology.Topology{W: w, H: h, Conc: conc, Wrap: wrap})
 				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s %d->%d: table %v, on demand %v", kind, src, dst, got, want)
+			}
+		}
+	}
+	return shapes
+}
+
+// TestWalkReservesAppendRouteLinks is the differential that pins the port
+// walk to the reference routes: on every shape of walkShapes, a message
+// from src to dst on an idle network reserves exactly the links
+// topology.AppendRoute lists, in order, and one bijection between port
+// slots and (from, to) links holds across all of the shape's routes.
+// Every source is walked up to 256 tiles and every 7th beyond; -short
+// walks about 16 sources of each shape above 32 tiles.
+func TestWalkReservesAppendRouteLinks(t *testing.T) {
+	const flits = ControlFlits
+	hop := DefaultConfig().LinkLatency + DefaultConfig().RouterDelay
+	routes := 0
+	var want []topology.Link
+	var order []int // order[i] is the slot of the route's i-th link
+	for _, topo := range walkShapes() {
+		tiles := topo.Tiles()
+		stride := 1
+		switch {
+		case testing.Short() && tiles > 32:
+			stride = 1 + tiles/16
+		case tiles > 256:
+			stride = 7
+		}
+		n := New(sim.NewEngine(), topo, DefaultConfig())
+		slotOf := map[topology.Link]int{}
+		linkOf := map[int]topology.Link{}
+		for src := 0; src < tiles; src += stride {
+			for dst := 0; dst < tiles; dst++ {
+				want = topo.AppendRoute(want[:0], src, dst)
+				at := n.arrival(src, dst, flits)
+				routes++
+				if len(want) > 0 && at != uint64(len(want))*hop+flits-1 {
+					t.Fatalf("%+v %d->%d: arrives at %d over %d links", topo, src, dst, at, len(want))
+				}
+				// On an idle network the i-th link is reserved from
+				// cycle i*hop, so each busy slot's time names its place.
+				order = order[:0]
+				for range want {
+					order = append(order, -1)
+				}
+				got := 0
+				for slot, busy := range n.busy {
+					if busy == 0 {
+						continue
 					}
+					i := int((busy - flits) / hop)
+					if i >= len(order) || (busy-flits)%hop != 0 || order[i] >= 0 {
+						t.Fatalf("%+v %d->%d: slot %d busy until %d, route %v", topo, src, dst, slot, busy, want)
+					}
+					order[i] = slot
+					got++
+					n.busy[slot] = 0
 				}
+				if got != len(want) {
+					t.Fatalf("%+v %d->%d: walk reserved %d links, AppendRoute lists %v", topo, src, dst, got, want)
+				}
+				for i, l := range want {
+					slot := order[i]
+					if s, ok := slotOf[l]; ok && s != slot {
+						t.Fatalf("%+v %d->%d: link %v reserved slot %d here and %d before", topo, src, dst, l, slot, s)
+					}
+					if o, ok := linkOf[slot]; ok && o != l {
+						t.Fatalf("%+v %d->%d: slot %d is link %v here and %v before", topo, src, dst, slot, l, o)
+					}
+					slotOf[l], linkOf[slot] = slot, l
+				}
+			}
+		}
+	}
+	t.Logf("%d routes", routes)
+}
+
+// allocBytes returns the average heap bytes f allocates per call.
+func allocBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 8
+	f() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestNewAllocs bounds what building a topology and its network
+// allocates: a fixed handful of objects, and a port array and position
+// table linear in the tiles (the tiles² route table took 4.66 MiB at 256
+// tiles and its link array 8 MiB at 1024).
+func TestNewAllocs(t *testing.T) {
+	e := sim.NewEngine()
+	for _, kind := range []string{"mesh", "torus", "cmesh"} {
+		for _, tc := range []struct{ tiles, maxBytes int }{{32, 16 << 10}, {256, 16 << 10}, {1024, 64 << 10}} {
+			build := func() {
+				topo, err := topology.New(kind, tc.tiles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				New(e, topo, DefaultConfig())
+			}
+			if allocs := testing.AllocsPerRun(2, build); allocs > 4 {
+				t.Errorf("%s/%d: topology.New + noc.New made %.0f allocations, want at most 4", kind, tc.tiles, allocs)
+			}
+			if bytes := allocBytes(build); bytes > uint64(tc.maxBytes) {
+				t.Errorf("%s/%d: topology.New + noc.New allocated %d bytes, want at most %d", kind, tc.tiles, bytes, tc.maxBytes)
 			}
 		}
 	}
 }
 
-// TestNewAllocs bounds what building a topology and its network allocates:
-// the route table is one backing array and one slice header array, not a
-// per-route allocation.
-func TestNewAllocs(t *testing.T) {
+// TestResetFreesEveryPort: after traffic, Reset releases every link, and a
+// message sent on the reset network arrives at the cycle it takes on a
+// fresh one.
+func TestResetFreesEveryPort(t *testing.T) {
 	for _, kind := range []string{"mesh", "torus", "cmesh"} {
-		for _, tiles := range []int{32, RouteTableTiles} {
-			allocs := testing.AllocsPerRun(2, func() {
-				topo, err := topology.New(kind, tiles)
-				if err != nil {
-					t.Fatal(err)
-				}
-				New(sim.NewEngine(), topo, DefaultConfig())
-			})
-			if allocs > 16 {
-				t.Errorf("%s/%d: topology.New + noc.New made %.0f allocations, want at most 16", kind, tiles, allocs)
+		e, n, d := newNetOn(t, kind, 64, DefaultConfig())
+		for i := 0; i < 512; i++ {
+			d.send(n, i%64, (i*7+i/64)%64, DataFlits, uint64(i))
+		}
+		runEngine(t, e)
+		if n.QueueWait == 0 {
+			t.Fatalf("%s: the traffic never contended", kind)
+		}
+		e.Reset()
+		n.Reset()
+		for slot, busy := range n.busy {
+			if busy != 0 {
+				t.Fatalf("%s: slot %d still busy until %d after Reset", kind, slot, busy)
+			}
+		}
+		if n.Messages != 0 || n.FlitHops != 0 || n.QueueWait != 0 {
+			t.Fatalf("%s: stats survived Reset: %d messages, %d flit-hops, %d queued", kind, n.Messages, n.FlitHops, n.QueueWait)
+		}
+		d.ids, d.at = nil, nil
+		d.send(n, 0, 63, DataFlits, 1)
+		d.send(n, 0, 63, DataFlits, 2)
+		runEngine(t, e)
+		fe, fresh, fd := newNetOn(t, kind, 64, DefaultConfig())
+		fd.send(fresh, 0, 63, DataFlits, 1)
+		fd.send(fresh, 0, 63, DataFlits, 2)
+		runEngine(t, fe)
+		for _, id := range []uint64{1, 2} {
+			if got, want := d.cycle(id), fd.cycle(id); got != want {
+				t.Fatalf("%s: message %d arrived at %d after Reset, %d on a fresh network", kind, id, got, want)
 			}
 		}
 	}

@@ -80,8 +80,8 @@ func New(kind string, tiles int) (Topology, error) {
 // Tiles returns the number of tiles.
 func (t Topology) Tiles() int { return t.W * t.H * t.Conc }
 
-// xy returns the grid coordinates of a tile's router.
-func (t Topology) xy(tile int) (x, y int) {
+// XY returns the grid coordinates of a tile's router.
+func (t Topology) XY(tile int) (x, y int) {
 	r := tile / t.Conc
 	return r % t.W, r / t.W
 }
@@ -90,22 +90,25 @@ func (t Topology) xy(tile int) (x, y int) {
 // router's links.
 func (t Topology) tile(x, y int) int { return (y*t.W + x) * t.Conc }
 
-// dist returns the hop count and step direction (+1/-1) from coordinate a
-// to b along a dimension of length n: straight on a mesh, the shorter way
-// around the ring when Wrap is set, with dead-even ties toward +1 (the
-// dateline rule).
-func (t Topology) dist(a, b, n int) (hops, dir int) {
-	fwd := b - a
+// Leg returns one leg of a route: the hop count and step direction (+1 or
+// -1) from coordinate a to b, both in [0, n), along a dimension of n
+// routers. It is straight on a mesh, and the shorter way around the ring
+// when Wrap is set, with dead-even ties toward +1 (the dateline rule); a
+// zero-hop leg steps +1. A route is its X leg (n = W) and then its Y leg
+// (n = H): AppendRoute's links and the NoC's link walk both take them so.
+func (t Topology) Leg(a, b, n int) (hops, dir int) {
+	hops, dir = b-a, 1
 	if t.Wrap {
-		fwd = ((b-a)%n + n) % n
-		if back := n - fwd; back < fwd {
-			return back, -1
+		if hops < 0 {
+			hops += n
 		}
+		if back := n - hops; back < hops {
+			hops, dir = back, -1
+		}
+	} else if hops < 0 {
+		hops, dir = -hops, -1
 	}
-	if fwd < 0 {
-		return -fwd, -1
-	}
-	return fwd, 1
+	return hops, dir
 }
 
 // Hops returns the number of links a message from src to dst traverses:
@@ -113,10 +116,10 @@ func (t Topology) dist(a, b, n int) (hops, dir int) {
 // dimension-ordered routing always achieves. Hops(src, dst) ==
 // len(AppendRoute(nil, src, dst)).
 func (t Topology) Hops(src, dst int) int {
-	sx, sy := t.xy(src)
-	dx, dy := t.xy(dst)
-	hx, _ := t.dist(sx, dx, t.W)
-	hy, _ := t.dist(sy, dy, t.H)
+	sx, sy := t.XY(src)
+	dx, dy := t.XY(dst)
+	hx, _ := t.Leg(sx, dx, t.W)
+	hy, _ := t.Leg(sy, dy, t.H)
 	return hx + hy
 }
 
@@ -144,19 +147,20 @@ func ringLinks(l int) int {
 }
 
 // AppendRoute appends the ordered links from src to dst to buf and returns
-// it: X then Y over the router grid, each dimension the way dist takes it.
-// Nothing is appended when src and dst share a router.
+// it: the X leg and then the Y leg over the router grid, each as Leg takes
+// it. Nothing is appended when src and dst share a router. The NoC walks
+// the same legs without building links; AppendRoute is the reference that
+// walk is tested against and the enumeration NumLinks is checked by.
 func (t Topology) AppendRoute(buf []Link, src, dst int) []Link {
-	sx, sy := t.xy(src)
-	dx, dy := t.xy(dst)
-	x, y := sx, sy
-	hx, dirX := t.dist(sx, dx, t.W)
+	x, y := t.XY(src)
+	dx, dy := t.XY(dst)
+	hx, dirX := t.Leg(x, dx, t.W)
 	for i := 0; i < hx; i++ {
 		nx := (x + dirX + t.W) % t.W
 		buf = append(buf, Link{From: t.tile(x, y), To: t.tile(nx, y)})
 		x = nx
 	}
-	hy, dirY := t.dist(sy, dy, t.H)
+	hy, dirY := t.Leg(y, dy, t.H)
 	for i := 0; i < hy; i++ {
 		ny := (y + dirY + t.H) % t.H
 		buf = append(buf, Link{From: t.tile(x, y), To: t.tile(x, ny)})

@@ -12,7 +12,7 @@ var mesh48 = Topology{W: 4, H: 8, Conc: 1}
 func TestXYRoundTrip(t *testing.T) {
 	for _, topo := range []Topology{mesh48, {W: 3, H: 2, Conc: 4}} {
 		for tile := 0; tile < topo.Tiles(); tile++ {
-			x, y := topo.xy(tile)
+			x, y := topo.XY(tile)
 			if got, want := topo.tile(x, y), tile-tile%topo.Conc; got != want {
 				t.Fatalf("%+v: tile %d round-trips to %d, want its router's first tile %d", topo, tile, got, want)
 			}
@@ -58,8 +58,8 @@ func TestRouteXBeforeY(t *testing.T) {
 	r := m.AppendRoute(nil, m.tile(0, 0), m.tile(3, 2))
 	// First 3 links must move in X, the rest in Y.
 	for i, l := range r {
-		fx, fy := m.xy(l.From)
-		tx, ty := m.xy(l.To)
+		fx, fy := m.XY(l.From)
+		tx, ty := m.XY(l.To)
 		if i < 3 {
 			if fy != ty || fx == tx {
 				t.Fatalf("link %d should be an X move: %v", i, l)
