@@ -402,7 +402,9 @@ func BenchmarkScalingCores(b *testing.B) {
 }
 
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	// End-to-end simulator speed: simulated cycles per wall second.
+	// End-to-end simulator speed: simulated cycles per wall second. Each
+	// iteration builds the machine and runs it, and ns/event divides the
+	// whole of it by the events it ran.
 	wl := stamp.Kmeans()
 	sys, _ := harness.SystemByName("LockillerTM")
 	var cycles, events uint64
@@ -418,7 +420,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		events += m.Engine.Executed()
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	reportEvents(b, events)
 }
 
 // BenchmarkFusedHitChain measures the steady-state per-op cost of the
@@ -629,7 +631,14 @@ func BenchmarkSpinWaitRun(b *testing.B) {
 		}
 		events += res.EventsExecuted
 	}
+	reportEvents(b, events)
+}
+
+// reportEvents reports the simulated events per op and the ladder's unit,
+// host ns per simulated event, over the whole timed iteration.
+func reportEvents(b *testing.B, events uint64) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
 // BenchmarkSweepThroughput runs a small multi-workload sweep through one

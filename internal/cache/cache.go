@@ -256,23 +256,6 @@ func (a *Array) ForEach(fn func(*Entry)) {
 	}
 }
 
-// CountTx returns the number of lines in the transaction's read/write sets;
-// used by stats and by progression-based priority (LosaTM).
-func (a *Array) CountTx() (reads, writes int) {
-	for i := range a.entries {
-		if a.entries[i].gen != a.gen {
-			continue
-		}
-		if a.entries[i].TxRead {
-			reads++
-		}
-		if a.entries[i].TxWrite {
-			writes++
-		}
-	}
-	return
-}
-
 // ClearTx clears all transactional metadata; invalidateWrites additionally
 // drops speculatively written (TxWrite) lines, which is what an abort does
 // under L1-based eager version management. The controller needs no list of

@@ -12,8 +12,9 @@
 //
 //   - a near-future bucket ring of ringSize one-cycle buckets absorbs the
 //     dominant small-delay events (cache hit latencies, directory decision
-//     delays, single NoC hops): scheduling is an O(1) slice append and
-//     dispatch pops in FIFO order, which is exactly (when, seq) order;
+//     delays, single NoC hops): scheduling is an O(1) slice append,
+//     dispatch takes each bucket in FIFO order, which is exactly (when,
+//     seq) order, and a one-word occupancy mask finds the next bucket;
 //   - everything at least ringSize cycles out (memory latencies, retry
 //     backoffs, watchdog-scale timeouts) goes to a hand-specialized 4-ary
 //     min-heap over a flat []event slice — no container/heap interface
@@ -29,11 +30,14 @@
 // Every event is one Handler.OnEvent call scheduled with AtEvent or
 // AfterEvent: a 64-byte value in a flat slice carrying the handler, a kind
 // discriminator and two payload words, so scheduling allocates nothing.
+// The record is written once, by AtEvent into its ring or heap slot, and
+// read once, in place, by dispatch: no call passes it by value.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/obs"
 )
@@ -70,7 +74,7 @@ const (
 )
 
 // bucket holds the events of one cycle in FIFO (= seq) order. head avoids
-// shifting on pop; the slice is reset (capacity retained) when drained.
+// shifting on dispatch; the slice is reset (capacity retained) when drained.
 type bucket struct {
 	ev   []event
 	head int
@@ -80,15 +84,11 @@ type bucket struct {
 // the far-future 4-ary min-heap. Time (now) lives in the Engine and is
 // passed in.
 type equeue struct {
-	ring      [ringSize]bucket
-	ringCount int
-	// ringMin is a lower bound on the cycle of the earliest ring event,
-	// meaningful only while ringCount > 0. Scheduling tightens it eagerly;
-	// popping leaves it stale-low and peekRing repairs it lazily by scanning
-	// forward, so the ring head is found in amortized O(1) instead of an
-	// O(ringSize) scan per query.
-	ringMin uint64
-	heap    []event // 4-ary min-heap ordered by (when, seq)
+	ring [ringSize]bucket
+	// occupied has bit i set while bucket i holds an event, so the ring
+	// head is one rotate and one trailing-zero count away.
+	occupied uint64
+	heap     []event // 4-ary min-heap ordered by (when, seq)
 }
 
 // Engine is the discrete-event scheduler. The zero value is ready to use.
@@ -138,27 +138,38 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending returns the number of events currently queued.
 func (e *Engine) Pending() int { return e.q.pending() }
 
-// schedule places ev at absolute cycle t. Scheduling in the past panics: it
-// is always a component bug.
-func (e *Engine) schedule(t uint64, ev event) {
+// AtEvent schedules h.OnEvent(kind, a, p) at absolute cycle t without
+// allocating: the record is written once, straight into its ring bucket
+// (fewer than ringSize cycles out) or its heap slot, with the payload
+// unboxed. Scheduling in the past panics: it is always a component bug.
+func (e *Engine) AtEvent(t uint64, h Handler, kind uint8, a uint64, p any) {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
+		panicPast(t, e.now)
 	}
 	e.seq++
-	ev.when, ev.seq = t, e.seq
-	e.q.push(e.now, ev)
+	q := &e.q
+	var s *event
+	if t-e.now < ringSize {
+		b := &q.ring[t&ringMask]
+		b.ev, s = grow(b.ev)
+		q.occupied |= 1 << (t & ringMask)
+	} else {
+		s = q.heapSlot(t)
+	}
+	s.when, s.seq, s.h, s.p, s.a, s.kind = t, e.seq, h, p, a, kind
 }
 
-// AtEvent schedules h.OnEvent(kind, a, p) at absolute cycle t without
-// allocating: the event is a value in a flat slice and the payload fields
-// are stored unboxed.
-func (e *Engine) AtEvent(t uint64, h Handler, kind uint8, a uint64, p any) {
-	e.schedule(t, event{h: h, kind: kind, a: a, p: p})
+// panicPast is AtEvent's past-time failure, kept out of line so the
+// scheduling path carries no formatting code.
+//
+//go:noinline
+func panicPast(t, now uint64) {
+	panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, now))
 }
 
 // AfterEvent schedules h.OnEvent(kind, a, p) d cycles from now.
 func (e *Engine) AfterEvent(d uint64, h Handler, kind uint8, a uint64, p any) {
-	e.schedule(e.now+d, event{h: h, kind: kind, a: a, p: p})
+	e.AtEvent(e.now+d, h, kind, a, p)
 }
 
 // Progress informs the watchdog that the simulated machine made forward
@@ -170,7 +181,7 @@ func (e *Engine) Progress() { e.lastProgress = e.now }
 // design — the event-fusion fast path (internal/cpu) calls it once per
 // inlined operation to prove no event could interleave.
 func (e *Engine) PeekNext() (when uint64, ok bool) {
-	when, _, ok = e.q.peek(e.now)
+	when, _, ok = e.q.next(e.now)
 	return when, ok
 }
 
@@ -204,37 +215,21 @@ type ProbeClasser interface {
 
 // probeClassOf derives the profiling class of an event: the handler's
 // ProbeClass when offered.
-func probeClassOf(ev *event) string {
-	if pc, ok := ev.h.(ProbeClasser); ok {
+func probeClassOf(h Handler) string {
+	if pc, ok := h.(ProbeClasser); ok {
 		return pc.ProbeClass()
 	}
 	return "event"
 }
 
-// exec runs one popped event with the probe bracket. The class lookup and
-// clock reads happen only on the probed path; unprobed runs pay one nil
-// test.
-func (e *Engine) exec(ev *event) {
-	if pr := e.probe; pr != nil {
-		pr.EventBegin()
-		ev.h.OnEvent(ev.kind, ev.a, ev.p)
-		pr.EventEnd(probeClassOf(ev), ev.kind)
-		return
-	}
-	ev.h.OnEvent(ev.kind, ev.a, ev.p)
-}
-
 // Step executes the next pending event, advancing time. It reports whether
 // an event was executed.
 func (e *Engine) Step() bool {
-	ev, ok := e.q.pop(e.now)
-	if !ok {
-		return false
+	t, inHeap, ok := e.q.next(e.now)
+	if ok {
+		e.dispatch(t, inHeap)
 	}
-	e.now = ev.when
-	e.executed++
-	e.exec(&ev)
-	return true
+	return ok
 }
 
 // Run executes events until the queue drains or the cycle limit is exceeded.
@@ -243,7 +238,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run(limit uint64) error {
 	e.lastProgress = e.now
 	for {
-		t, _, ok := e.q.peek(e.now)
+		t, inHeap, ok := e.q.next(e.now)
 		if !ok {
 			return nil
 		}
@@ -253,11 +248,48 @@ func (e *Engine) Run(limit uint64) error {
 		if e.Watchdog != 0 && e.now-e.lastProgress > e.Watchdog {
 			return e.watchdogErr()
 		}
-		ev, _ := e.q.pop(e.now)
-		e.now = ev.when
-		e.executed++
-		e.exec(&ev)
+		e.dispatch(t, inHeap)
 	}
+}
+
+// dispatch removes the earliest event, which next located at cycle t, and
+// runs it. A ring event is read in place from its bucket slot, whose two
+// pointer words are then cleared so the GC can reclaim the payload; the
+// slot is released before the call because the handler may schedule into
+// the same bucket. The class lookup and clock reads happen only on the
+// probed path; unprobed runs pay one nil test.
+func (e *Engine) dispatch(t uint64, inHeap bool) {
+	e.now = t
+	e.executed++
+	var (
+		h    Handler
+		p    any
+		a    uint64
+		kind uint8
+	)
+	q := &e.q
+	if inHeap {
+		s := &q.heap[0]
+		h, p, a, kind = s.h, s.p, s.a, s.kind
+		q.heapPop()
+	} else {
+		b := &q.ring[t&ringMask]
+		s := &b.ev[b.head]
+		h, p, a, kind = s.h, s.p, s.a, s.kind
+		s.h, s.p = nil, nil
+		if b.head++; b.head == len(b.ev) {
+			b.ev = b.ev[:0]
+			b.head = 0
+			q.occupied &^= 1 << (t & ringMask)
+		}
+	}
+	if pr := e.probe; pr != nil {
+		pr.EventBegin()
+		h.OnEvent(kind, a, p)
+		pr.EventEnd(probeClassOf(h), kind)
+		return
+	}
+	h.OnEvent(kind, a, p)
 }
 
 // limitErr and watchdogErr build the Run failure diagnostics.
@@ -273,107 +305,53 @@ func (e *Engine) watchdogErr() error {
 // --- equeue operations ----------------------------------------------------
 
 // pending returns the number of queued events.
-func (q *equeue) pending() int { return q.ringCount + len(q.heap) }
+func (q *equeue) pending() int {
+	n := len(q.heap)
+	for i := range q.ring {
+		n += len(q.ring[i].ev) - q.ring[i].head
+	}
+	return n
+}
 
 // reset empties the queue in place, zeroing abandoned events so the GC can
 // reclaim their payloads while the bucket and heap backings stay warm.
 func (q *equeue) reset() {
 	for i := range q.ring {
 		b := &q.ring[i]
-		for j := range b.ev {
-			b.ev[j] = event{}
-		}
+		clear(b.ev)
 		b.ev = b.ev[:0]
 		b.head = 0
 	}
-	q.ringCount = 0
-	q.ringMin = 0
-	for i := range q.heap {
-		q.heap[i] = event{}
-	}
+	q.occupied = 0
+	clear(q.heap)
 	q.heap = q.heap[:0]
 }
 
-// push inserts ev (when and seq already assigned) routing by horizon: ring
-// if fewer than ringSize cycles out relative to now, heap otherwise.
-func (q *equeue) push(now uint64, ev event) {
-	if ev.when-now < ringSize {
-		b := &q.ring[ev.when&ringMask]
-		b.ev = append(b.ev, ev)
-		if q.ringCount == 0 || ev.when < q.ringMin {
-			q.ringMin = ev.when
-		}
-		q.ringCount++
-		return
-	}
-	q.heapPush(ev)
-}
-
-// peekRing returns the cycle of the earliest ring event. It starts from the
-// cached ringMin lower bound and scans forward over at most the buckets the
-// last pop emptied, tightening the bound as a side effect — amortized O(1)
-// across a run because ringMin only moves forward between insertions.
+// peekRing returns the cycle of the earliest ring event: the first
+// occupied bucket at or after now's. Every ring event fires within ringSize
+// cycles of now, so each occupied bucket holds exactly one cycle's events.
 func (q *equeue) peekRing(now uint64) (uint64, bool) {
-	if q.ringCount == 0 {
+	if q.occupied == 0 {
 		return 0, false
 	}
-	t := q.ringMin
-	if t < now {
-		// The bound predates a lazy time advance; every pending event is at
-		// or after now, so the scan can start there. (Starting below now
-		// would misread a bucket refilled for cycle t+ringSize.)
-		t = now
-	}
-	for end := now + ringSize; t < end; t++ {
-		if b := &q.ring[t&ringMask]; b.head < len(b.ev) {
-			q.ringMin = t
-			return t, true
-		}
-	}
-	panic("sim: ring accounting corrupted")
+	return now + uint64(bits.TrailingZeros64(bits.RotateLeft64(q.occupied, -int(now&ringMask)))), true
 }
 
-// peek returns the (when, seq) of the queue's earliest event in (when, seq)
-// order without removing it. The heap wins ties at equal when because for
-// any cycle, every heap insertion into this queue was sequenced before every
-// ring insertion (see the package comment).
-func (q *equeue) peek(now uint64) (when, seq uint64, ok bool) {
-	rt, rok := q.peekRing(now)
-	if len(q.heap) > 0 && (!rok || q.heap[0].when <= rt) {
-		return q.heap[0].when, q.heap[0].seq, true
-	}
-	if !rok {
-		return 0, 0, false
-	}
-	b := &q.ring[rt&ringMask]
-	return rt, b.ev[b.head].seq, true
-}
-
-// pop removes and returns the queue's earliest event in (when, seq) order.
+// next locates the queue's earliest event in (when, seq) order: its cycle
+// and whether it is the heap root rather than the head of ring bucket
+// when&ringMask.
 //
-// Every event in a reachable ring bucket provably has when equal to the
-// bucket's scan cycle (see the package comment), so bucket FIFO order is
-// (when, seq) order. The heap wins ties at equal when because all of its
+// Every event in an occupied ring bucket has when equal to the cycle
+// peekRing reads for that bucket (see the package comment), so bucket FIFO
+// order is (when, seq) order. The heap wins ties at equal when because all of its
 // same-cycle events were scheduled — and therefore sequenced — before any
 // ring event of that cycle.
-func (q *equeue) pop(now uint64) (event, bool) {
+func (q *equeue) next(now uint64) (when uint64, inHeap, ok bool) {
 	rt, rok := q.peekRing(now)
 	if len(q.heap) > 0 && (!rok || q.heap[0].when <= rt) {
-		return q.heapPop(), true
+		return q.heap[0].when, true, true
 	}
-	if !rok {
-		return event{}, false
-	}
-	b := &q.ring[rt&ringMask]
-	ev := b.ev[b.head]
-	b.ev[b.head] = event{} // drop references so the GC can reclaim payloads
-	b.head++
-	if b.head == len(b.ev) {
-		b.ev = b.ev[:0]
-		b.head = 0
-	}
-	q.ringCount--
-	return ev, true
+	return rt, false, rok
 }
 
 // --- 4-ary min-heap over a flat []event slice ---------------------------
@@ -386,59 +364,57 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-func (q *equeue) heapPush(ev event) {
-	q.heap = append(q.heap, ev)
-	h := q.heap
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !less(&ev, &h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+// grow extends s by one slot and returns the new slot for the caller to
+// fill in place.
+func grow(s []event) ([]event, *event) {
+	if n := len(s); n < cap(s) {
+		s = s[:n+1]
+	} else {
+		s = append(s, event{})
 	}
-	h[i] = ev
+	return s, &s[len(s)-1]
 }
 
-func (q *equeue) heapPop() event {
+// heapSlot opens the heap slot for a new event at cycle t. The event's seq
+// is the largest issued so far, so it orders after every queued event of
+// cycle t: the hole sifts up while its parent fires strictly later.
+func (q *equeue) heapSlot(t uint64) *event {
+	hp, _ := grow(q.heap)
+	q.heap = hp
+	i := len(hp) - 1
+	for i > 0 {
+		up := (i - 1) >> 2
+		if hp[up].when <= t {
+			break
+		}
+		hp[i] = hp[up]
+		i = up
+	}
+	return &hp[i]
+}
+
+// heapPop removes the root, which the caller has read: the last record
+// sifts down from the root, compared in place and copied once.
+func (q *equeue) heapPop() {
 	h := q.heap
-	top := h[0]
 	n := len(h) - 1
-	last := h[n]
+	if last := &h[n]; n > 0 {
+		i := 0
+		for c := 1; c < n; c = i<<2 + 1 {
+			m := c
+			for j := c + 1; j < min(c+4, n); j++ {
+				if less(&h[j], &h[m]) {
+					m = j
+				}
+			}
+			if !less(&h[m], last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = *last
+	}
 	h[n] = event{} // drop references so the GC can reclaim payloads
 	q.heap = h[:n]
-	if n > 0 {
-		q.siftDown(last)
-	}
-	return top
-}
-
-// siftDown places ev starting from the root of the (already popped) heap.
-func (q *equeue) siftDown(ev event) {
-	h := q.heap
-	n := len(h)
-	i := 0
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if less(&h[j], &h[m]) {
-				m = j
-			}
-		}
-		if !less(&h[m], &ev) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = ev
 }
