@@ -423,14 +423,14 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	reportEvents(b, events)
 }
 
-// BenchmarkFusedHitChain measures the steady-state per-op cost of the
-// event-fusion fast path (DESIGN.md §10): a single thread streaming compute
-// ops and guaranteed L1 hits, the exact shape fuseOps executes inline
-// without touching the event queue. The program is built as repeated chunks
-// sharing one ops backing array, so setup cost stays O(1) in b.N and the
-// steady state is pinned at 0 allocs/op — any allocation that appears here
-// is a regression on the fused chain itself.
-func BenchmarkFusedHitChain(b *testing.B) {
+// BenchmarkHitChain measures the steady-state per-op cost of the core's
+// instruction advance: a single thread streaming compute ops and guaranteed
+// L1 hits, each one event (a compute delay or a hit completion). The
+// program is built as repeated chunks sharing one ops backing array, so
+// setup cost stays O(1) in b.N and the steady state is pinned at 0
+// allocs/op — any allocation that appears here is a regression on the
+// compute and hit paths themselves.
+func BenchmarkHitChain(b *testing.B) {
 	const lines = 64   // working set: one line per L1 set, fits trivially
 	const chunk = 4096 // ops per section; section overhead amortizes away
 	base := mem.Line(1 << 21)
@@ -454,7 +454,7 @@ func BenchmarkFusedHitChain(b *testing.B) {
 		prog = append(prog, cpu.Plain(body))
 	}
 	cfg := cpu.Config{Machine: coherence.DefaultParams(), Threads: 1, Seed: 1, Limit: 40_000_000_000}
-	m := cpu.NewMachine(cfg, "bench", "fused-hit-chain", []cpu.Program{prog})
+	m := cpu.NewMachine(cfg, "bench", "hit-chain", []cpu.Program{prog})
 	b.ReportAllocs()
 	b.ResetTimer()
 	if _, err := m.Run(); err != nil {

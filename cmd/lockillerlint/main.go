@@ -1,6 +1,6 @@
 // Command lockillerlint is the multichecker for the repository's custom
-// static-analysis suite. It loads the named packages from source (stdlib-only
-// module, no external driver needed) and runs the seven lockiller passes:
+// static-analysis suite. It loads the named packages from source with the
+// standard library alone and runs the six lockiller passes:
 //
 //	detmap        — order-dependent side effects in map-range loops of
 //	                deterministic packages
@@ -15,8 +15,6 @@
 //	tracehook     — trace.Observer and obs.EngineProbe calls outside an if
 //	                that compares the handle against nil (every package but
 //	                the interface's own)
-//	fusepath      — evL1Done scheduled outside L1.finishHit, breaking the
-//	                event-fusion fast path's single-completion-site invariant
 //
 // poolsafe's transitive sink summaries are a fixpoint over every function
 // declaration of the load, computed once per run.
@@ -41,7 +39,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/detmap"
 	"repro/internal/analysis/evtalloc"
-	"repro/internal/analysis/fusepath"
 	"repro/internal/analysis/nowallclock"
 	"repro/internal/analysis/poolsafe"
 	"repro/internal/analysis/tabledispatch"
@@ -51,7 +48,6 @@ import (
 var all = []*analysis.Analyzer{
 	detmap.Analyzer,
 	evtalloc.Analyzer,
-	fusepath.Analyzer,
 	nowallclock.Analyzer,
 	poolsafe.Analyzer,
 	tabledispatch.Analyzer,

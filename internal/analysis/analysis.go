@@ -87,9 +87,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 //	//lockiller:rawdispatch — tabledispatch: the switch is stateless routing,
 //	                        not a protocol decision; say why and name the
 //	                        test that cross-checks it against the tables
-//	//lockiller:fusepath-ok — fusepath: a deliberate new evL1Done scheduling
-//	                        site; say why, and update the fusion equivalence
-//	                        reasoning in DESIGN.md §10
 //	//lockiller:hostclock-ok — nowallclock: a wall-clock read in package main
 //	                        (CLI banners and the like); say why the value
 //	                        never reaches model state. Honored only in
@@ -100,7 +97,6 @@ const (
 	DirectiveAllocOK     = "lockiller:alloc-ok"
 	DirectivePoolOK      = "lockiller:pool-ok"
 	DirectiveRawDispatch = "lockiller:rawdispatch"
-	DirectiveFusePathOK  = "lockiller:fusepath-ok"
 	DirectiveHostClockOK = "lockiller:hostclock-ok"
 )
 

@@ -199,9 +199,8 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 
 // buildIncluded reports whether the file's //go:build constraint (if any)
 // is satisfied by the default build-tag set: target OS/arch, the gc
-// compiler, and every go1.x release tag. Custom tags (build-tagged test
-// fixtures like the cpu reuseforget shim) evaluate false, exactly as in an
-// untagged `go build`.
+// compiler, and every go1.x release tag. Custom tags evaluate false,
+// exactly as in an untagged `go build`.
 func buildIncluded(f *ast.File) bool {
 	for _, cg := range f.Comments {
 		if cg.Pos() >= f.Package {

@@ -319,19 +319,11 @@ func (l1 *L1) OnEvent(kind uint8, a uint64, p any) {
 // feasible run, let alone alias modulo 2^32 while a timeout is in flight.
 const epochMask = 1<<32 - 1
 
-// hit completes an access that hit in the L1. done may be unguarded: the
-// completion event carries the current epoch and is dropped on mismatch.
+// hit applies the architectural effects of an L1 hit — state upgrade, dirty
+// bit, transactional metadata, and the eager pre-transactional writeback —
+// and schedules its completion. done may be unguarded: the completion event
+// carries the current epoch and is dropped on mismatch.
 func (l1 *L1) hit(e *cache.Entry, write bool, done func()) {
-	l1.hitUpdate(e, write)
-	l1.finishHit(done)
-}
-
-// hitUpdate applies the architectural effects of an L1 hit — state upgrade,
-// dirty bit, transactional metadata, and the eager pre-transactional
-// writeback — without scheduling the completion. It is shared verbatim by
-// the slow (typed-event) and fast (fused inline) hit paths, so the two are
-// indistinguishable to the protocol.
-func (l1 *L1) hitUpdate(e *cache.Entry, write bool) {
 	tx := l1.tracking()
 	if write {
 		if tx && l1.Tx.Mode == htm.HTM && e.Dirty && !e.TxWrite {
@@ -353,50 +345,8 @@ func (l1 *L1) hitUpdate(e *cache.Entry, write bool) {
 		e.TxRead = true
 		l1.Tx.ReadLines++
 	}
-}
-
-// finishHit schedules the typed hit-completion event. This is the single
-// sanctioned evL1Done scheduling site (enforced by the fusepath analyzer):
-// any other hit-completion must either go through here or qualify for
-// TryFastHit's inline retirement.
-func (l1 *L1) finishHit(done func()) {
 	l1.sys.Engine.AfterEvent(l1.sys.L1Hit, l1, evL1Done, l1.epoch, done)
 }
-
-// TryFastHit is the coherence half of the event-fusion fast path (DESIGN.md
-// §10). If the access is a guaranteed L1 hit — no MSHR outstanding for the
-// line, a valid copy present, and (for stores) write permission already held
-// — it applies the full hit effects and returns true WITHOUT scheduling the
-// completion event; the core then retires the access inline, lazily
-// advancing simulated time by the hit latency. Any other case returns false
-// with no state touched, and the caller must take the ordinary Access path.
-//
-// Exactness: the effects applied here are hitUpdate's, at the same cycle
-// Access would apply them, and the only events a hit can generate (the
-// eager transactional writeback) are sent identically. The caller remains
-// responsible for proving via Engine.PeekNext that no pending event fires
-// at or before the inline completion time.
-func (l1 *L1) TryFastHit(line mem.Line, write bool) bool {
-	if l1.mshrs.lookup(line) != nil {
-		return false // outstanding request: the access must queue behind it
-	}
-	e := l1.arr.Lookup(line)
-	if e == nil || !e.State.Valid() {
-		return false // miss or transient: full machinery required
-	}
-	if write && e.State != cache.Exclusive && e.State != cache.Modified {
-		return false // store to Shared: upgrade request required
-	}
-	l1.Hits++
-	l1.hitUpdate(e, write)
-	return true
-}
-
-// FinishFastHit completes a TryFastHit through the typed event path —
-// bit-identical to the slow hit — for when an event materialized inside the
-// hit-latency window (e.g. the hit's own transactional writeback delivery)
-// after the hit effects were already applied.
-func (l1 *L1) FinishFastHit(done func()) { l1.finishHit(done) }
 
 // allocateAndIssue finds a way for the missing line — possibly triggering
 // the capacity-overflow machinery — and sends the request. done and ep

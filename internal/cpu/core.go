@@ -56,10 +56,6 @@ type Core struct {
 	// allocates per iteration.
 	spinFn, subscribeFn, finishFn, plainFn         func()
 	acquireFn, lockedFn, tlFn, unlockFn, releaseFn func()
-
-	// fusedRuns counts event-fusion fast-path runs (maximal inline op
-	// chains); collected into stats.Run.FusedRuns after the run.
-	fusedRuns uint64
 }
 
 // Typed-event kinds handled by Core.OnEvent. Each event carries the token
@@ -134,7 +130,6 @@ func (c *Core) reset(prog Program, st *stats.Core, rng sim.RNG) {
 	c.attemptTok = 0
 	clear(c.staged)
 	c.resume.ops, c.resume.i, c.resume.tok, c.resume.done = nil, 0, 0, nil
-	c.fusedRuns = 0
 }
 
 func (c *Core) engine() *sim.Engine { return c.m.Engine }
@@ -185,9 +180,11 @@ func (c *Core) body(attempt int) []Op {
 }
 
 // plainDone completes a non-atomic section. A non-transactional RMW becomes
-// visible at completion (it has no commit point to defer to).
+// visible at completion (it has no commit point to defer to). A finished
+// section is progress, so it pats the watchdog as an atomic one does.
 func (c *Core) plainDone() {
 	c.applyStaged()
+	c.engine().Progress()
 	c.advance()
 }
 
@@ -206,20 +203,6 @@ func (c *Core) advance() {
 func (c *Core) runOps(ops []Op, i int, tok uint64, done func()) {
 	if tok != c.token {
 		return
-	}
-	if !c.m.Cfg.DisableFusion {
-		var wait bool
-		i0 := i
-		// wait=true means a fast hit applied its effects even though the
-		// index did not advance, so it still counts as a run. The count
-		// feeds the host-side run ledger; it never touches simulated state
-		// (DESIGN.md §10).
-		if i, wait = c.fuseOps(ops, i, tok, done); i > i0 || wait {
-			c.fusedRuns++
-		}
-		if wait {
-			return
-		}
 	}
 	if i >= len(ops) {
 		done()
@@ -273,66 +256,6 @@ func (c *Core) runOps(ops []Op, i int, tok uint64, done func()) {
 	default:
 		panic(fmt.Sprintf("cpu: unknown op kind %d", op.Kind))
 	}
-}
-
-// fuseOps is the event-fusion fast path (DESIGN.md §10): it executes the
-// longest prefix of ops[i:] consisting of compute delays and guaranteed L1
-// hits inline, lazily advancing simulated time to each op's completion,
-// and returns the index of the first op it could not fuse. The caller
-// continues from there on the ordinary event-driven path. When wait is
-// true the caller must return instead: an op's completion was handed to the
-// event queue (see below) and the continuation resumes through c.resume.
-//
-// Fusing an op is exact only if its completion time t is strictly earlier
-// than every pending event: an event already queued at t carries a lower
-// sequence number than anything the slow path would schedule now, so it
-// would run first and could observe or change state mid-chain. The loop
-// therefore re-checks Engine.PeekNext before each op — and again after
-// TryFastHit, because a transactional store hit can itself emit protocol
-// traffic (the eager pre-transactional writeback) that lands inside the
-// hit-latency window. In that second case the hit's architectural effects
-// are already applied, so the op cannot be un-fused; it completes through
-// FinishFastHit, which schedules the same typed completion event the slow
-// path would have, preserving the exact (when, seq) order.
-func (c *Core) fuseOps(ops []Op, i int, tok uint64, done func()) (next int, wait bool) {
-	eng := c.engine()
-	l1 := c.m.Sys.L1s[c.id]
-	hitLat := c.m.Sys.L1Hit
-	for i < len(ops) {
-		op := ops[i]
-		var t uint64 // inline completion time of op
-		switch op.Kind {
-		case OpCompute:
-			t = eng.Now() + op.N
-		case OpRead, OpWrite:
-			t = eng.Now() + hitLat
-		default:
-			return i, false // RMW / fault: full machinery required
-		}
-		if next, ok := eng.PeekNext(); ok && next <= t {
-			return i, false // an event would interleave: fall back
-		}
-		if op.Kind == OpCompute {
-			c.tx().InstsRetired += op.N
-			eng.AdvanceTo(t)
-			i++
-			continue
-		}
-		if !l1.TryFastHit(op.Line, op.Kind == OpWrite) {
-			return i, false // miss, upgrade, or queued-behind-MSHR
-		}
-		if next, ok := eng.PeekNext(); ok && next <= t {
-			// The hit emitted traffic inside its own latency window; its
-			// effects are applied, so complete it through the event path.
-			c.resume.ops, c.resume.i, c.resume.tok, c.resume.done = ops, i+1, tok, done
-			l1.FinishFastHit(c.contFn)
-			return i, true
-		}
-		eng.AdvanceTo(t)
-		c.tx().InstsRetired++
-		i++
-	}
-	return i, false
 }
 
 // accessOp performs op i's load or store and steps to the next op when the

@@ -302,3 +302,29 @@ func TestThreadsExceedCoresPanics(t *testing.T) {
 	cfg := Config{Machine: smallParams(), HTM: baselineHTM(), Sync: SysHTM, Threads: 5, Seed: 1}
 	NewMachine(cfg, "x", "y", counterProgram(5, 1, 4096))
 }
+
+// TestPlainSectionsPatWatchdog: a finished plain section is progress. One
+// thread runs plain sections of missing loads, each far shorter than the
+// watchdog window, for several windows in all; the run must complete.
+func TestPlainSectionsPatWatchdog(t *testing.T) {
+	const sections, loads = 20, 64
+	var prog Sections
+	for s := 0; s < sections; s++ {
+		ops := make([]Op, loads)
+		for i := range ops {
+			ops[i] = Read(mem.Line(1<<20 + s*loads + i)) // every load misses
+		}
+		prog = append(prog, Plain(ops))
+	}
+	cfg := Config{Machine: smallParams(), HTM: baselineHTM(), Sync: SysHTM, Threads: 1, Seed: 1}
+	m := NewMachine(cfg, "test", "unit", []Program{prog})
+	m.Engine.Watchdog = 50_000
+	r, err := m.Run()
+	if err != nil {
+		t.Fatalf("run of %d plain sections failed: %v", sections, err)
+	}
+	if perSection := r.ExecCycles / sections; r.ExecCycles <= 2*m.Engine.Watchdog || perSection >= m.Engine.Watchdog/2 {
+		t.Fatalf("%d cycles, %d per section: the run must span several watchdog windows of %d cycles, each section well inside one",
+			r.ExecCycles, perSection, m.Engine.Watchdog)
+	}
+}

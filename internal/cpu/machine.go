@@ -67,12 +67,6 @@ type Config struct {
 	Seed    uint64
 	// Limit bounds the simulation length in cycles (0 = unlimited).
 	Limit uint64
-	// DisableFusion turns off the event-fusion fast path (DESIGN.md §10),
-	// forcing every compute delay and L1 hit through the event queue. The
-	// simulated behavior is bit-for-bit identical either way (pinned by the
-	// fusion equivalence tests); the knob is the unfused reference those
-	// tests compare against.
-	DisableFusion bool
 	// Placement binds threads to mesh tiles (default: packed, per paper).
 	Placement Placement
 }
@@ -196,7 +190,6 @@ func (m *Machine) Reset(seed uint64, label, workload string, programs []Program)
 		c.reset(programs[i], m.Stats.Cores[i], rng.Split(uint64(i)))
 	}
 	m.Observe(Observers{})
-	resetForget(m)
 }
 
 // Observe attaches o to the machine's next run. Call it after NewMachine
@@ -302,9 +295,6 @@ func (m *Machine) collectTraffic() {
 	t.LockHandovers = m.Lock.Handovers
 	m.Stats.Transitions = m.Sys.TransitionProfile()
 	m.Stats.EventsExecuted = m.Engine.Executed()
-	for _, c := range m.Cores {
-		m.Stats.FusedRuns += c.fusedRuns
-	}
 }
 
 // DumpState renders a diagnostic snapshot of every core — what each thread

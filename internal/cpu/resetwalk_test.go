@@ -58,8 +58,9 @@ func TestResetDiffCatchesDirtyMachine(t *testing.T) {
 // HTMLock application state of the arbiter and the L1s — and asserts the
 // walk reports every plant. This is the fixture guarding
 // the walk itself: a walk that silently skips a layer would wave through a
-// future Reset that forgets it. (The companion under -tags reuseforget
-// drives the same check through Machine.Reset's own code path.)
+// future Reset that forgets it. The last plant is made after a real
+// Machine.Reset, as a Reset that forgot the field would leave it, and the
+// report must name that field.
 func TestResetDiffCatchesPlantedFields(t *testing.T) {
 	cfg := resetCfg(42)
 	progs := counterProgram(cfg.Threads, 10, 8192)
@@ -96,6 +97,17 @@ func TestResetDiffCatchesPlantedFields(t *testing.T) {
 			}
 		})
 	}
+	t.Run("core retry state after Reset", func(t *testing.T) {
+		reset := runAndReset(t, cfg, progs)
+		reset.Cores[0].retries = 1
+		diffs := ResetDiff(NewMachine(cfg, "test", "unit", progs), reset)
+		for _, d := range diffs {
+			if strings.Contains(d, "retries") {
+				return
+			}
+		}
+		t.Fatalf("walk did not name the forgotten retries field:\n  %s", strings.Join(diffs, "\n  "))
+	})
 }
 
 // plantField stores val in the field at path ("f" or "f.g") of the struct

@@ -64,9 +64,9 @@ func goldenSpecs() []Spec {
 
 // goldenRow is one way of executing a golden-matrix point. Every row must
 // reproduce the pinned cycles; a row with deepEqual must also reproduce a
-// fresh build's full stats.Run, up to the engine-strategy counters
-// (sameOutcome). A new axis — another execution strategy or observer — is
-// one more row and one more test driving it through runGolden.
+// fresh build's full stats.Run, event count included. A new axis — another
+// execution strategy or observer — is one more row and one more test
+// driving it through runGolden.
 type goldenRow struct {
 	deepEqual bool
 	run       func(t *testing.T, s Spec) *stats.Run
@@ -86,11 +86,16 @@ var (
 	poolBuildRow = goldenRow{deepEqual: true, run: func(t *testing.T, s Spec) *stats.Run {
 		return mustRun(t)(NewRunner(s.Seed).Get(s))
 	}}
-	unfusedRow = goldenRow{deepEqual: true, run: func(t *testing.T, s Spec) *stats.Run {
-		cfg := s.Config()
-		cfg.DisableFusion = true
+	// A bare machine built straight from cpu.NewMachine, with no harness
+	// wrapper and no Observe call. Every op runs as an event, so no run is
+	// fused (stats.Run.FusedRuns, which bench/ reports, stays 0).
+	directRow = goldenRow{deepEqual: true, run: func(t *testing.T, s Spec) *stats.Run {
 		progs := stamp.Programs(s.Workload, s.Threads, s.Seed)
-		return mustRun(t)(cpu.NewMachine(cfg, s.System.Name, s.Workload.Name, progs).Run())
+		run := mustRun(t)(cpu.NewMachine(s.Config(), s.System.Name, s.Workload.Name, progs).Run())
+		if run.FusedRuns != 0 {
+			t.Errorf("%s: %d fused runs, want 0: every op runs as an event", pointName(s), run.FusedRuns)
+		}
+		return run
 	}}
 	// The self-profiler reads the host clock on every dispatch; none of
 	// that may reach model state.
@@ -210,16 +215,6 @@ func mustRun(t *testing.T) func(*stats.Run, error) *stats.Run {
 	}
 }
 
-// sameOutcome reports whether two runs agree on every stats field except
-// EventsExecuted and FusedRuns, which count how the engine got there and
-// legitimately move with event fusion.
-func sameOutcome(a, b *stats.Run) bool {
-	x, y := *a, *b
-	x.EventsExecuted, x.FusedRuns = 0, 0
-	y.EventsExecuted, y.FusedRuns = 0, 0
-	return reflect.DeepEqual(x, y)
-}
-
 // pointName names a golden-matrix point system/workload/threads.
 func pointName(s Spec) string {
 	return fmt.Sprintf("%s/%s/%d", s.System.Name, s.Workload.Name, s.Threads)
@@ -255,7 +250,7 @@ func runGolden(t *testing.T, row goldenRow, name func(Spec) string) {
 				if !row.deepEqual {
 					continue
 				}
-				if fresh := mustRun(t)(Execute(s)); !sameOutcome(fresh, run) {
+				if fresh := mustRun(t)(Execute(s)); !reflect.DeepEqual(fresh, run) {
 					t.Errorf("%s: stats diverge from the fresh build:\nfresh: %+v\ngot:   %+v", pointName(s), fresh, run)
 				}
 			}
@@ -266,11 +261,12 @@ func runGolden(t *testing.T, row goldenRow, name func(Spec) string) {
 // TestGoldenCycleCounts pins the golden matrix on fresh builds.
 func TestGoldenCycleCounts(t *testing.T) { runGolden(t, freshRow, pointName) }
 
-// TestGoldenCycleCountsFusionOff pins the golden matrix with the event-fusion
-// fast path disabled. Fusion is a pure execution-strategy change, so the
-// unfused run must match the fused one in every outcome — cycles, traffic,
-// aborts by cause, per-core commits.
-func TestGoldenCycleCountsFusionOff(t *testing.T) { runGolden(t, unfusedRow, pointName) }
+// TestGoldenCycleCountsFusionOff pins the golden matrix on a bare
+// cpu.NewMachine build, which must match a fresh Execute in every field,
+// event count included. The name dates from the event-fusion fast path
+// (DESIGN.md §10): this row was its switched-off reference, and now that the
+// event path is the only one, it is what every build runs.
+func TestGoldenCycleCountsFusionOff(t *testing.T) { runGolden(t, directRow, pointName) }
 
 // TestGoldenCycleCountsReuse pins the golden matrix on the runner's machine
 // pool: reset-then-run (reuse=true) and the runner's own first build

@@ -193,3 +193,51 @@ func TestRunnerDiskCache(t *testing.T) {
 		t.Errorf("ledger has %d cache_src=disk records, want %d\n%s", got, len(specs), buf.String())
 	}
 }
+
+// TestRunnerReportsFailedStore: a store that fails (here the cache directory
+// was replaced by a file after it was opened) loses only the cache entry, so
+// the sweep still succeeds, but every failure is reported on stderr although
+// the runner has no Log.
+func TestRunnerReportsFailedStore(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	d, err := OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	defer func() { os.Stderr = saved }()
+
+	r := NewRunner(1)
+	r.Disk = d
+	r.exec = func(s Spec) (*stats.Run, error) {
+		return stats.NewRun(s.System.Name, s.Workload.Name, s.Threads), nil
+	}
+	specs := stubSpecs(2)
+	if err := r.RunAll(specs); err != nil {
+		t.Fatalf("a failed store failed the sweep: %v", err)
+	}
+	out, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range specs {
+		if want := s.keyWithSeed(r.Seed) + " not cached"; !bytes.Contains(out, []byte(want)) {
+			t.Errorf("stderr does not report %q:\n%s", want, out)
+		}
+	}
+	if !bytes.Contains(out, []byte("not a directory")) {
+		t.Errorf("stderr does not carry the store error:\n%s", out)
+	}
+}

@@ -171,8 +171,7 @@ func (s Spec) MachineParams() coherence.Params {
 }
 
 // Execute runs one simulation to completion on a freshly built machine: the
-// reference every pooled, unfused or instrumented execution is compared
-// against.
+// reference every pooled or instrumented execution is compared against.
 func Execute(s Spec) (*stats.Run, error) { return ExecuteWith(s, ExecOptions{}) }
 
 // ExecOptions are the optional observers of one execution (tracer,
@@ -399,8 +398,11 @@ func (r *Runner) get(s Spec) (*stats.Run, runAccount, error) {
 		res, err = r.execute(s)
 		acct = runAccount{Wall: timer.Elapsed(), Mem: mem.Delta()}
 		if err == nil && r.Disk != nil {
-			if serr := r.Disk.Store(k, s.Seed, res); serr != nil && r.Log != nil {
-				r.Log(fmt.Sprintf("disk cache store failed for %s: %v", k, serr))
+			// A failed store loses no result, only the cache entry, so it
+			// is reported rather than returned, and on stderr whatever
+			// Log is: otherwise a broken cache would go unnoticed.
+			if serr := r.Disk.Store(k, s.Seed, res); serr != nil {
+				fmt.Fprintf(os.Stderr, "harness: %s not cached: %v\n", k, serr)
 			}
 		}
 	}
@@ -443,7 +445,6 @@ func LedgerRecord(s Spec, res *stats.Run, err error, wall time.Duration, mem obs
 	if res != nil {
 		rec.Events = res.EventsExecuted
 		rec.ExecCycles = res.ExecCycles
-		rec.FusedRuns = res.FusedRuns
 	}
 	return rec
 }

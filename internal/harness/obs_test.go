@@ -179,7 +179,7 @@ func TestRedactedLedgerByteIdentical(t *testing.T) {
 		r.Workers = 4
 		r.Ledger = &obs.Ledger{Redact: true}
 		r.exec = func(s Spec) (*stats.Run, error) {
-			return &stats.Run{ExecCycles: uint64(s.Threads), EventsExecuted: 100, FusedRuns: 7}, nil
+			return &stats.Run{ExecCycles: uint64(s.Threads), EventsExecuted: 100}, nil
 		}
 		if err := r.RunAll(stubSpecs(5)); err != nil {
 			t.Fatal(err)

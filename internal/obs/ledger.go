@@ -17,8 +17,9 @@ import (
 // LedgerSchemaVersion is stamped into every record; ValidateLedger rejects
 // records from any other version so schema drift fails loudly. Version 2
 // added CacheSrc (which cache satisfied a hit: memo or disk); version 3
-// dropped par_workers with the sharded engine.
-const LedgerSchemaVersion = 3
+// dropped par_workers with the sharded engine; version 4 dropped fused_runs
+// with the event-fusion fast path.
+const LedgerSchemaVersion = 4
 
 // Record is one run's ledger entry. Fields are declared in alphabetical
 // json-name order — encoding/json emits struct fields in declaration
@@ -44,8 +45,6 @@ type Record struct {
 	Events uint64 `json:"events" obs:"det"`
 	// ExecCycles is the simulated makespan.
 	ExecCycles uint64 `json:"exec_cycles" obs:"det"`
-	// FusedRuns counts event-fusion fast-path runs (DESIGN.md §10).
-	FusedRuns uint64 `json:"fused_runs" obs:"det"`
 	// GCCycles, HeapAllocBytes, Mallocs, TotalAllocBytes are the host
 	// allocator readings for the run (MemDelta).
 	GCCycles       uint32 `json:"gc_cycles" obs:"host"`

@@ -35,7 +35,7 @@ func TestRecordSchemaSorted(t *testing.T) {
 
 func fullRecord(key string) Record {
 	return Record{
-		CacheHit: true, CacheSrc: "memo", Error: "boom", Events: 1, ExecCycles: 2, FusedRuns: 3,
+		CacheHit: true, CacheSrc: "memo", Error: "boom", Events: 1, ExecCycles: 2,
 		GCCycles: 4, HeapAllocBytes: 5, Key: key, Mallocs: 6,
 		Schema: LedgerSchemaVersion, Seed: 8, TotalAllocBytes: 9, WallNS: 10,
 	}
@@ -126,15 +126,17 @@ func TestValidateLedgerRejects(t *testing.T) {
 	}
 	// want, when set, is a substring the error must carry.
 	cases := map[string]struct{ in, want string }{
-		"unknown field": {in: `{"bogus":1,"key":"k","schema":3}`},
+		"unknown field": {in: `{"bogus":1,"key":"k","schema":4}`},
 		"bad schema":    {in: `{"key":"k","schema":99}`},
-		"empty key":     {in: `{"key":"","schema":3}`},
-		"unsorted keys": {in: `{"schema":3,"key":"k"}`},
+		"empty key":     {in: `{"key":"","schema":4}`},
+		"unsorted keys": {in: `{"schema":4,"key":"k"}`},
 		"unsorted rows": {in: good("b") + "\n" + good("a")},
 		"not an object": {in: `[1,2]`},
 		// A schema-2 line still carries par_workers; it must fail on the
 		// schema, not as an unknown field.
-		"schema 2": {in: `{"events":1,"key":"k","par_workers":0,"schema":2}`, want: "schema 2, want 3"},
+		"schema 2": {in: `{"events":1,"key":"k","par_workers":0,"schema":2}`, want: "schema 2, want 4"},
+		// Likewise a schema-3 line, which still carries fused_runs.
+		"schema 3": {in: `{"events":1,"fused_runs":0,"key":"k","schema":3}`, want: "schema 3, want 4"},
 	}
 	for name, c := range cases {
 		_, err := ValidateLedger(strings.NewReader(c.in))
@@ -227,8 +229,8 @@ func FuzzValidateLedger(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	f.Add([]byte(`{"schema":3,"key":"k","extra":1}`))
-	f.Add([]byte(`{"key":"k","schema":3}` + "\n" + `[1,2]`))
+	f.Add([]byte(`{"schema":4,"key":"k","extra":1}`))
+	f.Add([]byte(`{"key":"k","schema":4}` + "\n" + `[1,2]`))
 	f.Add([]byte("\n\n{"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Any verdict is fine; the property is that there is one.

@@ -176,33 +176,6 @@ func (e *Engine) AfterEvent(d uint64, h Handler, kind uint8, a uint64, p any) {
 // progress (e.g. a transaction committed or a section finished).
 func (e *Engine) Progress() { e.lastProgress = e.now }
 
-// PeekNext returns the cycle of the earliest pending event without removing
-// it: the min of the calendar-ring head and the heap root. It is cheap by
-// design — the event-fusion fast path (internal/cpu) calls it once per
-// inlined operation to prove no event could interleave.
-func (e *Engine) PeekNext() (when uint64, ok bool) {
-	when, _, ok = e.q.next(e.now)
-	return when, ok
-}
-
-// AdvanceTo lazily advances simulated time to cycle t without executing an
-// event — the engine half of the event-fusion fast path. The caller must
-// have established via PeekNext that every pending event fires strictly
-// after t; the engine re-checks and panics otherwise, because silently
-// passing a pending event would reorder the simulation. (Advancing to
-// exactly the next event's cycle is also rejected: an already-queued event
-// carries an earlier sequence number than anything the caller would go on
-// to do at t, so it must run first.)
-func (e *Engine) AdvanceTo(t uint64) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: AdvanceTo(%d) behind now %d", t, e.now))
-	}
-	if next, ok := e.PeekNext(); ok && next <= t {
-		panic(fmt.Sprintf("sim: AdvanceTo(%d) would pass the pending event at %d", t, next))
-	}
-	e.now = t
-}
-
 // SetProbe attaches (or, with nil, detaches) the host-side engine probe.
 // It must be set before Run and stay fixed for the duration of the run.
 func (e *Engine) SetProbe(p obs.EngineProbe) { e.probe = p }

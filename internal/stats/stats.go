@@ -122,12 +122,12 @@ type Run struct {
 	// declared transition fired (see transitions.go).
 	Transitions []TransitionCount
 	// EventsExecuted is the number of simulation events the engine
-	// dispatched; FusedRuns the number of event-fusion fast-path runs the
-	// cores executed inline (DESIGN.md §10). Both are deterministic for a
-	// spec, but they legitimately differ between fusion on and off — the
-	// fusion equivalence tests compare architectural fields, not these.
+	// dispatched, deterministic for a spec.
 	EventsExecuted uint64
-	FusedRuns      uint64
+	// FusedRuns is always 0: it counted the removed event-fusion fast
+	// path's inline runs (DESIGN.md §10) and stays only for readers that
+	// still report it.
+	FusedRuns uint64
 }
 
 // NewRun allocates per-core accumulators.

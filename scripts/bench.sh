@@ -21,7 +21,7 @@ go test -run '^$' -benchmem \
 
 echo "running component and full-sim benchmarks..." >&2
 go test -run '^$' -benchmem \
-    -bench '^(BenchmarkNoCSend|BenchmarkFusedHitChain|BenchmarkSimulatorThroughput|BenchmarkTelemetryEnabledOverhead|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledOverhead)$' \
+    -bench '^(BenchmarkNoCSend|BenchmarkHitChain|BenchmarkSimulatorThroughput|BenchmarkTelemetryEnabledOverhead|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledOverhead)$' \
     . >>"$TMP"
 
 echo "running machine-reuse benchmarks..." >&2
